@@ -20,7 +20,10 @@ from .executor import (
     branch_density,
     channel_choi,
     choi_distance,
+    kraus_branches,
+    kraus_choi_distance,
     run_branches,
+    transcript_key,
     unitary_choi,
 )
 from .protocol import (
@@ -61,11 +64,14 @@ __all__ = [
     "executor",
     "format_program",
     "gatelang",
+    "kraus_branches",
+    "kraus_choi_distance",
     "parse_program",
     "protocol",
     "qsim",
     "resource_census",
     "run_branches",
+    "transcript_key",
     "unitary_choi",
     "validate_locality",
     "verifier",

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import gatelang
 from .builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program, build_specification
-from .executor import ExecutionError, channel_choi, run_branches
+from .executor import ExecutionError, channel_choi, run_branches, transcript_key
 from .protocol import Program, parse_program, resource_census, validate_locality
 from .qsim import StateVector, UnitaryMatrix, fidelity
 from .verifier import (
@@ -50,6 +51,18 @@ def _add_source_args(sub: argparse.ArgumentParser, with_against: bool = True) ->
         )
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance: a finite, non-negative number.  NaN would fail every
+    comparison and infinity would pass every program."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="telegate",
@@ -61,9 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="certify program = specification and print the report"
     )
     _add_source_args(p_verify)
-    p_verify.add_argument("--tol-branch", type=float, default=DEFAULT_TOL_BRANCH,
+    p_verify.add_argument("--tol-branch", type=_tolerance, default=DEFAULT_TOL_BRANCH,
                           help="per-branch infidelity tolerance (default %(default)g)")
-    p_verify.add_argument("--tol-choi", type=float, default=DEFAULT_TOL_CHOI,
+    p_verify.add_argument("--tol-choi", type=_tolerance, default=DEFAULT_TOL_CHOI,
                           help="Choi Frobenius distance tolerance (default %(default)g)")
     p_verify.add_argument("--probes", type=int, default=DEFAULT_PROBES,
                           help="number of probe inputs incl. the basis (default %(default)s)")
@@ -182,7 +195,7 @@ def _cmd_trace(args) -> int:
             "input": label,
             "branches": [
                 {
-                    "transcript": ",".join(f"{w}={b}" for w, b in o.transcript) or "-",
+                    "transcript": transcript_key(o.transcript),
                     "probability": o.probability,
                     "fidelity": fidelity(o.final_state, expected),
                     "amplitudes": [
@@ -198,7 +211,7 @@ def _cmd_trace(args) -> int:
         print(f"input |{label}>, {len(outcomes)} branch(es):")
         print(f"  {'transcript':<16} {'probability':<12} {'fidelity':<10} final state")
         for o in outcomes:
-            key = ",".join(f"{w}={b}" for w, b in o.transcript) or "-"
+            key = transcript_key(o.transcript)
             fid = fidelity(o.final_state, expected)
             print(f"  {key:<16} {o.probability:<12.6f} {fid:<10.6f} {_fmt_state(o.final_state)}")
     return 0

@@ -1,20 +1,23 @@
 """Exact execution of protocol programs.
 
-:func:`run_branches` enumerates every classical transcript depth-first,
-carrying a per-branch classical environment, and returns each branch's
-exact probability and final state over the external wires only.  No
-sampling is involved: the output is the complete branch ensemble, so
-tests tolerate only floating-point error.
+:func:`kraus_branches` is the one execution primitive.  It runs a
+program once, depth-first over every classical transcript, on the d×d
+identity (d = 2^n for n external wires), so that each transcript t ends
+as the Kraus operator K_t of the channel the program implements: the
+branch output for input psi is ``K_t @ psi`` (unnormalized) and its
+probability is ``|K_t psi|^2``.  A program built by the builder has at
+most four transcripts, so everything downstream is small:
 
-:func:`channel_choi` turns a program into the Choi matrix of the channel
-it implements, by running it on one half of a maximally entangled state
-against an untouched reference register.  Choi matrices here are
-normalized to trace 1; :func:`unitary_choi` uses the same convention so
-the two are directly comparable.
+* :func:`run_branches` is a normalizing view for one input state;
+* :func:`kraus_choi_distance` compares the channel with a unitary in the
+  span of the at most five vectors vec(K_t) and vec(U);
+* :func:`channel_choi` assembles the dense Choi matrix
+  sum_t vec(K_t) vec(K_t)† / d, for callers that need the matrix itself.
 
-Branches share no mutable state (states are immutable values), so they
-could be evaluated in any order or in parallel; the returned list is
-always sorted by transcript bits for reproducibility.
+Choi matrices here are normalized to trace 1; :func:`unitary_choi` uses
+the same convention so the two are directly comparable.  No sampling is
+involved: the branch ensemble is complete, so tests tolerate only
+floating-point error.  Returned lists are sorted by transcript bits.
 """
 
 from __future__ import annotations
@@ -38,10 +41,13 @@ from .protocol import (
     WireRef,
     validate_locality,
 )
-from .qsim import StateVector, UnitaryMatrix
+from .qsim import BRANCH_PRUNE, StateVector, UnitaryMatrix
 
-_PRUNE = 1e-14
-_PAULI = {"X": qsim.X, "Z": qsim.Z}
+_PAULI = {"X": qsim.X.matrix, "Z": qsim.Z.matrix}
+_BASIS = tuple(StateVector.from_bits(b).amplitudes for b in "01")
+_BELL = qsim.bell_pair().amplitudes
+
+Transcript = tuple[tuple[WireRef, int], ...]
 
 
 @dataclass(frozen=True)
@@ -49,7 +55,7 @@ class BranchOutcome:
     """One classical history: the measured bits in program order, the exact
     probability of that history, and the final state of the external wires."""
 
-    transcript: tuple[tuple[WireRef, int], ...]
+    transcript: Transcript
     probability: float
     final_state: StateVector
 
@@ -101,72 +107,101 @@ class ExecutionError(RuntimeError):
     conditional reading a bit that was never set)."""
 
 
-def run_branches(p: Program, input_state: StateVector) -> list[BranchOutcome]:
-    """Enumerate all measurement branches of ``p`` on ``input_state``.
+def transcript_key(transcript: Transcript) -> str:
+    """Report form of a transcript: ``"c1=0,c2=1"``, or ``"-"`` if empty."""
+    return ",".join(f"{wire}={bit}" for wire, bit in transcript) or "-"
 
-    The input covers exactly the external wires, in declaration order.
-    The program must pass :func:`validate_locality`; branches below
-    probability 1e-14 are omitted, and the rest sum to 1 within 1e-12.
+
+def kraus_branches(p: Program) -> list[tuple[Transcript, np.ndarray]]:
+    """The ``(transcript, K_t)`` pairs of ``p``, sorted by transcript bits.
+
+    ``K_t`` is a d×d array (d = 2^n_external): column j is the
+    unnormalized output of transcript t for basis input j.  The program
+    must pass :func:`validate_locality` and keep at most
+    :func:`qsim.max_qubits` qubits alive at once.  Transcripts with
+    ``|K_t|_F^2 < 1e-14`` are dropped (no unit input reaches them with
+    probability 1e-14); the rest must satisfy sum_t |K_t|_F^2 / d = 1
+    within 1e-12, which makes the channel trace preserving.
     """
     violations = validate_locality(p)
     if violations:
         summary = "; ".join(str(v) for v in violations[:3])
         raise ValueError(f"program fails locality validation: {summary}")
-    if input_state.n_qubits != p.n_external:
-        raise ValueError(
-            f"input has {input_state.n_qubits} qubits, program declares {p.n_external}"
-        )
-    outcomes = _enumerate(p.instructions, input_state, list(p.external_wires))
-    outcomes.sort(key=lambda o: o.bits)
-    return outcomes
+    width, cap = _register_width(p), qsim.max_qubits()
+    if width > cap:
+        raise ValueError(f"program keeps {width} qubits alive, exceeding the {cap}-qubit cap")
+    n = p.n_external
+    d = 1 << n
+    batch = np.eye(d, dtype=np.complex128).reshape((2,) * n + (d,))
+    leaves = _walk(p.instructions, batch, list(p.external_wires))
+    leaves.sort(key=lambda leaf: [bit for _, bit in leaf[0]])
+    kraus = [(transcript, psi.reshape(d, d)) for transcript, psi in leaves]
+    if not all(np.isfinite(k.view(np.float64)).all() for _, k in kraus):
+        raise ExecutionError("Kraus operators must be finite")
+    mass = sum(float(np.vdot(k, k).real) for _, k in kraus) / d
+    if abs(mass - 1.0) > 1e-12:
+        raise ExecutionError(f"channel is not trace preserving: sum |K_t|^2 / d = {mass!r}")
+    return kraus
 
 
-def _enumerate(
-    instructions: tuple,
-    state: StateVector,
-    wires: list[WireRef | None],
-) -> list[BranchOutcome]:
-    """Depth-first branch enumeration.  ``wires[i]`` names the wire at qubit
-    position i; ``None`` marks reference qubits no instruction may touch."""
-    out: list[BranchOutcome] = []
-    # stack entries: (next instruction index, state, wire order, env, transcript, prob)
-    stack = [(0, state, wires, {}, (), 1.0)]
+def _register_width(p: Program) -> int:
+    """Most qubits alive at once while ``p`` runs, externals included."""
+    live = width = p.n_external
+    for ins in p.instructions:
+        if isinstance(ins, AllocQubit):
+            live += 1
+        elif isinstance(ins, MakeBellPair):
+            live += 2
+        elif isinstance(ins, MeasureZ):
+            live -= 1
+        width = max(width, live)
+    return width
+
+
+def _walk(
+    instructions: tuple, batch: np.ndarray, wires: list[WireRef]
+) -> list[tuple[Transcript, np.ndarray]]:
+    """Depth-first branch enumeration over a batch of unnormalized states.
+
+    ``batch`` has one axis of size 2 per live qubit, in the order of
+    ``wires``, then one batch axis.  Measurements project without
+    renormalizing, so each leaf carries its transcript's operator.
+    """
+    out: list[tuple[Transcript, np.ndarray]] = []
+    # stack entries: (next instruction index, batch, wire order, env, transcript)
+    stack = [(0, batch, wires, {}, ())]
     while stack:
-        idx, state, wires, env, transcript, prob = stack.pop()
+        idx, psi, wires, env, transcript = stack.pop()
         advancing = True
         while advancing and idx < len(instructions):
             ins = instructions[idx]
             idx += 1
             if isinstance(ins, AllocQubit):
-                state = qsim.tensor(state, StateVector.from_bits(str(ins.basis_value)))
+                psi = _append_qubits(psi, _BASIS[ins.basis_value])
                 wires = wires + [ins.wire]
             elif isinstance(ins, MakeBellPair):
-                state = qsim.tensor(state, qsim.bell_pair())
+                psi = _append_qubits(psi, _BELL)
                 wires = wires + [ins.left, ins.right]
             elif isinstance(ins, ApplyLocal):
-                state = qsim.apply_unitary(state, _positions(wires, ins.wires), ins.gate)
+                psi = _apply(psi, _positions(wires, ins.wires), ins.gate.matrix)
             elif isinstance(ins, ApplyControlledLocal):
                 targets = (ins.control, *ins.targets)
-                state = qsim.apply_unitary(
-                    state, _positions(wires, targets), qsim.controlled(ins.gate)
-                )
+                psi = _apply(psi, _positions(wires, targets), ins.gate.matrix, controlled=True)
             elif isinstance(ins, MeasureZ):
                 (pos,) = _positions(wires, (ins.wire,))
-                rest = [w for w in wires if w != ins.wire]
-                branches = qsim.measure_z(state, pos)
+                rest = wires[:pos] + wires[pos + 1:]
                 advancing = False
-                for br in branches:
-                    p_total = prob * br.probability
-                    if p_total < _PRUNE:
+                for outcome in (0, 1):
+                    part = np.take(psi, outcome, axis=pos)
+                    if np.vdot(part, part).real < BRANCH_PRUNE:
                         continue
                     stack.append(
                         (
                             idx,
-                            br.post_state,
+                            part,
                             rest,
-                            {**env, ins.out: br.outcome},
-                            transcript + ((ins.out, br.outcome),),
-                            p_total,
+                            {**env, ins.out: outcome},
+                            transcript + ((ins.out, outcome),),
                         )
                     )
             elif isinstance(ins, ConditionalPauli):
@@ -175,9 +210,7 @@ def _enumerate(
                         f"conditional pauli reads unset classical wire {ins.condition}"
                     )
                 if env[ins.condition] == 1:
-                    state = qsim.apply_unitary(
-                        state, _positions(wires, (ins.wire,)), _PAULI[ins.pauli]
-                    )
+                    psi = _apply(psi, _positions(wires, (ins.wire,)), _PAULI[ins.pauli])
             elif isinstance(ins, DiscardBit):
                 env = {k: v for k, v in env.items() if k != ins.wire}
             elif isinstance(ins, SendBit):
@@ -185,11 +218,30 @@ def _enumerate(
             else:  # pragma: no cover - union is closed
                 raise TypeError(f"unknown instruction {ins!r}")
         if advancing:
-            out.append(BranchOutcome(transcript, prob, state))
+            out.append((transcript, psi))
     return out
 
 
-def _positions(wires: list[WireRef | None], targets: tuple[WireRef, ...]) -> list[int]:
+def _append_qubits(psi: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Tensor fresh qubits in state ``amps`` after the live ones."""
+    grown = psi[..., None, :] * amps[:, None]
+    return grown.reshape(psi.shape[:-1] + (2,) * (amps.size.bit_length() - 1) + psi.shape[-1:])
+
+
+def _apply(
+    psi: np.ndarray, positions: list[int], u: np.ndarray, controlled: bool = False
+) -> np.ndarray:
+    """Apply ``u`` to the qubit axes ``positions`` (``positions[0]`` most
+    significant).  If ``controlled``, ``positions[0]`` is a control and ``u``
+    acts on the rest where it is |1>."""
+    k = len(positions)
+    front = np.moveaxis(psi, positions, range(k)).copy()
+    block = front[1] if controlled else front
+    block[...] = (u @ block.reshape(u.shape[0], -1)).reshape(block.shape)
+    return np.moveaxis(front, range(k), positions)
+
+
+def _positions(wires: list[WireRef], targets: tuple[WireRef, ...]) -> list[int]:
     positions = []
     for t in targets:
         try:
@@ -197,6 +249,28 @@ def _positions(wires: list[WireRef | None], targets: tuple[WireRef, ...]) -> lis
         except ValueError:
             raise ExecutionError(f"instruction touches missing quantum wire {t}") from None
     return positions
+
+
+def run_branches(p: Program, input_state: StateVector) -> list[BranchOutcome]:
+    """Every measurement branch of ``p`` on ``input_state``, sorted by bits.
+
+    The input covers exactly the external wires, in declaration order.
+    Branches below probability 1e-14 are omitted, and the rest sum to 1
+    within 1e-12.
+    """
+    if input_state.n_qubits != p.n_external:
+        raise ValueError(
+            f"input has {input_state.n_qubits} qubits, program declares {p.n_external}"
+        )
+    amps = input_state.amplitudes
+    norm2 = float(np.vdot(amps, amps).real)
+    outcomes = []
+    for transcript, k in kraus_branches(p):
+        out = k @ amps
+        prob = float(np.vdot(out, out).real) / norm2
+        if prob >= BRANCH_PRUNE:
+            outcomes.append(BranchOutcome(transcript, prob, StateVector(out / math.sqrt(prob))))
+    return outcomes
 
 
 def branch_density(outcomes: list[BranchOutcome]) -> np.ndarray:
@@ -209,27 +283,45 @@ def branch_density(outcomes: list[BranchOutcome]) -> np.ndarray:
     return rho
 
 
-def _max_entangled(n_qubits: int) -> StateVector:
-    d = 1 << n_qubits
-    amps = np.zeros(d * d, dtype=np.complex128)
-    amps[:: d + 1] = 1.0 / math.sqrt(d)
-    return StateVector(amps)
+def _choi_vectors(kraus: list[np.ndarray]) -> np.ndarray:
+    """Columns vec(K_t)/sqrt(d): row-major, output index first, so that
+    the Choi matrix is their sum of outer products."""
+    d = kraus[0].shape[0]
+    return np.stack([k.reshape(-1) for k in kraus], axis=1) / math.sqrt(d)
 
 
 def channel_choi(p: Program) -> ChoiMatrix:
-    """Choi matrix of the channel ``p`` implements on its external wires.
+    """Dense Choi matrix of the channel ``p`` implements on its external wires.
 
-    Runs the program on the system half of a maximally entangled state
-    (reference half untouched) and mixes the branch outputs.
+    Refused, before anything is allocated, when running the program beside
+    an n-qubit reference register would exceed :func:`qsim.max_qubits`:
+    the matrix has 4^n entries.
     """
-    n = p.n_external
-    violations = validate_locality(p)
-    if violations:
-        summary = "; ".join(str(v) for v in violations[:3])
-        raise ValueError(f"program fails locality validation: {summary}")
-    wires: list[WireRef | None] = list(p.external_wires) + [None] * n
-    outcomes = _enumerate(p.instructions, _max_entangled(n), wires)
-    return ChoiMatrix(branch_density(outcomes))
+    n, width, cap = p.n_external, _register_width(p), qsim.max_qubits()
+    if n + width > cap:
+        raise ValueError(
+            f"dense Choi matrix needs {n + width} qubits ({width} for the program, "
+            f"{n} for the reference), exceeding the {cap}-qubit cap"
+        )
+    v = _choi_vectors([k for _, k in kraus_branches(p)])
+    return ChoiMatrix(v @ v.conj().T)
+
+
+def kraus_choi_distance(kraus: list[np.ndarray], u: UnitaryMatrix) -> float:
+    """Frobenius distance between the Choi matrix of the channel with Kraus
+    operators ``kraus`` and that of ``u``, without forming either matrix.
+
+    With V = [vec K_1 .. vec K_r, vec U]/sqrt(d) and S = diag(1, .., 1, -1)
+    the difference is V S V†; for V = QR it has the norm of R S R†, an
+    (r+1)×(r+1) matrix.  Unlike sqrt(pᵀGp - 2pᵀo + 1) from the Gram matrix,
+    this does not cancel to ~1e-8 error when the channels agree.
+    """
+    if any(k.shape != u.matrix.shape for k in kraus):
+        raise ValueError(f"Kraus operators do not match the dimension {u.dim} of the unitary")
+    r = np.linalg.qr(_choi_vectors([*kraus, u.matrix]), mode="r")
+    signs = np.ones(r.shape[1])
+    signs[-1] = -1.0
+    return float(np.linalg.norm((r * signs) @ r.conj().T))
 
 
 def unitary_choi(u: UnitaryMatrix) -> ChoiMatrix:

@@ -23,6 +23,7 @@ All errors carry the byte offset of the offending input.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -41,8 +42,9 @@ class GateSyntaxError(ValueError):
 
 
 class GateEvalError(ValueError):
-    """Evaluation-time rejection (non-unitary literal, dimension mismatch),
-    with the byte offset of the subexpression that failed."""
+    """Evaluation-time rejection (non-unitary literal, dimension mismatch,
+    non-finite parameter), with the byte offset of the subexpression that
+    failed."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(message)
@@ -63,6 +65,7 @@ class ParamGate:
     name: str
     arg: float
     pos: int = field(default=0, compare=False)
+    arg_pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,9 @@ GateExpr = NamedGate | ParamGate | MatrixLiteral | Product | Tensor | Adjoint
 
 NAMED_GATES = ("I", "X", "Y", "Z", "H", "S", "T")
 PARAM_GATES = ("RX", "RY", "RZ", "PHASE")
+# Parsing and evaluation recurse once per parenthesis level, so deeper
+# nesting is a syntax error rather than a blown interpreter stack.
+MAX_NESTING = 100
 
 
 # --- lexer -------------------------------------------------------------------
@@ -163,6 +169,7 @@ class _Parser:
         self.text = text
         self.toks = _lex(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -206,8 +213,14 @@ class _Parser:
         if tok.kind == "NAME":
             return self.gate(tok)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise GateSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING} at offset {tok.pos}", tok.pos
+                )
+            self.depth += 1
             node = self.expr()
             self.next(")")
+            self.depth -= 1
             return node
         if tok.kind == "[":
             return self.matrix(tok)
@@ -229,7 +242,7 @@ class _Parser:
                     f"gate parameter must be real at offset {num.pos}", num.pos
                 )
             self.next(")")
-            return ParamGate(tok.text, num.value.real, tok.pos)
+            return ParamGate(tok.text, num.value.real, tok.pos, num.pos)
         if tok.text in NAMED_GATES:
             if followed_by_paren:
                 raise GateSyntaxError(
@@ -289,12 +302,28 @@ _PARAM_BUILDERS = {"RX": qsim.rx, "RY": qsim.ry, "RZ": qsim.rz, "PHASE": qsim.ph
 def evaluate(e: GateExpr) -> UnitaryMatrix:
     """Evaluate to a unitary, per the package gate conventions.
 
-    Non-unitary matrix literals and operand dimension mismatches raise
-    :class:`GateEvalError` carrying the subexpression's offset.
+    Non-unitary matrix literals, operand dimension mismatches and
+    non-finite parameters raise :class:`GateEvalError` carrying the
+    subexpression's offset.
     """
+    if isinstance(e, (Product, Tensor)):
+        # ``H*H*...*H`` parses left-deep and may be longer than the
+        # recursion limit, so the left spine is walked in a loop.
+        spine = []
+        while isinstance(e, (Product, Tensor)):
+            spine.append(e)
+            e = e.left
+        acc = evaluate(e)
+        for node in reversed(spine):
+            acc = _combine(node, acc, evaluate(node.right))
+        return acc
     if isinstance(e, NamedGate):
         return _NAMED_MATRICES[e.name]
     if isinstance(e, ParamGate):
+        if not math.isfinite(e.arg):
+            raise GateEvalError(
+                f"gate parameter {e.arg!r} is not finite at offset {e.arg_pos}", e.arg_pos
+            )
         return _PARAM_BUILDERS[e.name](e.arg)
     if isinstance(e, MatrixLiteral):
         try:
@@ -303,20 +332,20 @@ def evaluate(e: GateExpr) -> UnitaryMatrix:
             raise GateEvalError(f"{exc} at offset {e.pos}", e.pos) from exc
     if isinstance(e, Adjoint):
         return evaluate(e.inner).adjoint()
-    if isinstance(e, Product):
-        a, b = evaluate(e.left), evaluate(e.right)
+    raise TypeError(f"unknown expression node {e!r}")
+
+
+def _combine(node: Product | Tensor, a: UnitaryMatrix, b: UnitaryMatrix) -> UnitaryMatrix:
+    if isinstance(node, Product):
         if a.dim != b.dim:
             raise GateEvalError(
-                f"dimension mismatch in product: {a.dim} vs {b.dim} at offset {e.pos}", e.pos
+                f"dimension mismatch in product: {a.dim} vs {b.dim} at offset {node.pos}", node.pos
             )
         return UnitaryMatrix(a.matrix @ b.matrix)
-    if isinstance(e, Tensor):
-        a, b = evaluate(e.left), evaluate(e.right)
-        try:
-            return qsim.kron(a, b)
-        except ValueError as exc:
-            raise GateEvalError(f"{exc} at offset {e.pos}", e.pos) from exc
-    raise TypeError(f"unknown expression node {e!r}")
+    try:
+        return qsim.kron(a, b)
+    except ValueError as exc:
+        raise GateEvalError(f"{exc} at offset {node.pos}", node.pos) from exc
 
 
 # --- pretty printing -----------------------------------------------------------

@@ -28,7 +28,7 @@ Array = np.ndarray
 _DEFAULT_MAX_QUBITS = 12
 _NORM_ATOL = 1e-9
 _UNITARY_ATOL = 1e-10
-_BRANCH_PRUNE = 1e-14
+BRANCH_PRUNE = 1e-14  # branches below this probability are dropped as dust
 
 
 def max_qubits() -> int:
@@ -283,7 +283,7 @@ def measure_z(state: StateVector, qubit: int) -> list[MeasurementBranch]:
     for outcome in (0, 1):
         part = psi[outcome].reshape(-1)
         p = float(np.linalg.norm(part) ** 2)
-        if p < _BRANCH_PRUNE:
+        if p < BRANCH_PRUNE:
             continue
         branches.append(MeasurementBranch(outcome, p, StateVector(part / math.sqrt(p))))
     return branches

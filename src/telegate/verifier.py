@@ -10,6 +10,9 @@ Two independent kinds of evidence go into a verdict:
   the program channel and the specification channel -- the actual
   channel-equality claim.
 
+Both come from one execution of the program: its Kraus operators K_t,
+one per transcript (see :func:`telegate.executor.kraus_branches`).
+
 Reports are deterministic functions of (inputs, seed) and serialize to
 a stable JSON document (see ``docs/report-schema.md``).
 """
@@ -23,9 +26,9 @@ import numpy as np
 
 from . import qsim
 from .builder import NonlocalCUSpec, build_program, build_specification
-from .executor import channel_choi, choi_distance, run_branches, unitary_choi
+from .executor import kraus_branches, kraus_choi_distance, transcript_key
 from .protocol import Program, ResourceCensus, resource_census
-from .qsim import StateVector, UnitaryMatrix
+from .qsim import BRANCH_PRUNE, StateVector, UnitaryMatrix
 
 DEFAULT_TOL_BRANCH = 1e-10
 DEFAULT_TOL_CHOI = 1e-9
@@ -82,12 +85,6 @@ class EquivalenceReport:
         return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
 
 
-def _transcript_key(transcript) -> str:
-    if not transcript:
-        return "-"
-    return ",".join(f"{wire}={bit}" for wire, bit in transcript)
-
-
 def probe_states(n_qubits: int, probes: int, seed: int) -> list[StateVector]:
     """The full computational basis, padded with seeded Haar-random states
     up to ``probes`` total (never fewer than the basis)."""
@@ -111,7 +108,8 @@ def verify_program(
 
     For every probe input, every branch output is compared with
     ``u_spec`` applied to that input; branch evidence is aggregated per
-    transcript (probability averaged over probes, infidelity maximized).
+    transcript (probability averaged over probes, infidelity maximized),
+    skipping probes that reach a transcript with probability below 1e-14.
     The Choi distance compares the whole channels.
     """
     n = p.n_external
@@ -120,22 +118,29 @@ def verify_program(
             f"specification of dim {u_spec.dim} does not match {n} external wires"
         )
     inputs = probe_states(n, probes, seed)
+    kraus = kraus_branches(p)
 
-    prob_sums: dict[str, float] = {}
-    worst: dict[str, float] = {}
-    for state in inputs:
-        expected = StateVector(u_spec.matrix @ state.amplitudes)
-        for branch in run_branches(p, state):
-            key = _transcript_key(branch.transcript)
-            infid = max(0.0, 1.0 - qsim.fidelity(branch.final_state, expected))
-            prob_sums[key] = prob_sums.get(key, 0.0) + branch.probability
-            worst[key] = max(worst.get(key, 0.0), infid)
-
-    branches = tuple(
-        BranchReport(key, prob_sums[key] / len(inputs), worst[key])
-        for key in sorted(prob_sums)
-    )
-    dist = choi_distance(channel_choi(p), unitary_choi(u_spec))
+    probe_matrix = np.stack([s.amplitudes for s in inputs], axis=1)
+    expected = u_spec.matrix @ probe_matrix
+    expected /= np.linalg.norm(expected, axis=0)
+    branches = []
+    for transcript, k in kraus:
+        out = k @ probe_matrix
+        prob = np.einsum("ij,ij->j", out.conj(), out).real
+        seen = prob >= BRANCH_PRUNE
+        if not seen.any():
+            continue
+        overlap = np.abs(np.einsum("ij,ij->j", expected[:, seen].conj(), out[:, seen]))
+        infid = 1.0 - np.minimum(1.0, overlap / np.sqrt(prob[seen]))
+        branches.append(
+            BranchReport(
+                transcript_key(transcript),
+                sum(prob[seen].tolist()) / len(inputs),
+                max(0.0, float(infid.max())),
+            )
+        )
+    branches = tuple(sorted(branches, key=lambda b: b.transcript))
+    dist = kraus_choi_distance([k for _, k in kraus], u_spec)
     max_infid = max((b.max_infidelity for b in branches), default=0.0)
     verdict = "pass" if (max_infid <= tol_branch and dist <= tol_choi) else "fail"
     return EquivalenceReport(

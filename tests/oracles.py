@@ -70,13 +70,36 @@ def deferred_measurement_density(p: Program, input_amps: np.ndarray) -> np.ndarr
     dilation: measurements keep their qubit as a classical carrier,
     conditionals become controlled gates, and everything internal is
     traced out at the end."""
+    m = _dilate(p, np.asarray(input_amps, dtype=complex).reshape(-1, 1))[0]
+    return m @ m.conj().T
+
+
+def deferred_measurement_choi(p: Program) -> np.ndarray:
+    """Trace-1 Choi matrix of the program channel from the definition sum
+    J = (1/d) sum_ij Phi(|i><j|) (x) |i><j|, system factor first, where
+    Phi(|i><j|) = Tr_internal(V|i><j|V†) for the dilation V run on every
+    basis input."""
+    d = 1 << p.n_external
+    outs = _dilate(p, np.eye(d, dtype=complex))
+    j = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for k in range(d):
+            ref_part = np.zeros((d, d), dtype=complex)
+            ref_part[i, k] = 1.0
+            j += np.kron(outs[i] @ outs[k].conj().T, ref_part)
+    return j / d
+
+
+def _dilate(p: Program, inputs: np.ndarray) -> list[np.ndarray]:
+    """Run the dilation on each column of ``inputs``; for each, return the
+    final pure state as a (2^n_external, rest) matrix, externals first."""
     wires = list(p.external_wires)
-    psi = np.asarray(input_amps, dtype=complex).reshape(-1).copy()
+    psi = inputs.copy()
     carrier = {}
 
     def grow(extra: np.ndarray) -> None:
         nonlocal psi
-        psi = np.kron(psi, extra)
+        psi = np.kron(psi, extra.reshape(-1, 1))
 
     for ins in p.instructions:
         n = len(wires)
@@ -105,8 +128,8 @@ def deferred_measurement_density(p: Program, input_amps: np.ndarray) -> np.ndarr
             raise TypeError(f"unknown instruction {ins!r}")
 
     d_ext = 1 << p.n_external
-    m = psi.reshape(d_ext, -1)  # externals are always the leading qubits
-    return m @ m.conj().T
+    # externals are always the leading qubits
+    return [psi[:, c].reshape(d_ext, -1) for c in range(psi.shape[1])]
 
 
 def choi_of_unitary(u: np.ndarray) -> np.ndarray:

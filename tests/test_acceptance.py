@@ -11,7 +11,7 @@ import numpy as np
 
 from oracles import deferred_measurement_density
 from telegate import qsim
-from telegate.builder import NonlocalCUSpec, build_program
+from telegate.builder import NonlocalCUSpec, apply_mutation, build_program, build_specification
 from telegate.cli import main
 from telegate.executor import branch_density, run_branches
 from telegate.gatelang import GateSyntaxError, parse, format_expr
@@ -26,7 +26,7 @@ from telegate.protocol import (
     resource_census,
     validate_locality,
 )
-from telegate.verifier import verify
+from telegate.verifier import verify, verify_program
 
 TOL_BRANCH = 1e-10
 TOL_CHOI = 1e-9
@@ -154,3 +154,30 @@ def test_criterion_8_parser_corpus(capsys):
             assert f"offset {offset}" in str(exc)
         assert main(["verify", "--gate", text]) == 2
         assert capsys.readouterr().err.strip()
+
+
+def test_criterion_9_wide_targets():
+    """k = 5..8 certify, each < 2 s, and drop-z-correction fails at Choi
+    distance 1/sqrt(2); at k=5 the branch mixture matches the oracle."""
+    rng = np.random.default_rng(9)
+    for k in (5, 6, 7, 8):
+        spec = NonlocalCUSpec(qsim.haar_random_unitary(1 << k, rng), k)
+        u = build_specification(spec)
+        start = time.perf_counter()
+        report = verify(spec, seed=k)
+        elapsed = time.perf_counter() - start
+        assert report.passed, f"k={k} failed verification"
+        assert report.max_infidelity <= TOL_BRANCH
+        assert report.choi_dist <= TOL_CHOI
+        assert elapsed < 2.0, f"k={k} took {elapsed:.3f}s"
+        # dropping Z leaves (Z x I)CU on half the transcripts, orthogonal to CU
+        mutated = apply_mutation(build_program(spec), "drop-z-correction")
+        report = verify_program(mutated, u, seed=k)
+        assert not report.passed
+        assert abs(report.choi_dist - 2 ** -0.5) <= 1e-12
+        if k == 5:
+            for program in (build_program(spec), mutated):
+                state = qsim.haar_random_state(k + 1, rng)
+                rho = branch_density(run_branches(program, state))
+                rho_oracle = deferred_measurement_density(program, state.amplitudes)
+                assert np.abs(rho - rho_oracle).max() <= TOL_ORACLE

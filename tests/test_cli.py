@@ -133,3 +133,44 @@ def test_max_qubits_env_cap(monkeypatch, capsys):
     monkeypatch.setenv("TELEGATE_MAX_QUBITS", "3")
     assert main(["verify", "--gate", "X"]) == 2  # execution needs 4 live qubits
     assert "cap" in capsys.readouterr().err
+
+
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_deep_parentheses_are_a_syntax_error(capsys):
+    deep = "(" * 3000 + "X" + ")" * 3000
+    assert main(["verify", "--gate", deep]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "offset 100" in err
+    shallow = "(" * 100 + "X" + ")" * 100
+    assert main(["resources", "--gate", shallow]) == 0
+    capsys.readouterr()
+
+
+def test_long_product_chain_evaluates(capsys):
+    assert main(["verify", "--gate", "H*" * 3000 + "H"]) == 0  # H^3001 = H
+    assert "verdict: PASS" in capsys.readouterr().out
+
+
+def test_overflowing_parameter_is_an_eval_error_with_offset(capsys):
+    assert main(["verify", "--gate", "H * RX(1e400)"]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "offset 7" in err
+
+
+@pytest.mark.parametrize("option", ["--tol-choi=nan", "--tol-branch=inf", "--tol-branch=-1e-10"])
+def test_bad_tolerance_is_a_usage_error(option, capsys):
+    assert main(["verify", "--gate", "X", option]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and f"argument {option.split('=')[0]}" in captured.err
+
+
+def test_choi_refuses_what_it_cannot_hold(capsys):
+    """k=5 verifies, but its dense Choi matrix would need 14 qubits."""
+    assert main(["choi", "--gate", "X x X x X x X x X"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and _one_error_line(captured.err) and "cap" in captured.err
+    assert main(["verify", "--gate", "X x X x X x X x X"]) == 0
+    capsys.readouterr()

@@ -4,14 +4,15 @@ from hypothesis import given, strategies as st
 
 from oracles import choi_of_unitary, deferred_measurement_density
 from telegate import qsim
-from telegate.builder import NonlocalCUSpec, build_program
+from telegate.builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program
 from telegate.executor import (
     ChoiMatrix,
     ExecutionError,
-    _enumerate,
+    _walk,
     branch_density,
     channel_choi,
     choi_distance,
+    kraus_branches,
     run_branches,
     unitary_choi,
 )
@@ -136,7 +137,50 @@ def test_unset_conditioning_bit_is_execution_error():
     # bypass validation on purpose: the executor must still refuse
     bad = (ConditionalPauli(Party.ALICE, qwire(0), "X", cwire(7)),)
     with pytest.raises(ExecutionError, match="unset"):
-        _enumerate(bad, StateVector.from_bits("0"), [qwire(0)])
+        _walk(bad, np.eye(2, dtype=complex), [qwire(0)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_kraus_operators_of_built_programs_are_complete(k):
+    """sum_t K_t†K_t = I for every built program, mutated or not; intact
+    programs have K_t†K_t = I/4, so each transcript has probability 1/4
+    for every input, not only the sampled ones."""
+    d = 1 << (k + 1)
+    spec = NonlocalCUSpec(qsim.haar_random_unitary(1 << k, 70 + k), k)
+    for mutation in (None, *MUTATIONS):
+        program = build_program(spec)
+        if mutation:
+            program = apply_mutation(program, mutation)
+        kraus = kraus_branches(program)
+        total = sum(op.conj().T @ op for _, op in kraus)
+        assert np.abs(total - np.eye(d)).max() <= 1e-12
+        if mutation is None:
+            assert len(kraus) == 4
+            for _, op in kraus:
+                assert np.abs(op.conj().T @ op - np.eye(d) / 4).max() <= 1e-12
+
+
+def test_kraus_register_cap_counts_live_qubits_only(monkeypatch):
+    """k=1 keeps 4 qubits alive; the d=4 batch axis does not count."""
+    p = build_program(NonlocalCUSpec(qsim.X, 1))
+    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "4")
+    assert len(kraus_branches(p)) == 4
+    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "3")
+    with pytest.raises(ValueError, match="4 qubits alive.*3-qubit cap"):
+        kraus_branches(p)
+
+
+def test_kraus_pass_checks_its_operators(monkeypatch):
+    from telegate import executor
+
+    p = build_program(NonlocalCUSpec(qsim.X, 1))
+    walk = executor._walk
+    monkeypatch.setattr(executor, "_walk", lambda *a: walk(*a)[1:])
+    with pytest.raises(ExecutionError, match="trace preserving"):
+        kraus_branches(p)
+    monkeypatch.setattr(executor, "_walk", lambda *a: [(t, psi * np.nan) for t, psi in walk(*a)])
+    with pytest.raises(ExecutionError, match="finite"):
+        kraus_branches(p)
 
 
 # Choi matrices
@@ -182,6 +226,17 @@ def test_unitary_choi_trace_one_for_50_random_unitaries():
     for _ in range(50):
         u = qsim.haar_random_unitary(int(rng.choice([2, 4])), rng)
         assert abs(np.trace(unitary_choi(u).matrix) - 1.0) < 1e-12
+
+
+def test_dense_choi_cap_counts_the_reference_register(monkeypatch):
+    """The dense Choi matrix of n external wires is refused when the
+    program's widest register plus n reference qubits exceeds the cap."""
+    p = build_program(NonlocalCUSpec(qsim.X, 1))  # 2 external, 4 alive at most
+    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "6")
+    assert channel_choi(p).dim == 16
+    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "5")
+    with pytest.raises(ValueError, match="needs 6 qubits .4 for the program, 2 for the reference.*5-qubit cap"):
+        channel_choi(p)
 
 
 def test_discard_split_does_not_change_channel():

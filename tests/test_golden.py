@@ -1,0 +1,36 @@
+"""Reports agree with the recorded golden reports.
+
+Verdict, tolerances, census and the transcript list must be identical;
+every float may move by rounding only (1e-14 absolute), because a change
+of summation order changes the last bits even when the arithmetic is
+the same.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from golden_cases import cases, report_json
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_reports.json").read_text())
+CASES = {name: case for name, *case in cases()}
+FLOAT_ATOL = 1e-14
+
+
+def test_fixture_covers_every_case():
+    assert sorted(GOLDEN) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_report_matches_golden(name):
+    got = json.loads(report_json(*CASES[name]))
+    want = GOLDEN[name]
+    assert got.keys() == want.keys()
+    for key in ("verdict", "tolerances", "census"):
+        assert got[key] == want[key], key
+    assert [b["transcript"] for b in got["branches"]] == [b["transcript"] for b in want["branches"]]
+    assert abs(got["choi_distance"] - want["choi_distance"]) <= FLOAT_ATOL
+    for g, w in zip(got["branches"], want["branches"]):
+        assert abs(g["probability"] - w["probability"]) <= FLOAT_ATOL
+        assert abs(g["max_infidelity"] - w["max_infidelity"]) <= FLOAT_ATOL

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import choi_of_unitary, deferred_measurement_choi
 from telegate import qsim
-from telegate.builder import NonlocalCUSpec, apply_mutation, build_program, build_specification
+from telegate.builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program, build_specification
 from telegate.executor import run_branches
 from telegate.protocol import MakeBellPair, Program, validate_locality
 from telegate.qsim import StateVector, UnitaryMatrix
@@ -55,6 +56,20 @@ def test_every_mutation_flips_the_verdict(mutation):
     report = verify_program(mutated, build_specification(spec))
     assert report.verdict == "fail"
     assert report.max_infidelity > 0.1 or report.choi_dist > 0.1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+def test_choi_distance_matches_deferred_measurement_oracle(k, mutation):
+    """The low-rank Choi distance equals the dense distance between the
+    dilation's Choi matrix and the unitary's, both from definition sums."""
+    spec = NonlocalCUSpec(qsim.haar_random_unitary(1 << k, 40 + k), k)
+    program = build_program(spec)
+    if mutation:
+        program = apply_mutation(program, mutation)
+    u = build_specification(spec)
+    want = np.linalg.norm(deferred_measurement_choi(program) - choi_of_unitary(u.matrix))
+    assert abs(verify_program(program, u).choi_dist - want) <= 1e-12
 
 
 def test_literal_bell_deletion_is_rejected_by_validator():
