@@ -63,6 +63,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _probe_count(text: str) -> int:
+    """A probe count: an integer >= 0 (the basis is always probed)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="telegate",
@@ -78,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="per-branch infidelity tolerance (default %(default)g)")
     p_verify.add_argument("--tol-choi", type=_tolerance, default=DEFAULT_TOL_CHOI,
                           help="Choi Frobenius distance tolerance (default %(default)g)")
-    p_verify.add_argument("--probes", type=int, default=DEFAULT_PROBES,
+    p_verify.add_argument("--probes", type=_probe_count, default=DEFAULT_PROBES,
                           help="number of probe inputs incl. the basis (default %(default)s)")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED,
                           help="seed for the random probes (default %(default)s)")

@@ -22,6 +22,7 @@ floating-point error.  Returned lists are sorted by transcript bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -229,26 +230,37 @@ def _append_qubits(psi: np.ndarray, amps: np.ndarray) -> np.ndarray:
 
 
 def _apply(
-    psi: np.ndarray, positions: list[int], u: np.ndarray, controlled: bool = False
+    psi: np.ndarray, positions: tuple[int, ...], u: np.ndarray, controlled: bool = False
 ) -> np.ndarray:
     """Apply ``u`` to the qubit axes ``positions`` (``positions[0]`` most
     significant).  If ``controlled``, ``positions[0]`` is a control and ``u``
     acts on the rest where it is |1>."""
-    k = len(positions)
-    front = np.moveaxis(psi, positions, range(k)).copy()
+    perm, inverse = _permutation(psi.ndim, positions)
+    front = psi.transpose(perm).copy()
     block = front[1] if controlled else front
     block[...] = (u @ block.reshape(u.shape[0], -1)).reshape(block.shape)
-    return np.moveaxis(front, range(k), positions)
+    return front.transpose(inverse)
 
 
-def _positions(wires: list[WireRef], targets: tuple[WireRef, ...]) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def _permutation(ndim: int, positions: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The axis order that brings ``positions`` to the front, in order, and
+    its inverse."""
+    perm = positions + tuple(a for a in range(ndim) if a not in positions)
+    inverse = [0] * ndim
+    for i, a in enumerate(perm):
+        inverse[a] = i
+    return perm, tuple(inverse)
+
+
+def _positions(wires: list[WireRef], targets: tuple[WireRef, ...]) -> tuple[int, ...]:
     positions = []
     for t in targets:
         try:
             positions.append(wires.index(t))
         except ValueError:
             raise ExecutionError(f"instruction touches missing quantum wire {t}") from None
-    return positions
+    return tuple(positions)
 
 
 def run_branches(p: Program, input_state: StateVector) -> list[BranchOutcome]:

@@ -375,26 +375,43 @@ def format_matrix(u: UnitaryMatrix) -> str:
 _PREC = {Tensor: 1, Product: 2, Adjoint: 3}
 
 
-def format_expr(e: GateExpr, _min_prec: int = 1) -> str:
+def format_expr(e: GateExpr) -> str:
     """Pretty-print with minimal parentheses; ``parse(format_expr(e))``
-    returns a tree equal to ``e``."""
-    if isinstance(e, NamedGate):
-        return e.name
-    if isinstance(e, ParamGate):
-        return f"{e.name}({_fmt_float(e.arg)})"
-    if isinstance(e, MatrixLiteral):
-        rows = ",".join(
-            "[" + ",".join(_fmt_complex(z) for z in row) + "]" for row in e.rows
-        )
-        return f"[{rows}]"
-    if isinstance(e, Tensor):
-        s = f"{format_expr(e.left, 1)} x {format_expr(e.right, 2)}"
-    elif isinstance(e, Product):
-        s = f"{format_expr(e.left, 2)} * {format_expr(e.right, 3)}"
-    elif isinstance(e, Adjoint):
-        s = f"{format_expr(e.inner, 4)}'"
-    else:
-        raise TypeError(f"unknown expression node {e!r}")
-    if _PREC[type(e)] < _min_prec:
-        return f"({s})"
-    return s
+    returns a tree equal to ``e``.
+
+    Works from an explicit stack, so trees deeper than the recursion limit
+    (``H*H*...*H`` parses left-deep) print too.
+    """
+    out: list[str] = []
+    # stack entries: text to emit, or (node, least precedence printed bare)
+    todo: list = [(e, 1)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, min_prec = item
+        if isinstance(node, NamedGate):
+            out.append(node.name)
+            continue
+        if isinstance(node, ParamGate):
+            out.append(f"{node.name}({_fmt_float(node.arg)})")
+            continue
+        if isinstance(node, MatrixLiteral):
+            rows = ",".join(
+                "[" + ",".join(_fmt_complex(z) for z in row) + "]" for row in node.rows
+            )
+            out.append(f"[{rows}]")
+            continue
+        if isinstance(node, Tensor):
+            parts = [(node.left, 1), " x ", (node.right, 2)]
+        elif isinstance(node, Product):
+            parts = [(node.left, 2), " * ", (node.right, 3)]
+        elif isinstance(node, Adjoint):
+            parts = [(node.inner, 4), "'"]
+        else:
+            raise TypeError(f"unknown expression node {node!r}")
+        if _PREC[type(node)] < min_prec:
+            parts = ["(", *parts, ")"]
+        todo.extend(reversed(parts))
+    return "".join(out)

@@ -28,7 +28,7 @@ from . import qsim
 from .builder import NonlocalCUSpec, build_program, build_specification
 from .executor import kraus_branches, kraus_choi_distance, transcript_key
 from .protocol import Program, ResourceCensus, resource_census
-from .qsim import BRANCH_PRUNE, StateVector, UnitaryMatrix
+from .qsim import BRANCH_PRUNE, UnitaryMatrix
 
 DEFAULT_TOL_BRANCH = 1e-10
 DEFAULT_TOL_CHOI = 1e-9
@@ -85,15 +85,32 @@ class EquivalenceReport:
         return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
 
 
-def probe_states(n_qubits: int, probes: int, seed: int) -> list[StateVector]:
-    """The full computational basis, padded with seeded Haar-random states
-    up to ``probes`` total (never fewer than the basis)."""
-    basis = [
-        StateVector.from_bits(format(i, f"0{n_qubits}b")) for i in range(1 << n_qubits)
-    ]
-    rng = np.random.default_rng(seed)
-    extra = [qsim.haar_random_state(n_qubits, rng) for _ in range(max(0, probes - len(basis)))]
-    return basis + extra
+def probe_states(n_qubits: int, probes: int, seed: int) -> np.ndarray:
+    """The d×m probe matrix (d = 2^n_qubits, m = max(probes, d)), one probe
+    per column: the computational basis in index order, then m - d seeded
+    Haar-random states.
+
+    The Haar columns come from one ``default_rng(seed).normal(size=(m - d,
+    2, d))`` draw (real parts, then imaginary parts, probe by probe): the
+    same stream, in the same order, as m - d successive
+    :func:`qsim.haar_random_state` calls.  Every column is a valid state:
+    finite, with norm 1 within 1e-9.
+    """
+    cap = qsim.max_qubits()
+    if n_qubits > cap:
+        raise ValueError(f"probes on {n_qubits} qubits exceed the {cap}-qubit cap")
+    d = 1 << n_qubits
+    m = max(probes, d)
+    psi = np.zeros((d, m), dtype=np.complex128)
+    psi[:, :d] = np.eye(d)
+    z = np.random.default_rng(seed).normal(size=(m - d, 2, d))
+    haar = z[:, 0] + 1j * z[:, 1]
+    psi[:, d:] = (haar / np.linalg.norm(haar, axis=1, keepdims=True)).T
+    if not np.isfinite(psi.view(np.float64)).all():
+        raise ValueError("probe amplitudes must be finite")
+    if np.abs(np.linalg.norm(psi, axis=0) - 1.0).max() > 1e-9:
+        raise ValueError("probe states must be normalized")
+    return psi
 
 
 def verify_program(
@@ -117,30 +134,30 @@ def verify_program(
         raise ValueError(
             f"specification of dim {u_spec.dim} does not match {n} external wires"
         )
-    inputs = probe_states(n, probes, seed)
+    psi = probe_states(n, probes, seed)
     kraus = kraus_branches(p)
 
-    probe_matrix = np.stack([s.amplitudes for s in inputs], axis=1)
-    expected = u_spec.matrix @ probe_matrix
+    expected = u_spec.matrix @ psi
     expected /= np.linalg.norm(expected, axis=0)
-    branches = []
-    for transcript, k in kraus:
-        out = k @ probe_matrix
-        prob = np.einsum("ij,ij->j", out.conj(), out).real
-        seen = prob >= BRANCH_PRUNE
-        if not seen.any():
-            continue
-        overlap = np.abs(np.einsum("ij,ij->j", expected[:, seen].conj(), out[:, seen]))
-        infid = 1.0 - np.minimum(1.0, overlap / np.sqrt(prob[seen]))
-        branches.append(
-            BranchReport(
-                transcript_key(transcript),
-                sum(prob[seen].tolist()) / len(inputs),
-                max(0.0, float(infid.max())),
-            )
+    ops = np.stack([k for _, k in kraus])
+    out = ops @ psi  # (transcript, output index, probe)
+    prob = np.einsum("tij,tij->tj", out.conj(), out).real
+    seen = prob >= BRANCH_PRUNE
+    overlap = np.abs(np.einsum("ij,tij->tj", expected.conj(), out))
+    ratio = overlap / np.sqrt(np.where(seen, prob, 1.0))
+    infid = np.where(seen, 1.0 - np.minimum(1.0, ratio), 0.0).max(axis=1)
+    mass = np.where(seen, prob, 0.0).sum(axis=1) / psi.shape[1]
+    branches = tuple(
+        sorted(
+            (
+                BranchReport(transcript_key(transcript), float(mass[t]), float(infid[t]))
+                for t, (transcript, _) in enumerate(kraus)
+                if seen[t].any()
+            ),
+            key=lambda b: b.transcript,
         )
-    branches = tuple(sorted(branches, key=lambda b: b.transcript))
-    dist = kraus_choi_distance([k for _, k in kraus], u_spec)
+    )
+    dist = kraus_choi_distance(list(ops), u_spec)
     max_infid = max((b.max_infidelity for b in branches), default=0.0)
     verdict = "pass" if (max_infid <= tol_branch and dist <= tol_choi) else "fail"
     return EquivalenceReport(

@@ -167,6 +167,19 @@ def test_bad_tolerance_is_a_usage_error(option, capsys):
     assert not captured.out and f"argument {option.split('=')[0]}" in captured.err
 
 
+@pytest.mark.parametrize("option", ["--probes=-5", "--probes=-1", "--probes=two"])
+def test_bad_probe_count_is_a_usage_error(option, capsys):
+    assert main(["verify", "--gate", "X", option]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "argument --probes" in captured.err
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+
+def test_zero_probes_is_basis_only(capsys):
+    assert main(["verify", "--gate", "X", "--probes", "0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
 def test_choi_refuses_what_it_cannot_hold(capsys):
     """k=5 verifies, but its dense Choi matrix would need 14 qubits."""
     assert main(["choi", "--gate", "X x X x X x X x X"]) == 2

@@ -1,0 +1,57 @@
+"""The front ends' error contract under arbitrary input.
+
+Whatever text reaches ``--gate`` or ``--against`` and whatever bytes a
+linted file holds, ``telegate`` exits 0, 1 or 2, no exception escapes
+``cli.main``, and exit 2 comes with an ``error:`` line on stderr.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+from hypothesis import given, strategies as st
+
+from telegate.cli import main
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def _check_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert any("error:" in line for line in err.getvalue().splitlines()), err.getvalue()
+
+
+@given(st.text())
+def test_verify_gate_text(text):
+    _check_contract(["verify", f"--gate={text}"])
+
+
+@given(st.text())
+def test_verify_against_text(text):
+    _check_contract(
+        ["verify", "--file", str(DEMOS / "nonlocal_cnot.tg"), f"--against={text}"]
+    )
+
+
+@pytest.fixture(scope="module")
+def lint_target(tmp_path_factory):
+    return tmp_path_factory.mktemp("lint") / "fuzzed.tg"
+
+
+@given(st.binary())
+def test_lint_bytes(lint_target, data):
+    lint_target.write_bytes(data)
+    _check_contract(["lint", str(lint_target)])
+
+
+@given(st.binary(), st.sampled_from(sorted((DEMOS / "nonlocal_cnot.tg").read_bytes().splitlines())))
+def test_lint_bytes_beside_valid_lines(lint_target, data, line):
+    """Arbitrary bytes next to a line the parser accepts, so the fuzz also
+    reaches past the first line."""
+    lint_target.write_bytes((DEMOS / "nonlocal_cnot.tg").read_bytes().replace(line, data, 1))
+    _check_contract(["lint", str(lint_target)])

@@ -144,6 +144,16 @@ def test_format_matrix_round_trips_exactly():
     assert np.array_equal(again.matrix, u.matrix)
 
 
+def test_long_product_chain_round_trips():
+    """A 3000-deep tree prints without recursion.  Compared as text: the
+    dataclass ``__eq__`` on such a tree would recurse itself."""
+    text = "H * " * 3000 + "H"
+    assert format_expr(parse("H*" * 3000 + "H")) == text
+    assert format_expr(parse(text)) == text
+    nested = "X x (" * 98 + "X x X" + ")" * 98
+    assert format_expr(parse(nested)) == nested
+
+
 def test_pretty_print_examples():
     assert format_expr(parse("RZ(0.3)' * H")) == "RZ(0.3)' * H"
     assert format_expr(Tensor(NamedGate("H"), Tensor(NamedGate("X"), NamedGate("Y")))) == "H x (X x Y)"

@@ -144,8 +144,23 @@ def test_verify_program_dimension_mismatch():
 
 def test_probe_states_always_include_basis():
     probes = probe_states(2, 2, seed=0)  # fewer requested than the basis
-    assert len(probes) == 4
+    assert probes.shape == (4, 4)
     probes = probe_states(2, 7, seed=0)
-    assert len(probes) == 7
-    for i in range(4):
-        assert probes[i] == StateVector.from_bits(format(i, "02b"))
+    assert probes.shape == (4, 7) and probes.dtype == np.complex128
+    assert np.array_equal(probes[:, :4], np.eye(4))
+
+
+@pytest.mark.parametrize(
+    "n, probes, seed",
+    [(1, 16, 0), (1, 1, 3), (2, 3, 7), (2, 16, 11), (3, 9, 5), (4, 40, 2), (6, 70, 9)],
+)
+def test_probe_stream_matches_successive_haar_states(n, probes, seed):
+    """The Haar columns are the states successive haar_random_state calls
+    draw from one generator seeded with ``seed``."""
+    d = 1 << n
+    psi = probe_states(n, probes, seed)
+    assert psi.shape == (d, max(probes, d))
+    rng = np.random.default_rng(seed)
+    for j in range(d, psi.shape[1]):
+        want = qsim.haar_random_state(n, rng).amplitudes
+        assert np.abs(psi[:, j] - want).max() <= 1e-15
