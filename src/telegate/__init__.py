@@ -19,12 +19,10 @@ from .executor import (
     ChoiMatrix,
     branch_density,
     channel_choi,
-    choi_distance,
     kraus_branches,
     kraus_choi_distance,
     run_branches,
     transcript_key,
-    unitary_choi,
 )
 from .protocol import (
     Party,
@@ -36,7 +34,7 @@ from .protocol import (
     resource_census,
     validate_locality,
 )
-from .qsim import MeasurementBranch, StateVector, UnitaryMatrix
+from .qsim import StateVector, UnitaryMatrix
 from .verifier import EquivalenceReport, verify, verify_program
 
 __version__ = "0.1.0"
@@ -45,7 +43,6 @@ __all__ = [
     "BranchOutcome",
     "ChoiMatrix",
     "EquivalenceReport",
-    "MeasurementBranch",
     "MUTATIONS",
     "NonlocalCUSpec",
     "Party",
@@ -60,7 +57,6 @@ __all__ = [
     "build_specification",
     "builder",
     "channel_choi",
-    "choi_distance",
     "executor",
     "format_program",
     "gatelang",
@@ -72,7 +68,6 @@ __all__ = [
     "resource_census",
     "run_branches",
     "transcript_key",
-    "unitary_choi",
     "validate_locality",
     "verifier",
     "verify",

@@ -28,6 +28,7 @@ from .verifier import (
     DEFAULT_SEED,
     DEFAULT_TOL_BRANCH,
     DEFAULT_TOL_CHOI,
+    check_specification,
     verify_program,
 )
 
@@ -63,8 +64,9 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _probe_count(text: str) -> int:
-    """A probe count: an integer >= 0 (the basis is always probed)."""
+def _count(text: str) -> int:
+    """An integer >= 0: a probe count (the basis is always probed) or a
+    seed (numpy refuses negative seeds)."""
     try:
         value = int(text)
     except ValueError:
@@ -89,9 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="per-branch infidelity tolerance (default %(default)g)")
     p_verify.add_argument("--tol-choi", type=_tolerance, default=DEFAULT_TOL_CHOI,
                           help="Choi Frobenius distance tolerance (default %(default)g)")
-    p_verify.add_argument("--probes", type=_probe_count, default=DEFAULT_PROBES,
+    p_verify.add_argument("--probes", type=_count, default=DEFAULT_PROBES,
                           help="number of probe inputs incl. the basis (default %(default)s)")
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p_verify.add_argument("--seed", type=_count, default=DEFAULT_SEED,
                           help="seed for the random probes (default %(default)s)")
     p_verify.add_argument("--mutate", choices=MUTATIONS,
                           help="damage the program first (soundness test harness); "
@@ -139,6 +141,7 @@ def _load(args, need_spec: bool) -> tuple[Program, UnitaryMatrix | None, str]:
     u_spec = None
     if getattr(args, "against", None):
         u_spec = _evaluate_gate(args.against)
+        check_specification(program, u_spec)
     if need_spec and u_spec is None:
         raise ValueError("--against is required when verifying or tracing a --file program")
     return program, u_spec, args.file

@@ -14,10 +14,14 @@ most four transcripts, so everything downstream is small:
 * :func:`channel_choi` assembles the dense Choi matrix
   sum_t vec(K_t) vec(K_t)† / d, for callers that need the matrix itself.
 
-Choi matrices here are normalized to trace 1; :func:`unitary_choi` uses
-the same convention so the two are directly comparable.  No sampling is
-involved: the branch ensemble is complete, so tests tolerate only
-floating-point error.  Returned lists are sorted by transcript bits.
+:func:`_walk` and :func:`_apply` are the only code that evolves or
+measures a state.  Measuring a qubit removes it from the register: an
+n-qubit state branches into (n-1)-qubit states, so branch outputs cover
+exactly the external wires.
+
+Choi matrices here are normalized to trace 1.  No sampling is involved:
+the branch ensemble is complete, so tests tolerate only floating-point
+error.  Returned lists are sorted by transcript bits.
 """
 
 from __future__ import annotations
@@ -96,13 +100,6 @@ class ChoiMatrix:
         return self.matrix.shape[0]
 
 
-def choi_distance(a: ChoiMatrix, b: ChoiMatrix) -> float:
-    """Frobenius-norm distance between two Choi matrices."""
-    if a.dim != b.dim:
-        raise ValueError(f"Choi dimension mismatch: {a.dim} vs {b.dim}")
-    return float(np.linalg.norm(a.matrix - b.matrix))
-
-
 class ExecutionError(RuntimeError):
     """Internal inconsistency while executing a validated program (e.g. a
     conditional reading a bit that was never set)."""
@@ -128,9 +125,7 @@ def kraus_branches(p: Program) -> list[tuple[Transcript, np.ndarray]]:
     if violations:
         summary = "; ".join(str(v) for v in violations[:3])
         raise ValueError(f"program fails locality validation: {summary}")
-    width, cap = _register_width(p), qsim.max_qubits()
-    if width > cap:
-        raise ValueError(f"program keeps {width} qubits alive, exceeding the {cap}-qubit cap")
+    qsim.check_qubits(_register_width(p), "program", " alive at once")
     n = p.n_external
     d = 1 << n
     batch = np.eye(d, dtype=np.complex128).reshape((2,) * n + (d,))
@@ -309,12 +304,9 @@ def channel_choi(p: Program) -> ChoiMatrix:
     an n-qubit reference register would exceed :func:`qsim.max_qubits`:
     the matrix has 4^n entries.
     """
-    n, width, cap = p.n_external, _register_width(p), qsim.max_qubits()
-    if n + width > cap:
-        raise ValueError(
-            f"dense Choi matrix needs {n + width} qubits ({width} for the program, "
-            f"{n} for the reference), exceeding the {cap}-qubit cap"
-        )
+    n, width = p.n_external, _register_width(p)
+    detail = f" ({width} for the program, {n} for the reference)"
+    qsim.check_qubits(n + width, "dense Choi matrix", detail)
     v = _choi_vectors([k for _, k in kraus_branches(p)])
     return ChoiMatrix(v @ v.conj().T)
 
@@ -335,12 +327,3 @@ def kraus_choi_distance(kraus: list[np.ndarray], u: UnitaryMatrix) -> float:
     signs[-1] = -1.0
     return float(np.linalg.norm((r * signs) @ r.conj().T))
 
-
-def unitary_choi(u: UnitaryMatrix) -> ChoiMatrix:
-    """Choi matrix of the unitary channel v -> u v u†, trace-normalized.
-
-    For a maximally entangled input this is the rank-1 projector onto the
-    row-major flattening of u (divided by its dimension).
-    """
-    phi = u.matrix.reshape(-1) / math.sqrt(u.dim)
-    return ChoiMatrix(np.outer(phi, phi.conj()))

@@ -1,4 +1,4 @@
-"""Exact dense statevector and unitary algebra for small qubit registers.
+"""Dense statevector and unitary value types for small qubit registers.
 
 Conventions fixed here and used by the whole package:
 
@@ -7,8 +7,10 @@ Conventions fixed here and used by the whole package:
   is |1> and qubit 1 is |0>.
 * Gate matrices: ``H = [[1,1],[1,-1]]/sqrt(2)``, ``S = diag(1, i)``,
   ``T = diag(1, exp(i*pi/4))``, ``rz(t) = diag(exp(-it/2), exp(+it/2))``.
-* Measuring a qubit removes it from the register: an n-qubit state
-  branches into renormalized (n-1)-qubit states.
+
+The register cap (:func:`max_qubits`) is enforced in one place,
+:func:`check_qubits`; states are evolved and measured only by
+:mod:`telegate.executor`.
 
 All values are immutable after construction; every operation returns a
 new value, so everything here is safe to share between threads.
@@ -45,6 +47,14 @@ def max_qubits() -> int:
     return cap
 
 
+def check_qubits(n: int, what: str, detail: str = "") -> None:
+    """Refuse ``what``, which needs ``n`` qubits, if that exceeds
+    :func:`max_qubits`; ``detail`` follows the qubit count in the message."""
+    cap = max_qubits()
+    if n > cap:
+        raise ValueError(f"{what} needs {n} qubits{detail}, exceeding the {cap}-qubit cap")
+
+
 def _freeze(arr: Array) -> Array:
     arr.flags.writeable = False
     return arr
@@ -70,9 +80,7 @@ class StateVector:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1).copy()
-        n = _check_pow2(amps.size, "state length")
-        if n > max_qubits():
-            raise ValueError(f"state of {n} qubits exceeds the {max_qubits()}-qubit cap")
+        check_qubits(_check_pow2(amps.size, "state length"), "state")
         if not np.isfinite(amps.view(np.float64)).all():
             raise ValueError("state amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
@@ -128,9 +136,7 @@ class UnitaryMatrix:
         m = np.asarray(self.matrix, dtype=np.complex128).copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"unitary must be square, got shape {m.shape}")
-        n = _check_pow2(m.shape[0], "unitary dimension")
-        if n > max_qubits():
-            raise ValueError(f"unitary on {n} qubits exceeds the {max_qubits()}-qubit cap")
+        check_qubits(_check_pow2(m.shape[0], "unitary dimension"), "unitary")
         if not np.isfinite(m.view(np.float64)).all():
             raise ValueError("unitary entries must be finite")
         defect = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
@@ -156,16 +162,6 @@ class UnitaryMatrix:
 
     def __repr__(self) -> str:
         return f"UnitaryMatrix(dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class MeasurementBranch:
-    """One outcome of a Z measurement: the bit, its probability, and the
-    renormalized post-measurement state with the measured qubit removed."""
-
-    outcome: int
-    probability: float
-    post_state: StateVector
 
 
 # Fixed single-qubit gates.
@@ -207,22 +203,8 @@ def bell_pair() -> StateVector:
 
 def kron(a: UnitaryMatrix, b: UnitaryMatrix) -> UnitaryMatrix:
     """Kronecker product; the left factor holds the more significant qubits."""
-    if a.n_qubits + b.n_qubits > max_qubits():
-        raise ValueError(
-            f"kron result on {a.n_qubits + b.n_qubits} qubits exceeds "
-            f"the {max_qubits()}-qubit cap"
-        )
+    check_qubits(a.n_qubits + b.n_qubits, "kron result")
     return UnitaryMatrix(np.kron(a.matrix, b.matrix))
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product of states; ``a``'s qubits become the more significant."""
-    if a.n_qubits + b.n_qubits > max_qubits():
-        raise ValueError(
-            f"tensor result on {a.n_qubits + b.n_qubits} qubits exceeds "
-            f"the {max_qubits()}-qubit cap"
-        )
-    return StateVector(np.kron(a.amplitudes, b.amplitudes))
 
 
 def controlled(u: UnitaryMatrix) -> UnitaryMatrix:
@@ -230,63 +212,12 @@ def controlled(u: UnitaryMatrix) -> UnitaryMatrix:
 
     The control is the first (most significant) tensor factor of the result.
     """
+    check_qubits(u.n_qubits + 1, "controlled gate")
     d = u.dim
-    if u.n_qubits + 1 > max_qubits():
-        raise ValueError(f"controlled gate exceeds the {max_qubits()}-qubit cap")
     block = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     block[:d, :d] = np.eye(d)
     block[d:, d:] = u.matrix
     return UnitaryMatrix(block)
-
-
-def apply_unitary(state: StateVector, targets: list[int] | tuple[int, ...], u: UnitaryMatrix) -> StateVector:
-    """Apply ``u`` on the listed qubits, leaving all others untouched.
-
-    ``targets[0]`` is the most significant index of ``u``'s basis.  Raises
-    IndexError for out-of-range qubits and ValueError on dimension mismatch
-    or repeated targets.
-    """
-    n = state.n_qubits
-    targets = tuple(int(t) for t in targets)
-    if not targets:
-        raise ValueError("targets must be nonempty")
-    for t in targets:
-        if not 0 <= t < n:
-            raise IndexError(f"qubit {t} out of range for {n} qubits")
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"targets must be distinct, got {targets}")
-    k = len(targets)
-    if u.dim != 1 << k:
-        raise ValueError(f"unitary of dim {u.dim} cannot act on {k} qubits")
-
-    psi = state.amplitudes.reshape((2,) * n)
-    moved = np.moveaxis(psi, targets, range(k))
-    front = moved.reshape(1 << k, -1)
-    front = u.matrix @ front
-    moved = front.reshape((2,) * n)
-    psi = np.moveaxis(moved, range(k), targets)
-    return StateVector(psi.reshape(-1))
-
-
-def measure_z(state: StateVector, qubit: int) -> list[MeasurementBranch]:
-    """Z-measure one qubit, returning every branch with probability >= 1e-14.
-
-    The measured qubit is removed from each branch's post-state; the
-    surviving qubits keep their relative order.  Branch probabilities
-    sum to 1 (up to the pruning threshold).
-    """
-    n = state.n_qubits
-    if not 0 <= qubit < n:
-        raise IndexError(f"qubit {qubit} out of range for {n} qubits")
-    psi = np.moveaxis(state.amplitudes.reshape((2,) * n), qubit, 0)
-    branches = []
-    for outcome in (0, 1):
-        part = psi[outcome].reshape(-1)
-        p = float(np.linalg.norm(part) ** 2)
-        if p < BRANCH_PRUNE:
-            continue
-        branches.append(MeasurementBranch(outcome, p, StateVector(part / math.sqrt(p))))
-    return branches
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

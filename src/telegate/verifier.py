@@ -96,9 +96,7 @@ def probe_states(n_qubits: int, probes: int, seed: int) -> np.ndarray:
     :func:`qsim.haar_random_state` calls.  Every column is a valid state:
     finite, with norm 1 within 1e-9.
     """
-    cap = qsim.max_qubits()
-    if n_qubits > cap:
-        raise ValueError(f"probes on {n_qubits} qubits exceed the {cap}-qubit cap")
+    qsim.check_qubits(n_qubits, "probe matrix")
     d = 1 << n_qubits
     m = max(probes, d)
     psi = np.zeros((d, m), dtype=np.complex128)
@@ -111,6 +109,14 @@ def probe_states(n_qubits: int, probes: int, seed: int) -> np.ndarray:
     if np.abs(np.linalg.norm(psi, axis=0) - 1.0).max() > 1e-9:
         raise ValueError("probe states must be normalized")
     return psi
+
+
+def check_specification(p: Program, u_spec: UnitaryMatrix) -> None:
+    """Refuse a specification that does not act on exactly ``p``'s
+    external wires."""
+    n = p.n_external
+    if u_spec.dim != 1 << n:
+        raise ValueError(f"specification of dim {u_spec.dim} does not match {n} external wires")
 
 
 def verify_program(
@@ -129,12 +135,8 @@ def verify_program(
     skipping probes that reach a transcript with probability below 1e-14.
     The Choi distance compares the whole channels.
     """
-    n = p.n_external
-    if u_spec.dim != 1 << n:
-        raise ValueError(
-            f"specification of dim {u_spec.dim} does not match {n} external wires"
-        )
-    psi = probe_states(n, probes, seed)
+    check_specification(p, u_spec)
+    psi = probe_states(p.n_external, probes, seed)
     kraus = kraus_branches(p)
 
     expected = u_spec.matrix @ psi

@@ -74,6 +74,15 @@ def test_trace_lint_failing_file_exits_2(capsys):
     assert "locality" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["verify"], ["trace", "--input", "10"]])
+def test_against_of_wrong_dimension_exits_2(command, capsys):
+    argv = [*command, "--file", str(DEMOS / "nonlocal_cnot.tg"), "--against", "X"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and _one_error_line(captured.err)
+    assert "specification of dim 2 does not match 2 external wires" in captured.err
+
+
 def test_verify_file_against_cnot(capsys):
     rc = main(["verify", "--file", str(DEMOS / "nonlocal_cnot.tg"), "--against", CNOT_LITERAL])
     assert rc == 0
@@ -167,11 +176,13 @@ def test_bad_tolerance_is_a_usage_error(option, capsys):
     assert not captured.out and f"argument {option.split('=')[0]}" in captured.err
 
 
-@pytest.mark.parametrize("option", ["--probes=-5", "--probes=-1", "--probes=two"])
+@pytest.mark.parametrize(
+    "option", ["--probes=-5", "--probes=-1", "--probes=two", "--seed=-1", "--seed=two"]
+)
 def test_bad_probe_count_is_a_usage_error(option, capsys):
     assert main(["verify", "--gate", "X", option]) == 2
     captured = capsys.readouterr()
-    assert not captured.out and "argument --probes" in captured.err
+    assert not captured.out and f"argument {option.split('=')[0]}" in captured.err
     assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
 
 

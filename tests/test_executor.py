@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,12 +13,12 @@ from telegate.executor import (
     _walk,
     branch_density,
     channel_choi,
-    choi_distance,
     kraus_branches,
+    kraus_choi_distance,
     run_branches,
-    unitary_choi,
 )
 from telegate.protocol import (
+    ApplyLocal,
     ConditionalPauli,
     DiscardBit,
     ExternalWire,
@@ -192,11 +194,11 @@ def test_choi_of_identity_program_is_max_entangled_projector():
     assert np.allclose(j.matrix, np.outer(phi, phi), atol=1e-14)
 
 
-def test_unitary_choi_matches_empty_program():
+def test_kraus_choi_distance_of_empty_program_is_zero():
     p = Program(
         (ExternalWire(qwire(0), Party.ALICE), ExternalWire(qwire(1), Party.BOB))
     )
-    d = choi_distance(channel_choi(p), unitary_choi(qsim.identity(4)))
+    d = kraus_choi_distance([k for _, k in kraus_branches(p)], qsim.identity(4))
     assert d <= 1e-12
 
 
@@ -208,24 +210,38 @@ def test_program_choi_matches_bruteforce_cnot_choi():
 
 
 @given(st.integers(0, 2**32 - 1))
-def test_unitary_choi_matches_bruteforce(seed):
-    u = qsim.haar_random_unitary(4, seed)
-    assert np.abs(unitary_choi(u).matrix - choi_of_unitary(u.matrix)).max() < 1e-12
+def test_kraus_choi_distance_matches_bruteforce(seed):
+    """Two unitaries: the low-rank distance against the norm of the
+    difference of the oracle's dense Choi matrices."""
+    rng = np.random.default_rng(seed)
+    u, v = qsim.haar_random_unitary(4, rng), qsim.haar_random_unitary(4, rng)
+    want = np.linalg.norm(choi_of_unitary(u.matrix) - choi_of_unitary(v.matrix))
+    assert abs(kraus_choi_distance([u.matrix], v) - want) < 1e-12
 
 
-def test_unitary_choi_of_x_support():
-    j = unitary_choi(qsim.X).matrix
+def test_channel_choi_of_x_support():
+    p = Program(
+        (ExternalWire(qwire(0), Party.ALICE),),
+        (ApplyLocal(Party.ALICE, (qwire(0),), qsim.X),),
+    )
+    j = channel_choi(p).matrix
     # row-major vec(X)/sqrt(2) lives on |01> and |10>
     expected = np.zeros((4, 4))
     expected[1, 1] = expected[1, 2] = expected[2, 1] = expected[2, 2] = 0.5
     assert np.allclose(j, expected, atol=1e-15)
 
 
-def test_unitary_choi_trace_one_for_50_random_unitaries():
+def test_kraus_choi_distance_is_trace_normalized_for_50_random_unitaries():
+    """Trace-1 Choi matrices of unitaries U, V are rank-1 projectors, so
+    their distance is sqrt(2 - 2 |tr(U†V)|^2 / d^2)."""
     rng = np.random.default_rng(31337)
     for _ in range(50):
-        u = qsim.haar_random_unitary(int(rng.choice([2, 4])), rng)
-        assert abs(np.trace(unitary_choi(u).matrix) - 1.0) < 1e-12
+        d = int(rng.choice([2, 4]))
+        u, v = qsim.haar_random_unitary(d, rng), qsim.haar_random_unitary(d, rng)
+        overlap = abs(np.trace(u.matrix.conj().T @ v.matrix)) / d
+        want = math.sqrt(max(0.0, 2 - 2 * overlap**2))
+        assert abs(kraus_choi_distance([u.matrix], v) - want) < 1e-12
+        assert kraus_choi_distance([u.matrix], u) < 1e-12
 
 
 def test_dense_choi_cap_counts_the_reference_register(monkeypatch):
@@ -242,7 +258,7 @@ def test_dense_choi_cap_counts_the_reference_register(monkeypatch):
 def test_discard_split_does_not_change_channel():
     p = build_program(NonlocalCUSpec(qsim.S, 1))
     trimmed = Program(p.externals, p.instructions[:-1], p.phases[:-1])
-    assert choi_distance(channel_choi(p), channel_choi(trimmed)) < 1e-14
+    assert np.linalg.norm(channel_choi(p).matrix - channel_choi(trimmed).matrix) < 1e-14
 
 
 def test_choi_invariants_are_enforced():

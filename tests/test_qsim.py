@@ -5,9 +5,34 @@ import pytest
 from hypothesis import given, strategies as st
 
 from telegate import qsim
+from telegate.executor import ExecutionError, _apply, _positions, _walk
+from telegate.protocol import ApplyLocal, MeasureZ, Party, cwire, qwire
 from telegate.qsim import StateVector, UnitaryMatrix
 
 SQ2 = 1 / math.sqrt(2)
+
+
+def apply(state: StateVector, positions, u: UnitaryMatrix, controlled=False) -> StateVector:
+    """``executor._apply`` on one state (a batch of one)."""
+    psi = state.amplitudes.reshape((2,) * state.n_qubits + (1,))
+    return StateVector(_apply(psi, tuple(positions), u.matrix, controlled).reshape(-1))
+
+
+def measure(state: StateVector, qubit: int) -> list[tuple[int, float, StateVector]]:
+    """``executor._walk`` on a single MeasureZ: ``(outcome, probability,
+    renormalized post-state)`` per branch it keeps, by outcome."""
+    n = state.n_qubits
+    leaves = _walk(
+        (MeasureZ(Party.ALICE, qwire(qubit), cwire(0)),),
+        state.amplitudes.reshape((2,) * n + (1,)),
+        [qwire(q) for q in range(n)],
+    )
+    branches = []
+    for ((_, outcome),), psi in leaves:
+        v = psi.reshape(-1)
+        p = float(np.vdot(v, v).real)
+        branches.append((outcome, p, StateVector(v / math.sqrt(p))))
+    return sorted(branches, key=lambda b: b[0])
 
 
 # kron
@@ -18,13 +43,13 @@ def test_kron_identity():
 
 def test_kron_qubit0_is_leftmost_factor():
     """kron(X, I) flips qubit 0: |00> -> |10>."""
-    state = qsim.apply_unitary(StateVector.zero(2), [0, 1], qsim.kron(qsim.X, qsim.I2))
-    assert state == StateVector.from_bits("10")
+    out = qsim.kron(qsim.X, qsim.I2).matrix @ StateVector.zero(2).amplitudes
+    assert np.array_equal(out, StateVector.from_bits("10").amplitudes)
 
 
 def test_kron_hh_uniform():
-    state = qsim.apply_unitary(StateVector.zero(2), [0, 1], qsim.kron(qsim.H, qsim.H))
-    assert np.allclose(state.amplitudes, [0.5, 0.5, 0.5, 0.5])
+    out = qsim.kron(qsim.H, qsim.H).matrix @ StateVector.zero(2).amplitudes
+    assert np.allclose(out, [0.5, 0.5, 0.5, 0.5])
 
 
 def test_kron_dimension_cap():
@@ -71,37 +96,40 @@ def test_controlled_bottom_block_is_exact(seed, n):
     assert np.array_equal(c.matrix[:d, :d], np.eye(d))
 
 
-# apply_unitary
+# executor._apply: the one kernel that evolves a state
 
 def test_apply_x_flips():
-    assert qsim.apply_unitary(StateVector.zero(1), [0], qsim.X) == StateVector.from_bits("1")
+    assert apply(StateVector.zero(1), [0], qsim.X) == StateVector.from_bits("1")
 
 
 def test_apply_h_plus_state():
-    state = qsim.apply_unitary(StateVector.zero(1), [0], qsim.H)
+    state = apply(StateVector.zero(1), [0], qsim.H)
     assert np.allclose(state.amplitudes, [SQ2, SQ2])
 
 
 def test_apply_cnot_makes_bell():
     state = StateVector(np.array([SQ2, 0, SQ2, 0]))  # (|00> + |10>)/sqrt(2)
-    state = qsim.apply_unitary(state, [0, 1], qsim.controlled(qsim.X))
-    assert np.allclose(state.amplitudes, qsim.bell_pair().amplitudes)
+    for out in (apply(state, [0, 1], qsim.controlled(qsim.X)),
+                apply(state, [0, 1], qsim.X, controlled=True)):
+        assert np.allclose(out.amplitudes, qsim.bell_pair().amplitudes)
 
 
 def test_apply_target_order_matters():
     """Applying controlled-X on (1, 0) controls on qubit 1."""
-    state = qsim.apply_unitary(StateVector.from_bits("01"), [1, 0], qsim.controlled(qsim.X))
-    assert state == StateVector.from_bits("11")
+    state = StateVector.from_bits("01")
+    assert apply(state, [1, 0], qsim.controlled(qsim.X)) == StateVector.from_bits("11")
+    assert apply(state, [1, 0], qsim.X, controlled=True) == StateVector.from_bits("11")
 
 
 def test_apply_errors():
-    state = StateVector.zero(2)
-    with pytest.raises(IndexError):
-        qsim.apply_unitary(state, [2], qsim.X)
+    """What reaches ``_apply`` is checked upstream: a gate's dimension and
+    distinct wires by the instruction, wire presence by ``_positions``."""
     with pytest.raises(ValueError, match="dim"):
-        qsim.apply_unitary(state, [0, 1], qsim.X)
+        ApplyLocal(Party.ALICE, (qwire(0), qwire(1)), qsim.X)
     with pytest.raises(ValueError, match="distinct"):
-        qsim.apply_unitary(state, [0, 0], qsim.controlled(qsim.X))
+        ApplyLocal(Party.ALICE, (qwire(0), qwire(0)), qsim.controlled(qsim.X))
+    with pytest.raises(ExecutionError, match="missing"):
+        _positions([qwire(0), qwire(1)], (qwire(2),))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.data())
@@ -111,62 +139,66 @@ def test_apply_preserves_norm(seed, n, data):
     targets = data.draw(st.permutations(range(n))).copy()[:k]
     state = qsim.haar_random_state(n, rng)
     u = qsim.haar_random_unitary(1 << k, rng)
-    out = qsim.apply_unitary(state, targets, u)
+    out = apply(state, targets, u)
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
 def test_apply_identity_is_identity(seed, n):
     state = qsim.haar_random_state(n, seed)
-    out = qsim.apply_unitary(state, list(range(n)), qsim.identity(1 << n))
+    out = apply(state, range(n), qsim.identity(1 << n))
     assert np.array_equal(out.amplitudes, state.amplitudes)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.data())
-def test_apply_matches_index_arithmetic_embedding(seed, n, data):
-    """Cross-check the axis-moving implementation against the test oracle's
-    explicit permutation/index embedding."""
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.booleans(), st.data())
+def test_apply_matches_index_arithmetic_embedding(seed, n, controlled, data):
+    """Cross-check the transposing implementation, plain and controlled,
+    against the test oracle's explicit permutation/index embedding."""
     from oracles import embed
 
     rng = np.random.default_rng(seed)
-    k = data.draw(st.integers(1, min(2, n)))
+    k = data.draw(st.integers(2 if controlled else 1, min(3, n)))
     targets = data.draw(st.permutations(range(n)))[:k]
     state = qsim.haar_random_state(n, rng)
-    u = qsim.haar_random_unitary(1 << k, rng)
-    got = qsim.apply_unitary(state, targets, u)
-    want = embed(u.matrix, list(targets), n) @ state.amplitudes
+    u = qsim.haar_random_unitary(1 << (k - controlled), rng)
+    full = u.matrix
+    if controlled:  # diag(I, U), written out here rather than by qsim.controlled
+        full = np.eye(1 << k, dtype=complex)
+        full[u.dim:, u.dim:] = u.matrix
+    got = apply(state, targets, u, controlled)
+    want = embed(full, list(targets), n) @ state.amplitudes
     assert np.abs(got.amplitudes - want).max() < 1e-12
 
 
-# measure_z
+# executor._walk on one MeasureZ: the one way a state is measured
 
 def test_measure_zero_state():
-    branches = qsim.measure_z(StateVector.zero(1), 0)
+    branches = measure(StateVector.zero(1), 0)
     assert len(branches) == 1
-    assert branches[0].outcome == 0
-    assert branches[0].probability == 1.0
-    assert branches[0].post_state.n_qubits == 0
+    outcome, probability, post_state = branches[0]
+    assert outcome == 0
+    assert probability == 1.0
+    assert post_state.n_qubits == 0
 
 
 def test_measure_bell_correlates():
-    branches = qsim.measure_z(qsim.bell_pair(), 0)
-    assert [b.outcome for b in branches] == [0, 1]
-    for b in branches:
-        assert abs(b.probability - 0.5) < 1e-12
-    assert branches[0].post_state == StateVector.from_bits("0")
-    assert branches[1].post_state == StateVector.from_bits("1")
+    branches = measure(qsim.bell_pair(), 0)
+    assert [outcome for outcome, _, _ in branches] == [0, 1]
+    for _, probability, _ in branches:
+        assert abs(probability - 0.5) < 1e-12
+    assert branches[0][2] == StateVector.from_bits("0")
+    assert branches[1][2] == StateVector.from_bits("1")
 
 
 def test_measure_plus_state():
-    state = qsim.apply_unitary(StateVector.zero(1), [0], qsim.H)
-    branches = qsim.measure_z(state, 0)
+    branches = measure(apply(StateVector.zero(1), [0], qsim.H), 0)
     assert len(branches) == 2
-    assert all(abs(b.probability - 0.5) < 1e-12 for b in branches)
+    assert all(abs(probability - 0.5) < 1e-12 for _, probability, _ in branches)
 
 
 def test_measure_prunes_impossible_branch():
-    branches = qsim.measure_z(StateVector.from_bits("10"), 1)
-    assert len(branches) == 1 and branches[0].outcome == 0
+    branches = measure(StateVector.from_bits("10"), 1)
+    assert len(branches) == 1 and branches[0][0] == 0
 
 
 def test_measure_branch_completeness_1000_random_states():
@@ -175,11 +207,11 @@ def test_measure_branch_completeness_1000_random_states():
         n = int(rng.integers(1, 5))
         state = qsim.haar_random_state(n, rng)
         qubit = int(rng.integers(0, n))
-        branches = qsim.measure_z(state, qubit)
-        assert abs(sum(b.probability for b in branches) - 1.0) < 1e-12
-        for b in branches:
-            assert abs(np.linalg.norm(b.post_state.amplitudes) - 1.0) < 1e-12
-            assert b.post_state.n_qubits == n - 1
+        branches = measure(state, qubit)
+        assert abs(sum(probability for _, probability, _ in branches) - 1.0) < 1e-12
+        for _, _, post_state in branches:
+            assert abs(np.linalg.norm(post_state.amplitudes) - 1.0) < 1e-12
+            assert post_state.n_qubits == n - 1
 
 
 # fidelity
