@@ -21,6 +21,7 @@ from .executor import (
     channel_choi,
     kraus_branches,
     kraus_choi_distance,
+    kraus_stack,
     run_branches,
     transcript_key,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "gatelang",
     "kraus_branches",
     "kraus_choi_distance",
+    "kraus_stack",
     "parse_program",
     "protocol",
     "qsim",

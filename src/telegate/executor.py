@@ -1,13 +1,16 @@
 """Exact execution of protocol programs.
 
-:func:`kraus_branches` is the one execution primitive.  It runs a
-program once, depth-first over every classical transcript, on the d×d
-identity (d = 2^n for n external wires), so that each transcript t ends
-as the Kraus operator K_t of the channel the program implements: the
-branch output for input psi is ``K_t @ psi`` (unnormalized) and its
-probability is ``|K_t psi|^2``.  A program built by the builder has at
-most four transcripts, so everything downstream is small:
+:func:`kraus_stack` is the one execution primitive.  It runs a program
+once, in one straight-line pass that covers every classical transcript,
+on the d×d identity (d = 2^n for n external wires), so that each
+transcript t ends as the Kraus operator K_t of the channel the program
+implements: the branch output for input psi is ``K_t @ psi``
+(unnormalized) and its probability is ``|K_t psi|^2``.  A program built
+by the builder has at most four transcripts, so everything downstream is
+small:
 
+* :func:`kraus_branches` lists the same operators as ``(transcript, K_t)``
+  pairs;
 * :func:`run_branches` is a normalizing view for one input state;
 * :func:`kraus_choi_distance` compares the channel with a unitary in the
   span of the at most five vectors vec(K_t) and vec(U);
@@ -15,9 +18,13 @@ most four transcripts, so everything downstream is small:
   sum_t vec(K_t) vec(K_t)† / d, for callers that need the matrix itself.
 
 :func:`_walk` and :func:`_apply` are the only code that evolves or
-measures a state.  Measuring a qubit removes it from the register: an
-n-qubit state branches into (n-1)-qubit states, so branch outputs cover
-exactly the external wires.
+measures a state.  Measurement is deferred (Nielsen & Chuang §4.4): a
+measured qubit stays in the register as the record of its outcome, a
+conditional Pauli becomes a Pauli controlled on that record, and at the
+end the records index the transcripts.  The register therefore holds
+the external wires plus every qubit the program allocates, and that is
+what the qubit cap counts; branch outputs cover exactly the external
+wires.
 
 Choi matrices here are normalized to trace 1.  No sampling is involved:
 the branch ensemble is complete, so tests tolerate only floating-point
@@ -27,6 +34,7 @@ error.  Returned lists are sorted by transcript bits.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -114,108 +122,115 @@ def kraus_branches(p: Program) -> list[tuple[Transcript, np.ndarray]]:
     """The ``(transcript, K_t)`` pairs of ``p``, sorted by transcript bits.
 
     ``K_t`` is a d×d array (d = 2^n_external): column j is the
-    unnormalized output of transcript t for basis input j.  The program
-    must pass :func:`validate_locality` and keep at most
-    :func:`qsim.max_qubits` qubits alive at once.  Transcripts with
-    ``|K_t|_F^2 < 1e-14`` are dropped (no unit input reaches them with
-    probability 1e-14); the rest must satisfy sum_t |K_t|_F^2 / d = 1
-    within 1e-12, which makes the channel trace preserving.
+    unnormalized output of transcript t for basis input j.  The same
+    operators as :func:`kraus_stack`, one pair per transcript.
+    """
+    transcripts, ops = kraus_stack(p)
+    return list(zip(transcripts, ops))
+
+
+def kraus_stack(p: Program) -> tuple[list[Transcript], np.ndarray]:
+    """The transcripts of ``p``, sorted by bits, and their Kraus operators
+    as one (T, d, d) array, row t for transcript t.
+
+    The program must pass :func:`validate_locality`, and its externals
+    plus every qubit it allocates must fit :func:`qsim.max_qubits`.
+    Transcripts with ``|K_t|_F^2 < 1e-14`` are dropped (no unit input
+    reaches them with probability 1e-14); the rest must be finite and
+    satisfy sum_t |K_t|_F^2 / d = 1 within 1e-12, which makes the channel
+    trace preserving.
     """
     violations = validate_locality(p)
     if violations:
         summary = "; ".join(str(v) for v in violations[:3])
         raise ValueError(f"program fails locality validation: {summary}")
-    qsim.check_qubits(_register_width(p), "program", " alive at once")
+    detail = " alive in one register (measured qubits are kept)"
+    qsim.check_qubits(_register_width(p), "program", detail)
     n = p.n_external
     d = 1 << n
     batch = np.eye(d, dtype=np.complex128).reshape((2,) * n + (d,))
-    leaves = _walk(p.instructions, batch, list(p.external_wires))
-    leaves.sort(key=lambda leaf: [bit for _, bit in leaf[0]])
-    kraus = [(transcript, psi.reshape(d, d)) for transcript, psi in leaves]
-    if not all(np.isfinite(k.view(np.float64)).all() for _, k in kraus):
-        raise ExecutionError("Kraus operators must be finite")
-    mass = sum(float(np.vdot(k, k).real) for _, k in kraus) / d
-    if abs(mass - 1.0) > 1e-12:
-        raise ExecutionError(f"channel is not trace preserving: sum |K_t|^2 / d = {mass!r}")
-    return kraus
+    return _checked(*_walk(p.instructions, batch, list(p.external_wires)))
 
 
 def _register_width(p: Program) -> int:
-    """Most qubits alive at once while ``p`` runs, externals included."""
-    live = width = p.n_external
+    """Qubits the pass holds: the externals plus every allocated qubit,
+    since a measured qubit stays as its transcript axis."""
+    width = p.n_external
     for ins in p.instructions:
         if isinstance(ins, AllocQubit):
-            live += 1
+            width += 1
         elif isinstance(ins, MakeBellPair):
-            live += 2
-        elif isinstance(ins, MeasureZ):
-            live -= 1
-        width = max(width, live)
+            width += 2
     return width
 
 
 def _walk(
     instructions: tuple, batch: np.ndarray, wires: list[WireRef]
-) -> list[tuple[Transcript, np.ndarray]]:
-    """Depth-first branch enumeration over a batch of unnormalized states.
+) -> tuple[tuple[WireRef, ...], np.ndarray]:
+    """Run ``instructions`` once over every transcript at the same time.
 
-    ``batch`` has one axis of size 2 per live qubit, in the order of
-    ``wires``, then one batch axis.  Measurements project without
-    renormalizing, so each leaf carries its transcript's operator.
+    ``batch`` has one axis of size 2 per wire in ``wires``, in that order,
+    then one batch axis.  Measurement is deferred: a measured qubit keeps
+    its axis as the record of its outcome, and a conditional Pauli is
+    controlled on that axis.  Returns the measured bits in program order
+    and a (2^m, rest, batch) array: row t holds the unnormalized output of
+    the transcript whose bits spell t in binary, over the unmeasured
+    qubits in axis order.
     """
-    out: list[tuple[Transcript, np.ndarray]] = []
-    # stack entries: (next instruction index, batch, wire order, env, transcript)
-    stack = [(0, batch, wires, {}, ())]
-    while stack:
-        idx, psi, wires, env, transcript = stack.pop()
-        advancing = True
-        while advancing and idx < len(instructions):
-            ins = instructions[idx]
-            idx += 1
-            if isinstance(ins, AllocQubit):
-                psi = _append_qubits(psi, _BASIS[ins.basis_value])
-                wires = wires + [ins.wire]
-            elif isinstance(ins, MakeBellPair):
-                psi = _append_qubits(psi, _BELL)
-                wires = wires + [ins.left, ins.right]
-            elif isinstance(ins, ApplyLocal):
-                psi = _apply(psi, _positions(wires, ins.wires), ins.gate.matrix)
-            elif isinstance(ins, ApplyControlledLocal):
-                targets = (ins.control, *ins.targets)
-                psi = _apply(psi, _positions(wires, targets), ins.gate.matrix, controlled=True)
-            elif isinstance(ins, MeasureZ):
-                (pos,) = _positions(wires, (ins.wire,))
-                rest = wires[:pos] + wires[pos + 1:]
-                advancing = False
-                for outcome in (0, 1):
-                    part = np.take(psi, outcome, axis=pos)
-                    if np.vdot(part, part).real < BRANCH_PRUNE:
-                        continue
-                    stack.append(
-                        (
-                            idx,
-                            part,
-                            rest,
-                            {**env, ins.out: outcome},
-                            transcript + ((ins.out, outcome),),
-                        )
-                    )
-            elif isinstance(ins, ConditionalPauli):
-                if ins.condition not in env:
-                    raise ExecutionError(
-                        f"conditional pauli reads unset classical wire {ins.condition}"
-                    )
-                if env[ins.condition] == 1:
-                    psi = _apply(psi, _positions(wires, (ins.wire,)), _PAULI[ins.pauli])
-            elif isinstance(ins, DiscardBit):
-                env = {k: v for k, v in env.items() if k != ins.wire}
-            elif isinstance(ins, SendBit):
-                pass  # classical routing only; no effect on the state
-            else:  # pragma: no cover - union is closed
-                raise TypeError(f"unknown instruction {ins!r}")
-        if advancing:
-            out.append((transcript, psi))
-    return out
+    axes = {w: a for a, w in enumerate(wires)}  # quantum wire or readable bit -> axis
+    measured: list[tuple[WireRef, int]] = []
+    psi = batch
+    for ins in instructions:
+        if isinstance(ins, AllocQubit):
+            axes[ins.wire] = psi.ndim - 1
+            psi = _append_qubits(psi, _BASIS[ins.basis_value])
+        elif isinstance(ins, MakeBellPair):
+            axes[ins.left], axes[ins.right] = psi.ndim - 1, psi.ndim
+            psi = _append_qubits(psi, _BELL)
+        elif isinstance(ins, ApplyLocal):
+            psi = _apply(psi, _positions(axes, ins.wires), ins.gate.matrix)
+        elif isinstance(ins, ApplyControlledLocal):
+            targets = (ins.control, *ins.targets)
+            psi = _apply(psi, _positions(axes, targets), ins.gate.matrix, controlled=True)
+        elif isinstance(ins, MeasureZ):
+            (axis,) = _positions(axes, (ins.wire,))
+            del axes[ins.wire]
+            axes[ins.out] = axis
+            measured.append((ins.out, axis))
+        elif isinstance(ins, ConditionalPauli):
+            if ins.condition not in axes:
+                raise ExecutionError(
+                    f"conditional pauli reads unset classical wire {ins.condition}"
+                )
+            positions = _positions(axes, (ins.condition, ins.wire))
+            psi = _apply(psi, positions, _PAULI[ins.pauli], controlled=True)
+        elif isinstance(ins, DiscardBit):
+            axes.pop(ins.wire, None)  # the axis stays in the transcript
+        elif isinstance(ins, SendBit):
+            pass  # classical routing only; no effect on the state
+        else:  # pragma: no cover - union is closed
+            raise TypeError(f"unknown instruction {ins!r}")
+    bit_axes = [axis for _, axis in measured]
+    rest = [a for a in range(psi.ndim) if a not in bit_axes]
+    stack = psi.transpose(bit_axes + rest).reshape(1 << len(bit_axes), -1, psi.shape[-1])
+    return tuple(bit for bit, _ in measured), stack
+
+
+def _checked(
+    bits: tuple[WireRef, ...], stack: np.ndarray
+) -> tuple[list[Transcript], np.ndarray]:
+    """Drop the dust rows of a :func:`_walk` result and check the rest:
+    finite, with total mass equal to the batch size within 1e-12."""
+    flat = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
+    if not np.isfinite(flat).all():
+        raise ExecutionError("Kraus operators must be finite")
+    mass = np.einsum("ti,ti->t", flat, flat)
+    keep = mass >= BRANCH_PRUNE
+    total = float(mass[keep].sum()) / stack.shape[-1]
+    if abs(total - 1.0) > 1e-12:
+        raise ExecutionError(f"channel is not trace preserving: sum |K_t|^2 / d = {total!r}")
+    outcomes = itertools.compress(itertools.product((0, 1), repeat=len(bits)), keep)
+    return [tuple(zip(bits, o)) for o in outcomes], stack[keep]
 
 
 def _append_qubits(psi: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -248,14 +263,11 @@ def _permutation(ndim: int, positions: tuple[int, ...]) -> tuple[tuple[int, ...]
     return perm, tuple(inverse)
 
 
-def _positions(wires: list[WireRef], targets: tuple[WireRef, ...]) -> tuple[int, ...]:
-    positions = []
-    for t in targets:
-        try:
-            positions.append(wires.index(t))
-        except ValueError:
-            raise ExecutionError(f"instruction touches missing quantum wire {t}") from None
-    return tuple(positions)
+def _positions(axes: dict[WireRef, int], targets: tuple[WireRef, ...]) -> tuple[int, ...]:
+    try:
+        return tuple([axes[t] for t in targets])
+    except KeyError as exc:
+        raise ExecutionError(f"instruction touches missing quantum wire {exc.args[0]}") from None
 
 
 def run_branches(p: Program, input_state: StateVector) -> list[BranchOutcome]:
@@ -290,11 +302,10 @@ def branch_density(outcomes: list[BranchOutcome]) -> np.ndarray:
     return rho
 
 
-def _choi_vectors(kraus: list[np.ndarray]) -> np.ndarray:
-    """Columns vec(K_t)/sqrt(d): row-major, output index first, so that
-    the Choi matrix is their sum of outer products."""
-    d = kraus[0].shape[0]
-    return np.stack([k.reshape(-1) for k in kraus], axis=1) / math.sqrt(d)
+def _choi_vectors(ops: np.ndarray) -> np.ndarray:
+    """Columns vec(K_t)/sqrt(d) of a (T, d, d) stack: row-major, output
+    index first, so that the Choi matrix is their sum of outer products."""
+    return ops.reshape(len(ops), -1).T / math.sqrt(ops.shape[1])
 
 
 def channel_choi(p: Program) -> ChoiMatrix:
@@ -307,23 +318,24 @@ def channel_choi(p: Program) -> ChoiMatrix:
     n, width = p.n_external, _register_width(p)
     detail = f" ({width} for the program, {n} for the reference)"
     qsim.check_qubits(n + width, "dense Choi matrix", detail)
-    v = _choi_vectors([k for _, k in kraus_branches(p)])
+    v = _choi_vectors(kraus_stack(p)[1])
     return ChoiMatrix(v @ v.conj().T)
 
 
-def kraus_choi_distance(kraus: list[np.ndarray], u: UnitaryMatrix) -> float:
+def kraus_choi_distance(kraus: np.ndarray | list[np.ndarray], u: UnitaryMatrix) -> float:
     """Frobenius distance between the Choi matrix of the channel with Kraus
-    operators ``kraus`` and that of ``u``, without forming either matrix.
+    operators ``kraus`` (a (T, d, d) stack, or a list of d×d arrays) and
+    that of ``u``, without forming either matrix.
 
     With V = [vec K_1 .. vec K_r, vec U]/sqrt(d) and S = diag(1, .., 1, -1)
     the difference is V S V†; for V = QR it has the norm of R S R†, an
     (r+1)×(r+1) matrix.  Unlike sqrt(pᵀGp - 2pᵀo + 1) from the Gram matrix,
     this does not cancel to ~1e-8 error when the channels agree.
     """
-    if any(k.shape != u.matrix.shape for k in kraus):
+    ops = np.asarray(kraus)
+    if ops.ndim != 3 or ops.shape[1:] != u.matrix.shape:
         raise ValueError(f"Kraus operators do not match the dimension {u.dim} of the unitary")
-    r = np.linalg.qr(_choi_vectors([*kraus, u.matrix]), mode="r")
+    r = np.linalg.qr(_choi_vectors(np.concatenate([ops, u.matrix[None]])), mode="r")
     signs = np.ones(r.shape[1])
     signs[-1] = -1.0
     return float(np.linalg.norm((r * signs) @ r.conj().T))
-

@@ -42,7 +42,14 @@ class WireKind(enum.Enum):
 
 @dataclass(frozen=True)
 class WireRef:
-    """A wire name: kind ('q' or 'c') plus a non-negative integer id."""
+    """A wire name: kind ('q' or 'c') plus a non-negative integer id.
+
+    Wire references key every dict and set of the validator and the
+    executor, so the hash is computed once, from the kind's value rather
+    than the Enum member (whose ``__hash__`` runs in Python).  String
+    hashes differ between processes, so copies and pickles are rebuilt
+    through the constructor instead of carrying the stored hash along.
+    """
 
     kind: WireKind
     id: int
@@ -50,6 +57,13 @@ class WireRef:
     def __post_init__(self):
         if self.id < 0:
             raise ValueError(f"wire id must be non-negative, got {self.id}")
+        object.__setattr__(self, "_hash", hash((self.kind.value, self.id)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return WireRef, (self.kind, self.id)
 
     @property
     def name(self) -> str:

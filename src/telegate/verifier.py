@@ -11,7 +11,7 @@ Two independent kinds of evidence go into a verdict:
   channel-equality claim.
 
 Both come from one execution of the program: its Kraus operators K_t,
-one per transcript (see :func:`telegate.executor.kraus_branches`).
+one per transcript (see :func:`telegate.executor.kraus_stack`).
 
 Reports are deterministic functions of (inputs, seed) and serialize to
 a stable JSON document (see ``docs/report-schema.md``).
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import qsim
 from .builder import NonlocalCUSpec, build_program, build_specification
-from .executor import kraus_branches, kraus_choi_distance, transcript_key
+from .executor import kraus_choi_distance, kraus_stack, transcript_key
 from .protocol import Program, ResourceCensus, resource_census
 from .qsim import BRANCH_PRUNE, UnitaryMatrix
 
@@ -95,10 +95,15 @@ def probe_states(n_qubits: int, probes: int, seed: int) -> np.ndarray:
     same stream, in the same order, as m - d successive
     :func:`qsim.haar_random_state` calls.  Every column is a valid state:
     finite, with norm 1 within 1e-9.
+
+    The column index counts as a register of ceil(log2 m) qubits, which
+    covers the n_qubits rows too (m >= d): it is refused, before anything
+    is allocated, above :func:`qsim.max_qubits`, so the matrix is never
+    larger than a unitary at the cap.
     """
-    qsim.check_qubits(n_qubits, "probe matrix")
     d = 1 << n_qubits
     m = max(probes, d)
+    qsim.check_qubits((m - 1).bit_length(), "probe matrix", f" to index its {m} columns")
     psi = np.zeros((d, m), dtype=np.complex128)
     psi[:, :d] = np.eye(d)
     z = np.random.default_rng(seed).normal(size=(m - d, 2, d))
@@ -137,11 +142,10 @@ def verify_program(
     """
     check_specification(p, u_spec)
     psi = probe_states(p.n_external, probes, seed)
-    kraus = kraus_branches(p)
+    transcripts, ops = kraus_stack(p)
 
     expected = u_spec.matrix @ psi
     expected /= np.linalg.norm(expected, axis=0)
-    ops = np.stack([k for _, k in kraus])
     out = ops @ psi  # (transcript, output index, probe)
     prob = np.einsum("tij,tij->tj", out.conj(), out).real
     seen = prob >= BRANCH_PRUNE
@@ -153,13 +157,13 @@ def verify_program(
         sorted(
             (
                 BranchReport(transcript_key(transcript), float(mass[t]), float(infid[t]))
-                for t, (transcript, _) in enumerate(kraus)
+                for t, transcript in enumerate(transcripts)
                 if seen[t].any()
             ),
             key=lambda b: b.transcript,
         )
     )
-    dist = kraus_choi_distance(list(ops), u_spec)
+    dist = kraus_choi_distance(ops, u_spec)
     max_infid = max((b.max_infidelity for b in branches), default=0.0)
     verdict = "pass" if (max_infid <= tol_branch and dist <= tol_choi) else "fail"
     return EquivalenceReport(

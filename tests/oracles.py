@@ -10,6 +10,7 @@ which are the input format under test.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -88,6 +89,34 @@ def deferred_measurement_choi(p: Program) -> np.ndarray:
             ref_part[i, k] = 1.0
             j += np.kron(outs[i] @ outs[k].conj().T, ref_part)
     return j / d
+
+
+def deferred_measurement_kraus(p: Program) -> list[tuple[tuple, np.ndarray]]:
+    """``(transcript, K_t)`` pairs read off the dilation run on every basis
+    input: column j of K_t is the part of input j's final state in which
+    each measured qubit holds its bit in t.  Transcripts are built one at
+    a time, in bit order; those with |K_t|_F^2 < 1e-14 are left out.
+    Every internal qubit must be measured, as in a valid program."""
+    d = 1 << p.n_external
+    outs = _dilate(p, np.eye(d, dtype=complex))
+    internal: list = []
+    measured: list[MeasureZ] = []
+    for ins in p.instructions:
+        if isinstance(ins, AllocQubit):
+            internal.append(ins.wire)
+        elif isinstance(ins, MakeBellPair):
+            internal += [ins.left, ins.right]
+        elif isinstance(ins, MeasureZ):
+            measured.append(ins)
+    pairs = []
+    for bits in itertools.product((0, 1), repeat=len(measured)):
+        col = 0
+        for ins, bit in zip(measured, bits):
+            col |= bit << (len(internal) - 1 - internal.index(ins.wire))
+        k = np.stack([out[:, col] for out in outs], axis=1)
+        if np.vdot(k, k).real >= 1e-14:
+            pairs.append((tuple((ins.out, bit) for ins, bit in zip(measured, bits)), k))
+    return pairs
 
 
 def _dilate(p: Program, inputs: np.ndarray) -> list[np.ndarray]:
@@ -212,3 +241,78 @@ def random_unitary_expr(rng: np.random.Generator, depth: int = 3, n_qubits: int 
         random_unitary_expr(rng, depth - 1, split),
         random_unitary_expr(rng, depth - 1, n_qubits - split),
     )
+
+
+# --- random valid programs ----------------------------------------------------
+
+_ONE_QUBIT_GATES = ("X", "Z", "H", "S", "T", "RY(0.7)", "RX(-1.9)")
+_TWO_QUBIT_GATES = ("H x S", "X x X", "RZ(0.4) x H")
+
+
+def random_program_text(rng: np.random.Generator, max_internal: int = 5, steps: int = 24) -> str:
+    """A random program in the text format that passes locality
+    validation: one or two externals, then basis-state allocs, Bell pairs,
+    local and controlled gates, measz, send, cpauli and discard, and a
+    measz for every internal qubit still alive at the end.  A qubit
+    measured right after its alloc gives a deterministic bit, so some
+    transcripts cannot happen."""
+    owner: dict[str, str] = {}  # alive quantum wire -> party
+    lines = []
+    for q in range(int(rng.integers(1, 3))):
+        party = str(rng.choice(["A", "B"]))
+        owner[f"q{q}"] = party
+        lines.append(f"ext {party} q{q}")
+    external = set(owner)
+    readers: dict[str, set[str]] = {}  # written, undiscarded bit -> parties
+    counters = {"q": len(owner), "c": 1, "internal": 0}
+
+    def fresh(kind: str) -> str:
+        counters[kind] += 1
+        return f"{kind}{counters[kind] - 1}"
+
+    def measure(party: str, wire: str) -> None:
+        del owner[wire]
+        bit = fresh("c")
+        readers[bit] = {party}
+        lines.append(f"measz {party} {wire} -> {bit}")
+
+    kinds = ("alloc", "bell", "gate", "cgate", "measz", "send", "cpauli", "discard")
+    weights = (0.12, 0.12, 0.16, 0.12, 0.12, 0.13, 0.18, 0.05)
+    for _ in range(int(rng.integers(1, steps + 1))):
+        kind = str(rng.choice(kinds, p=weights))
+        party, other = ("A", "B") if rng.random() < 0.5 else ("B", "A")
+        mine = [w for w, p in owner.items() if p == party]
+        bits = [c for c, r in readers.items() if party in r]
+        if kind == "alloc" and counters["internal"] < max_internal:
+            counters["internal"] += 1
+            wire = fresh("q")
+            owner[wire] = party
+            lines.append(f"alloc {party} {wire} = {rng.integers(2)}")
+        elif kind == "bell" and counters["internal"] + 2 <= max_internal:
+            counters["internal"] += 2
+            left, right = fresh("q"), fresh("q")
+            owner[left], owner[right] = "A", "B"
+            lines.append(f"bell {left}@A {right}@B")
+        elif kind == "gate" and len(mine) >= 2 and rng.random() < 0.3:
+            a, b = rng.choice(mine, 2, replace=False)
+            lines.append(f"gate {party} {a} {b} : {rng.choice(_TWO_QUBIT_GATES)}")
+        elif kind == "gate" and mine:
+            lines.append(f"gate {party} {rng.choice(mine)} : {rng.choice(_ONE_QUBIT_GATES)}")
+        elif kind == "cgate" and len(mine) >= 2:
+            control, target = rng.choice(mine, 2, replace=False)
+            lines.append(f"cgate {party} {control} -> {target} : {rng.choice(_ONE_QUBIT_GATES)}")
+        elif kind == "measz" and set(mine) - external:
+            measure(party, str(rng.choice(sorted(set(mine) - external))))
+        elif kind == "send" and bits:
+            bit = str(rng.choice(bits))
+            readers[bit].add(other)
+            lines.append(f"send {party}->{other} {bit}")
+        elif kind == "cpauli" and mine and bits:
+            lines.append(f"cpauli {party} {rng.choice(mine)} {rng.choice(['X', 'Z'])} if {rng.choice(bits)}")
+        elif kind == "discard" and readers:
+            bit = str(rng.choice(sorted(readers)))
+            del readers[bit]
+            lines.append(f"discard {bit}")
+    for wire in sorted(set(owner) - external):
+        measure(owner[wire], wire)
+    return "\n".join(lines) + "\n"

@@ -198,3 +198,29 @@ def test_choi_refuses_what_it_cannot_hold(capsys):
     assert not captured.out and _one_error_line(captured.err) and "cap" in captured.err
     assert main(["verify", "--gate", "X x X x X x X x X"]) == 0
     capsys.readouterr()
+
+
+def test_huge_probe_count_is_refused_before_allocating(capsys):
+    assert main(["verify", "--gate", "X", "--probes", "1000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and _one_error_line(captured.err)
+    assert "probe matrix needs 40 qubits" in captured.err and "cap" in captured.err
+
+
+def test_cap_counts_every_allocated_qubit(tmp_path, monkeypatch, capsys):
+    """Measured qubits stay in the register as transcript axes, so one
+    external plus 12 allocations needs 13 qubits, although at most two
+    are ever unmeasured at once."""
+    lines = ["ext A q0"]
+    for q in range(1, 13):
+        lines += [f"alloc A q{q} = 0", f"measz A q{q} -> c{q}"]
+    program = tmp_path / "many_allocs.tg"
+    program.write_text("\n".join(lines) + "\n")
+    argv = ["verify", "--file", str(program), "--against", "I"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and _one_error_line(captured.err)
+    assert "program needs 13 qubits" in captured.err and "12-qubit cap" in captured.err
+    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "13")
+    assert main(argv) == 0
+    assert "verdict: PASS" in capsys.readouterr().out

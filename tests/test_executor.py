@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import choi_of_unitary, deferred_measurement_density
+from oracles import (
+    choi_of_unitary,
+    deferred_measurement_density,
+    deferred_measurement_kraus,
+    random_program_text,
+)
 from telegate import qsim
 from telegate.builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program
 from telegate.executor import (
@@ -26,7 +31,9 @@ from telegate.protocol import (
     Party,
     Program,
     cwire,
+    parse_program,
     qwire,
+    validate_locality,
 )
 from telegate.qsim import StateVector
 
@@ -177,12 +184,46 @@ def test_kraus_pass_checks_its_operators(monkeypatch):
 
     p = build_program(NonlocalCUSpec(qsim.X, 1))
     walk = executor._walk
-    monkeypatch.setattr(executor, "_walk", lambda *a: walk(*a)[1:])
+
+    def tampered(edit):
+        def fake(*args):
+            bits, stack = walk(*args)
+            return bits, edit(stack)
+        return fake
+
+    # transcript 0 never happens: its row is dropped as dust
+    monkeypatch.setattr(executor, "_walk", tampered(lambda s: s * np.array([0, 1, 1, 1])[:, None, None]))
     with pytest.raises(ExecutionError, match="trace preserving"):
         kraus_branches(p)
-    monkeypatch.setattr(executor, "_walk", lambda *a: [(t, psi * np.nan) for t, psi in walk(*a)])
+    monkeypatch.setattr(executor, "_walk", tampered(lambda s: s * np.nan))
     with pytest.raises(ExecutionError, match="finite"):
         kraus_branches(p)
+
+
+def test_straight_line_pass_applies_each_gate_once(monkeypatch):
+    """One ``_apply`` per gate or conditional instruction of a built k=1
+    program (2 controlled gates, H, 2 conditional Paulis), not one per
+    branch prefix as a depth-first walk makes (8)."""
+    from telegate import executor
+
+    calls = []
+    apply = executor._apply
+    monkeypatch.setattr(executor, "_apply", lambda *a, **kw: calls.append(a) or apply(*a, **kw))
+    kraus_branches(build_program(NonlocalCUSpec(qsim.X, 1)))
+    assert len(calls) == 5
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_kraus_pass_matches_per_transcript_dilation(seed):
+    """Random valid file programs: the same transcripts, and every K_t
+    within 1e-12 of the one read off the deferred-measurement oracle."""
+    program = parse_program(random_program_text(np.random.default_rng(seed)))
+    assert validate_locality(program) == []
+    got = kraus_branches(program)
+    want = deferred_measurement_kraus(program)
+    assert [t for t, _ in got] == [t for t, _ in want]
+    for (_, k), (_, ref) in zip(got, want):
+        assert np.abs(k - ref).max() < 1e-12
 
 
 # Choi matrices

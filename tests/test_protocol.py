@@ -192,6 +192,47 @@ def test_instruction_constructors_reject_malformed():
         WireRef(WireKind.QUANTUM, -1)
 
 
+def test_wire_ref_hash_agrees_with_eq():
+    wires = [qwire(0), qwire(1), cwire(0), cwire(1), WireRef(WireKind.QUANTUM, 0)]
+    for a in wires:
+        for b in wires:
+            assert (a == b) == (hash(a) == hash(b))
+    assert len({*wires}) == 4
+    assert repr(qwire(2)) == "WireRef(kind=<WireKind.QUANTUM: 'q'>, id=2)"
+
+
+def test_wire_ref_round_trips_keep_hash_and_eq():
+    import copy
+    import dataclasses
+    import pickle
+
+    w = cwire(5)
+    for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+        assert twin == w and hash(twin) == hash(w) and {w: 1}[twin] == 1
+    moved = dataclasses.replace(w, id=6)
+    assert moved == cwire(6) and hash(moved) == hash(cwire(6))
+    flipped = dataclasses.replace(w, kind=WireKind.QUANTUM)
+    assert flipped == qwire(5) and hash(flipped) == hash(qwire(5))
+
+
+def test_wire_ref_pickled_in_another_process_is_rehashed():
+    """String hashes are salted per process: a pickled wire must not
+    carry its old hash into a process with another salt."""
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    salt = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    code = "import pickle, sys; from telegate.protocol import qwire; " \
+        "sys.stdout.buffer.write(pickle.dumps({qwire(3): 'x'}))"
+    env = {**os.environ, "PYTHONHASHSEED": salt}
+    dumped = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=60
+    ).stdout
+    assert pickle.loads(dumped)[qwire(3)] == "x"
+
+
 # text format
 
 SPEC_STYLE_TEXT = """\

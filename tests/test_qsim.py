@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from telegate import qsim
-from telegate.executor import ExecutionError, _apply, _positions, _walk
+from telegate.executor import ExecutionError, _apply, _checked, _positions, _walk
 from telegate.protocol import ApplyLocal, MeasureZ, Party, cwire, qwire
 from telegate.qsim import StateVector, UnitaryMatrix
 
@@ -19,17 +19,18 @@ def apply(state: StateVector, positions, u: UnitaryMatrix, controlled=False) -> 
 
 
 def measure(state: StateVector, qubit: int) -> list[tuple[int, float, StateVector]]:
-    """``executor._walk`` on a single MeasureZ: ``(outcome, probability,
-    renormalized post-state)`` per branch it keeps, by outcome."""
+    """``executor._walk`` on a single MeasureZ, with the dust drop and
+    checks of ``executor._checked``: ``(outcome, probability,
+    renormalized post-state)`` per branch kept, by outcome."""
     n = state.n_qubits
-    leaves = _walk(
+    transcripts, ops = _checked(*_walk(
         (MeasureZ(Party.ALICE, qwire(qubit), cwire(0)),),
         state.amplitudes.reshape((2,) * n + (1,)),
         [qwire(q) for q in range(n)],
-    )
+    ))
     branches = []
-    for ((_, outcome),), psi in leaves:
-        v = psi.reshape(-1)
+    for ((_, outcome),), op in zip(transcripts, ops):
+        v = op.reshape(-1)
         p = float(np.vdot(v, v).real)
         branches.append((outcome, p, StateVector(v / math.sqrt(p))))
     return sorted(branches, key=lambda b: b[0])
@@ -129,7 +130,7 @@ def test_apply_errors():
     with pytest.raises(ValueError, match="distinct"):
         ApplyLocal(Party.ALICE, (qwire(0), qwire(0)), qsim.controlled(qsim.X))
     with pytest.raises(ExecutionError, match="missing"):
-        _positions([qwire(0), qwire(1)], (qwire(2),))
+        _positions({qwire(0): 0, qwire(1): 1}, (qwire(2),))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.data())
