@@ -16,14 +16,14 @@ from telegate import (
     build_program,
     build_specification,
     channel_choi,
-    kraus_branches,
     kraus_choi_distance,
+    kraus_stack,
     qsim,
 )
 
 
 def distance_to(program, u):
-    return kraus_choi_distance([k for _, k in kraus_branches(program)], u)
+    return kraus_choi_distance(kraus_stack(program)[1], u)
 
 
 spec = NonlocalCUSpec.for_gate(qsim.X)
@@ -31,8 +31,8 @@ program = build_program(spec, gate_label="X")
 ideal = build_specification(spec)
 
 j_program = channel_choi(program)
-print(f"Choi dimension: {j_program.dim} x {j_program.dim}")
-print(f"trace (normalized to 1): {np.trace(j_program.matrix).real:.12f}")
+print(f"Choi dimension: {len(j_program)} x {len(j_program)}")
+print(f"trace (normalized to 1): {np.trace(j_program).real:.12f}")
 print(f"distance program vs ideal CNOT: {distance_to(program, ideal):.3e}")
 
 print("\nEvery mutation is a different channel:")

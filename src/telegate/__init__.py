@@ -16,10 +16,7 @@ from . import builder, executor, gatelang, protocol, qsim, verifier
 from .builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program, build_specification
 from .executor import (
     BranchOutcome,
-    ChoiMatrix,
-    branch_density,
     channel_choi,
-    kraus_branches,
     kraus_choi_distance,
     kraus_stack,
     run_branches,
@@ -42,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchOutcome",
-    "ChoiMatrix",
     "EquivalenceReport",
     "MUTATIONS",
     "NonlocalCUSpec",
@@ -53,7 +49,6 @@ __all__ = [
     "UnitaryMatrix",
     "WireRef",
     "apply_mutation",
-    "branch_density",
     "build_program",
     "build_specification",
     "builder",
@@ -61,7 +56,6 @@ __all__ = [
     "executor",
     "format_program",
     "gatelang",
-    "kraus_branches",
     "kraus_choi_distance",
     "kraus_stack",
     "parse_program",

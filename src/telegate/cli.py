@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import gatelang
 from .builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program, build_specification
-from .executor import ExecutionError, channel_choi, run_branches, transcript_key
+from .executor import ExecutionError, channel_choi, check_register, run_branches, transcript_key
 from .protocol import Program, parse_program, resource_census, validate_locality
 from .qsim import StateVector, UnitaryMatrix, fidelity
 from .verifier import (
@@ -236,14 +236,12 @@ def _cmd_choi(args) -> int:
     choi = channel_choi(program)
     if args.format == "json":
         doc = {
-            "dim": choi.dim,
-            "entries": [
-                [[float(z.real), float(z.imag)] for z in row] for row in choi.matrix
-            ],
+            "dim": len(choi),
+            "entries": [[[float(z.real), float(z.imag)] for z in row] for row in choi],
         }
         print(json.dumps(doc, sort_keys=True, separators=(", ", ": ")))
     else:
-        for row in choi.matrix:
+        for row in choi:
             print(",".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row))
     return 0
 
@@ -264,14 +262,19 @@ def _cmd_resources(args) -> int:
 def _cmd_lint(args) -> int:
     text = Path(args.file).read_text()
     program = parse_program(text)
-    violations = validate_locality(program)
-    for v in violations:
+    lines = []
+    for v in validate_locality(program):
         if v.index >= 0 and program.source_lines:
-            print(f"{args.file}:{program.source_lines[v.index]}: {v.reason}")
+            lines.append(f"{args.file}:{program.source_lines[v.index]}: {v.reason}")
         else:
-            print(f"{args.file}: {v.reason}")
-    if violations:
-        print(f"{len(violations)} violation(s)")
+            lines.append(f"{args.file}: {v.reason}")
+    try:
+        check_register(program)
+    except ValueError as exc:
+        lines.append(f"{args.file}: {exc}")
+    if lines:
+        print("\n".join(lines))
+        print(f"{len(lines)} violation(s)")
         return 1
     print("ok")
     return 0

@@ -7,15 +7,18 @@ transcript t ends as the Kraus operator K_t of the channel the program
 implements: the branch output for input psi is ``K_t @ psi``
 (unnormalized) and its probability is ``|K_t psi|^2``.  A program built
 by the builder has at most four transcripts, so everything downstream is
-small:
+small, and every other function here reads that stack:
 
-* :func:`kraus_branches` lists the same operators as ``(transcript, K_t)``
-  pairs;
 * :func:`run_branches` is a normalizing view for one input state;
 * :func:`kraus_choi_distance` compares the channel with a unitary in the
   span of the at most five vectors vec(K_t) and vec(U);
 * :func:`channel_choi` assembles the dense Choi matrix
-  sum_t vec(K_t) vec(K_t)† / d, for callers that need the matrix itself.
+  J = sum_t vec(K_t) vec(K_t)† / d, for callers that need the matrix
+  itself.  J needs no check of its own: as a Gram matrix it is Hermitian
+  and positive semidefinite, and its trace sum_t |K_t|_F^2 / d is 1
+  within 1e-12 because :func:`kraus_stack` checks exactly that sum on
+  the operators it returns (Watrous, *The Theory of Quantum
+  Information*, ch. 2).
 
 :func:`_walk` and :func:`_apply` are the only code that evolves or
 measures a state.  Measurement is deferred (Nielsen & Chuang §4.4): a
@@ -77,37 +80,6 @@ class BranchOutcome:
         return tuple(bit for _, bit in self.transcript)
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Trace-1 Choi matrix of a channel on n qubits (dimension 4^n).
-
-    Index convention: output system qubits first (most significant),
-    reference qubits after.  Construction checks Hermiticity (1e-12),
-    unit trace (1e-12) and positive semidefiniteness (eigenvalues above
-    -1e-10).
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128).copy()
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"Choi matrix must be square, got shape {m.shape}")
-        if np.abs(m - m.conj().T).max() > 1e-12:
-            raise ValueError("Choi matrix must be Hermitian")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-12:
-            raise ValueError(f"Choi matrix must have trace 1, got {tr}")
-        if float(np.linalg.eigvalsh(m).min()) < -1e-10:
-            raise ValueError("Choi matrix must be positive semidefinite")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 class ExecutionError(RuntimeError):
     """Internal inconsistency while executing a validated program (e.g. a
     conditional reading a bit that was never set)."""
@@ -116,17 +88,6 @@ class ExecutionError(RuntimeError):
 def transcript_key(transcript: Transcript) -> str:
     """Report form of a transcript: ``"c1=0,c2=1"``, or ``"-"`` if empty."""
     return ",".join(f"{wire}={bit}" for wire, bit in transcript) or "-"
-
-
-def kraus_branches(p: Program) -> list[tuple[Transcript, np.ndarray]]:
-    """The ``(transcript, K_t)`` pairs of ``p``, sorted by transcript bits.
-
-    ``K_t`` is a d×d array (d = 2^n_external): column j is the
-    unnormalized output of transcript t for basis input j.  The same
-    operators as :func:`kraus_stack`, one pair per transcript.
-    """
-    transcripts, ops = kraus_stack(p)
-    return list(zip(transcripts, ops))
 
 
 def kraus_stack(p: Program) -> tuple[list[Transcript], np.ndarray]:
@@ -144,12 +105,18 @@ def kraus_stack(p: Program) -> tuple[list[Transcript], np.ndarray]:
     if violations:
         summary = "; ".join(str(v) for v in violations[:3])
         raise ValueError(f"program fails locality validation: {summary}")
-    detail = " alive in one register (measured qubits are kept)"
-    qsim.check_qubits(_register_width(p), "program", detail)
+    check_register(p)
     n = p.n_external
     d = 1 << n
     batch = np.eye(d, dtype=np.complex128).reshape((2,) * n + (d,))
     return _checked(*_walk(p.instructions, batch, list(p.external_wires)))
+
+
+def check_register(p: Program) -> None:
+    """Refuse ``p`` if its externals plus every qubit it allocates exceed
+    :func:`qsim.max_qubits`: the register :func:`kraus_stack` would hold."""
+    detail = " alive in one register (measured qubits are kept)"
+    qsim.check_qubits(_register_width(p), "program", detail)
 
 
 def _register_width(p: Program) -> int:
@@ -284,22 +251,12 @@ def run_branches(p: Program, input_state: StateVector) -> list[BranchOutcome]:
     amps = input_state.amplitudes
     norm2 = float(np.vdot(amps, amps).real)
     outcomes = []
-    for transcript, k in kraus_branches(p):
+    for transcript, k in zip(*kraus_stack(p)):
         out = k @ amps
         prob = float(np.vdot(out, out).real) / norm2
         if prob >= BRANCH_PRUNE:
             outcomes.append(BranchOutcome(transcript, prob, StateVector(out / math.sqrt(prob))))
     return outcomes
-
-
-def branch_density(outcomes: list[BranchOutcome]) -> np.ndarray:
-    """Mixed output state of a branch ensemble: sum of p |phi><phi|."""
-    dim = outcomes[0].final_state.amplitudes.size
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    for o in outcomes:
-        v = o.final_state.amplitudes
-        rho += o.probability * np.outer(v, v.conj())
-    return rho
 
 
 def _choi_vectors(ops: np.ndarray) -> np.ndarray:
@@ -308,8 +265,10 @@ def _choi_vectors(ops: np.ndarray) -> np.ndarray:
     return ops.reshape(len(ops), -1).T / math.sqrt(ops.shape[1])
 
 
-def channel_choi(p: Program) -> ChoiMatrix:
-    """Dense Choi matrix of the channel ``p`` implements on its external wires.
+def channel_choi(p: Program) -> np.ndarray:
+    """Dense, read-only Choi matrix of the channel ``p`` implements on its
+    external wires: output qubits first (most significant), reference
+    qubits after.
 
     Refused, before anything is allocated, when running the program beside
     an n-qubit reference register would exceed :func:`qsim.max_qubits`:
@@ -319,7 +278,9 @@ def channel_choi(p: Program) -> ChoiMatrix:
     detail = f" ({width} for the program, {n} for the reference)"
     qsim.check_qubits(n + width, "dense Choi matrix", detail)
     v = _choi_vectors(kraus_stack(p)[1])
-    return ChoiMatrix(v @ v.conj().T)
+    j = v @ v.conj().T
+    j.flags.writeable = False
+    return j
 
 
 def kraus_choi_distance(kraus: np.ndarray | list[np.ndarray], u: UnitaryMatrix) -> float:

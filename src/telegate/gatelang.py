@@ -364,12 +364,15 @@ def _fmt_complex(z: complex) -> str:
     return f"{_fmt_float(z.real)}{sign}{_fmt_float(abs(z.imag))}i"
 
 
+def _fmt_rows(rows) -> str:
+    """``[[a,b],[c,d]]`` text for rows of complex numbers."""
+    body = ",".join("[" + ",".join(_fmt_complex(complex(z)) for z in row) + "]" for row in rows)
+    return f"[{body}]"
+
+
 def format_matrix(u: UnitaryMatrix) -> str:
     """Render a unitary as a matrix literal (floats round-trip exactly)."""
-    rows = ",".join(
-        "[" + ",".join(_fmt_complex(complex(z)) for z in row) + "]" for row in u.matrix
-    )
-    return f"[{rows}]"
+    return _fmt_rows(u.matrix)
 
 
 _PREC = {Tensor: 1, Product: 2, Adjoint: 3}
@@ -398,10 +401,7 @@ def format_expr(e: GateExpr) -> str:
             out.append(f"{node.name}({_fmt_float(node.arg)})")
             continue
         if isinstance(node, MatrixLiteral):
-            rows = ",".join(
-                "[" + ",".join(_fmt_complex(z) for z in row) + "]" for row in node.rows
-            )
-            out.append(f"[{rows}]")
+            out.append(_fmt_rows(node.rows))
             continue
         if isinstance(node, Tensor):
             parts = [(node.left, 1), " x ", (node.right, 2)]

@@ -9,11 +9,12 @@ import time
 
 import numpy as np
 
+from ensemble import branch_density
 from oracles import deferred_measurement_density
 from telegate import qsim
 from telegate.builder import NonlocalCUSpec, apply_mutation, build_program, build_specification
 from telegate.cli import main
-from telegate.executor import branch_density, run_branches
+from telegate.executor import run_branches
 from telegate.gatelang import GateSyntaxError, parse, format_expr
 from telegate.protocol import (
     ApplyControlledLocal,

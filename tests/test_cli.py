@@ -210,7 +210,8 @@ def test_huge_probe_count_is_refused_before_allocating(capsys):
 def test_cap_counts_every_allocated_qubit(tmp_path, monkeypatch, capsys):
     """Measured qubits stay in the register as transcript axes, so one
     external plus 12 allocations needs 13 qubits, although at most two
-    are ever unmeasured at once."""
+    are ever unmeasured at once.  ``lint`` reports the same refusal, with
+    the same text, as a violation."""
     lines = ["ext A q0"]
     for q in range(1, 13):
         lines += [f"alloc A q{q} = 0", f"measz A q{q} -> c{q}"]
@@ -221,6 +222,13 @@ def test_cap_counts_every_allocated_qubit(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert not captured.out and _one_error_line(captured.err)
     assert "program needs 13 qubits" in captured.err and "12-qubit cap" in captured.err
+    refusal = captured.err.removeprefix("error: ").strip()
+    assert main(["lint", str(program)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"{program}: {refusal}", "1 violation(s)"]
+    assert not captured.err
     monkeypatch.setenv("TELEGATE_MAX_QUBITS", "13")
     assert main(argv) == 0
     assert "verdict: PASS" in capsys.readouterr().out
+    assert main(["lint", str(program)]) == 0
+    assert capsys.readouterr().out.strip() == "ok"

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ensemble import branch_density
 from oracles import (
     choi_of_unitary,
+    deferred_measurement_choi,
     deferred_measurement_density,
     deferred_measurement_kraus,
     random_program_text,
@@ -13,13 +15,11 @@ from oracles import (
 from telegate import qsim
 from telegate.builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program
 from telegate.executor import (
-    ChoiMatrix,
     ExecutionError,
     _walk,
-    branch_density,
     channel_choi,
-    kraus_branches,
     kraus_choi_distance,
+    kraus_stack,
     run_branches,
 )
 from telegate.protocol import (
@@ -160,12 +160,12 @@ def test_kraus_operators_of_built_programs_are_complete(k):
         program = build_program(spec)
         if mutation:
             program = apply_mutation(program, mutation)
-        kraus = kraus_branches(program)
-        total = sum(op.conj().T @ op for _, op in kraus)
+        _, kraus = kraus_stack(program)
+        total = sum(op.conj().T @ op for op in kraus)
         assert np.abs(total - np.eye(d)).max() <= 1e-12
         if mutation is None:
             assert len(kraus) == 4
-            for _, op in kraus:
+            for op in kraus:
                 assert np.abs(op.conj().T @ op - np.eye(d) / 4).max() <= 1e-12
 
 
@@ -173,10 +173,10 @@ def test_kraus_register_cap_counts_live_qubits_only(monkeypatch):
     """k=1 keeps 4 qubits alive; the d=4 batch axis does not count."""
     p = build_program(NonlocalCUSpec(qsim.X, 1))
     monkeypatch.setenv("TELEGATE_MAX_QUBITS", "4")
-    assert len(kraus_branches(p)) == 4
+    assert len(kraus_stack(p)[1]) == 4
     monkeypatch.setenv("TELEGATE_MAX_QUBITS", "3")
     with pytest.raises(ValueError, match="4 qubits alive.*3-qubit cap"):
-        kraus_branches(p)
+        kraus_stack(p)
 
 
 def test_kraus_pass_checks_its_operators(monkeypatch):
@@ -194,10 +194,10 @@ def test_kraus_pass_checks_its_operators(monkeypatch):
     # transcript 0 never happens: its row is dropped as dust
     monkeypatch.setattr(executor, "_walk", tampered(lambda s: s * np.array([0, 1, 1, 1])[:, None, None]))
     with pytest.raises(ExecutionError, match="trace preserving"):
-        kraus_branches(p)
+        kraus_stack(p)
     monkeypatch.setattr(executor, "_walk", tampered(lambda s: s * np.nan))
     with pytest.raises(ExecutionError, match="finite"):
-        kraus_branches(p)
+        kraus_stack(p)
 
 
 def test_straight_line_pass_applies_each_gate_once(monkeypatch):
@@ -209,7 +209,7 @@ def test_straight_line_pass_applies_each_gate_once(monkeypatch):
     calls = []
     apply = executor._apply
     monkeypatch.setattr(executor, "_apply", lambda *a, **kw: calls.append(a) or apply(*a, **kw))
-    kraus_branches(build_program(NonlocalCUSpec(qsim.X, 1)))
+    kraus_stack(build_program(NonlocalCUSpec(qsim.X, 1)))
     assert len(calls) == 5
 
 
@@ -219,7 +219,7 @@ def test_kraus_pass_matches_per_transcript_dilation(seed):
     within 1e-12 of the one read off the deferred-measurement oracle."""
     program = parse_program(random_program_text(np.random.default_rng(seed)))
     assert validate_locality(program) == []
-    got = kraus_branches(program)
+    got = list(zip(*kraus_stack(program)))
     want = deferred_measurement_kraus(program)
     assert [t for t, _ in got] == [t for t, _ in want]
     for (_, k), (_, ref) in zip(got, want):
@@ -232,14 +232,14 @@ def test_choi_of_identity_program_is_max_entangled_projector():
     p = Program((ExternalWire(qwire(0), Party.ALICE),))
     j = channel_choi(p)
     phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    assert np.allclose(j.matrix, np.outer(phi, phi), atol=1e-14)
+    assert np.allclose(j, np.outer(phi, phi), atol=1e-14)
 
 
 def test_kraus_choi_distance_of_empty_program_is_zero():
     p = Program(
         (ExternalWire(qwire(0), Party.ALICE), ExternalWire(qwire(1), Party.BOB))
     )
-    d = kraus_choi_distance([k for _, k in kraus_branches(p)], qsim.identity(4))
+    d = kraus_choi_distance(kraus_stack(p)[1], qsim.identity(4))
     assert d <= 1e-12
 
 
@@ -247,7 +247,7 @@ def test_program_choi_matches_bruteforce_cnot_choi():
     p = build_program(NonlocalCUSpec(qsim.X, 1))
     j_prog = channel_choi(p)
     j_ref = choi_of_unitary(qsim.controlled(qsim.X).matrix)
-    assert np.linalg.norm(j_prog.matrix - j_ref) < 1e-10
+    assert np.linalg.norm(j_prog - j_ref) < 1e-10
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -265,7 +265,7 @@ def test_channel_choi_of_x_support():
         (ExternalWire(qwire(0), Party.ALICE),),
         (ApplyLocal(Party.ALICE, (qwire(0),), qsim.X),),
     )
-    j = channel_choi(p).matrix
+    j = channel_choi(p)
     # row-major vec(X)/sqrt(2) lives on |01> and |10>
     expected = np.zeros((4, 4))
     expected[1, 1] = expected[1, 2] = expected[2, 1] = expected[2, 2] = 0.5
@@ -290,7 +290,7 @@ def test_dense_choi_cap_counts_the_reference_register(monkeypatch):
     program's widest register plus n reference qubits exceeds the cap."""
     p = build_program(NonlocalCUSpec(qsim.X, 1))  # 2 external, 4 alive at most
     monkeypatch.setenv("TELEGATE_MAX_QUBITS", "6")
-    assert channel_choi(p).dim == 16
+    assert len(channel_choi(p)) == 16
     monkeypatch.setenv("TELEGATE_MAX_QUBITS", "5")
     with pytest.raises(ValueError, match="needs 6 qubits .4 for the program, 2 for the reference.*5-qubit cap"):
         channel_choi(p)
@@ -299,13 +299,25 @@ def test_dense_choi_cap_counts_the_reference_register(monkeypatch):
 def test_discard_split_does_not_change_channel():
     p = build_program(NonlocalCUSpec(qsim.S, 1))
     trimmed = Program(p.externals, p.instructions[:-1], p.phases[:-1])
-    assert np.linalg.norm(channel_choi(p).matrix - channel_choi(trimmed).matrix) < 1e-14
+    assert np.linalg.norm(channel_choi(p) - channel_choi(trimmed)) < 1e-14
 
 
-def test_choi_invariants_are_enforced():
-    with pytest.raises(ValueError, match="Hermitian"):
-        ChoiMatrix(np.array([[0.5, 1], [0, 0.5]]))
-    with pytest.raises(ValueError, match="trace"):
-        ChoiMatrix(np.eye(4))
-    with pytest.raises(ValueError, match="semidefinite"):
-        ChoiMatrix(np.diag([1.5, -0.5, 0, 0]))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_channel_choi_is_a_choi_matrix_by_construction(k):
+    """The dense Choi matrix is checked nowhere in the package: it is the
+    Gram matrix V V† of the columns vec(K_t)/sqrt(d), with trace 1 by the
+    Kraus pass's trace-preserving check.  Here, for intact and mutated
+    programs, it equals the oracle's and is Hermitian, trace 1, PSD and
+    read-only."""
+    spec = NonlocalCUSpec(qsim.haar_random_unitary(1 << k, 90 + k), k)
+    for mutation in (None, *MUTATIONS):
+        program = build_program(spec)
+        if mutation:
+            program = apply_mutation(program, mutation)
+        j = channel_choi(program)
+        assert j.shape == (4 ** (k + 1),) * 2
+        assert np.abs(j - deferred_measurement_choi(program)).max() <= 1e-12
+        assert np.abs(j - j.conj().T).max() <= 1e-12
+        assert abs(np.trace(j) - 1) <= 1e-12
+        assert np.linalg.eigvalsh(j).min() >= -1e-10
+        assert not j.flags.writeable
