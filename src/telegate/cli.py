@@ -288,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, IndexError, ExecutionError, OSError) as exc:
+    except (ValueError, ExecutionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -422,7 +422,9 @@ def validate_locality(p: Program) -> list[Violation]:
 # --- text program format ----------------------------------------------------
 
 class ProgramParseError(ValueError):
-    """Syntax error in a program file; carries the 1-based line number."""
+    """Syntax error in a program file; carries the 1-based line number.
+    Only :func:`parse_program` raises it, wrapping the ValueError of a
+    parse helper or an IR constructor with the line that caused it."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
@@ -434,43 +436,38 @@ _SEND_RE = re.compile(r"^(a|b|alice|bob)->(a|b|alice|bob)$", re.IGNORECASE)
 _PARTIES = {"a": Party.ALICE, "alice": Party.ALICE, "b": Party.BOB, "bob": Party.BOB}
 
 
-def _parse_wire(tok: str, line: int, kind: WireKind | None = None) -> WireRef:
+def _parse_wire(tok: str) -> WireRef:
     m = _WIRE_RE.match(tok)
     if not m:
-        raise ProgramParseError(line, f"expected a wire like q1 or c1, got {tok!r}")
-    w = WireRef(WireKind(m.group(1).lower()), int(m.group(2)))
-    if kind is not None and w.kind is not kind:
-        raise ProgramParseError(line, f"expected a {kind.name.lower()} wire, got {tok!r}")
-    return w
+        raise ValueError(f"expected a wire like q1 or c1, got {tok!r}")
+    return WireRef(WireKind(m.group(1).lower()), int(m.group(2)))
 
 
-def _parse_party(tok: str, line: int) -> Party:
+def _parse_party(tok: str) -> Party:
     party = _PARTIES.get(tok.lower())
     if party is None:
-        raise ProgramParseError(line, f"expected a party (A or B), got {tok!r}")
+        raise ValueError(f"expected a party (A or B), got {tok!r}")
     return party
 
 
-def _parse_gate_expr(text: str, line: int) -> tuple[UnitaryMatrix, str]:
+def _parse_gate_expr(text: str) -> tuple[UnitaryMatrix, str]:
     label = text.strip()
     if not label:
-        raise ProgramParseError(line, "missing gate expression after ':'")
+        raise ValueError("missing gate expression after ':'")
     try:
-        gate = gatelang.evaluate(gatelang.parse(label))
-    except gatelang.GateSyntaxError as exc:
-        raise ProgramParseError(line, f"bad gate expression: {exc}") from exc
+        return gatelang.evaluate(gatelang.parse(label)), label
     except ValueError as exc:
-        raise ProgramParseError(line, f"bad gate expression: {exc}") from exc
-    return gate, label
+        raise ValueError(f"bad gate expression: {exc}") from exc
 
 
 def parse_program(text: str) -> Program:
     """Parse the line-oriented program format.
 
     ``#`` starts a comment; keywords and wire/party tokens are
-    case-insensitive; gate expressions (after ``:``) follow the
-    case-sensitive gate-expression language.  Raises
-    :class:`ProgramParseError` on the first syntactic problem.
+    case-insensitive; gate expressions (after ``:``, on ``gate`` and
+    ``cgate`` lines only) follow the case-sensitive gate-expression
+    language.  Raises :class:`ProgramParseError`, naming the line, on
+    the first line that is not well formed.
     """
     externals: list[ExternalWire] = []
     instructions: list[Instruction] = []
@@ -484,109 +481,92 @@ def parse_program(text: str) -> Program:
             continue
         head, sep, expr_part = stripped.partition(":")
         toks = head.split()
-        kw = toks[0].lower()
 
         def args(n: int, usage: str) -> list[str]:
             if len(toks) - 1 != n:
-                raise ProgramParseError(lineno, f"usage: {usage}")
+                raise ValueError(f"usage: {usage}")
             return toks[1:]
 
         try:
+            if not toks:
+                raise ValueError("missing keyword before ':'")
+            kw = toks[0].lower()
+            if sep and kw not in ("gate", "cgate"):
+                raise ValueError(f"unexpected ':' in {toks[0]!r} line (only gate and cgate take one)")
             ins: Instruction | None = None
             if kw == "ext":
-                if sep:
-                    raise ProgramParseError(lineno, "unexpected ':' in ext line")
                 a = args(2, "ext <party> <qwire>")
                 if instructions:
-                    raise ProgramParseError(lineno, "ext lines must precede instructions")
-                externals.append(
-                    ExternalWire(_parse_wire(a[1], lineno, WireKind.QUANTUM), _parse_party(a[0], lineno))
-                )
+                    raise ValueError("ext lines must precede instructions")
+                ext = ExternalWire(_parse_wire(a[1]), _parse_party(a[0]))
+                if any(e.wire == ext.wire for e in externals):
+                    raise ValueError(f"external wire {ext.wire} declared twice")
+                externals.append(ext)
             elif kw == "phase":
                 a = args(1, "phase <1|2|3>")
                 if a[0] not in ("1", "2", "3"):
-                    raise ProgramParseError(lineno, f"phase must be 1, 2 or 3, got {a[0]!r}")
+                    raise ValueError(f"phase must be 1, 2 or 3, got {a[0]!r}")
                 current_phase = int(a[0])
             elif kw == "alloc":
                 a = args(4, "alloc <party> <qwire> = <0|1>")
                 if a[2] != "=" or a[3] not in ("0", "1"):
-                    raise ProgramParseError(lineno, "usage: alloc <party> <qwire> = <0|1>")
-                ins = AllocQubit(
-                    _parse_party(a[0], lineno),
-                    _parse_wire(a[1], lineno, WireKind.QUANTUM),
-                    int(a[3]),
-                )
+                    raise ValueError("usage: alloc <party> <qwire> = <0|1>")
+                ins = AllocQubit(_parse_party(a[0]), _parse_wire(a[1]), int(a[3]))
             elif kw == "bell":
                 a = args(2, "bell <qwire>@A <qwire>@B")
                 halves = {}
                 for tok in a:
                     wire_tok, at, party_tok = tok.partition("@")
                     if not at:
-                        raise ProgramParseError(lineno, f"bell wire needs @party, got {tok!r}")
-                    party = _parse_party(party_tok, lineno)
-                    if party in halves:
-                        raise ProgramParseError(lineno, "bell needs one wire per party")
-                    halves[party] = _parse_wire(wire_tok, lineno, WireKind.QUANTUM)
-                if set(halves) != {Party.ALICE, Party.BOB}:
-                    raise ProgramParseError(lineno, "bell needs one wire per party")
+                        raise ValueError(f"bell wire needs @party, got {tok!r}")
+                    party = _parse_party(party_tok)
+                    halves[party] = _parse_wire(wire_tok)
+                if len(halves) != 2:
+                    raise ValueError("bell needs one wire per party")
                 ins = MakeBellPair(halves[Party.ALICE], halves[Party.BOB])
             elif kw == "gate":
                 if len(toks) < 3 or not sep:
-                    raise ProgramParseError(lineno, "usage: gate <party> <qwire...> : <expr>")
-                gate, label = _parse_gate_expr(expr_part, lineno)
+                    raise ValueError("usage: gate <party> <qwire...> : <expr>")
+                gate, label = _parse_gate_expr(expr_part)
                 ins = ApplyLocal(
-                    _parse_party(toks[1], lineno),
-                    tuple(_parse_wire(t, lineno, WireKind.QUANTUM) for t in toks[2:]),
-                    gate,
-                    label,
+                    _parse_party(toks[1]), tuple(_parse_wire(t) for t in toks[2:]), gate, label
                 )
             elif kw == "cgate":
                 if len(toks) < 5 or toks[3] != "->" or not sep:
-                    raise ProgramParseError(lineno, "usage: cgate <party> <qwire> -> <qwire...> : <expr>")
-                gate, label = _parse_gate_expr(expr_part, lineno)
+                    raise ValueError("usage: cgate <party> <qwire> -> <qwire...> : <expr>")
+                gate, label = _parse_gate_expr(expr_part)
                 ins = ApplyControlledLocal(
-                    _parse_party(toks[1], lineno),
-                    _parse_wire(toks[2], lineno, WireKind.QUANTUM),
-                    tuple(_parse_wire(t, lineno, WireKind.QUANTUM) for t in toks[4:]),
+                    _parse_party(toks[1]),
+                    _parse_wire(toks[2]),
+                    tuple(_parse_wire(t) for t in toks[4:]),
                     gate,
                     label,
                 )
             elif kw == "measz":
                 a = args(4, "measz <party> <qwire> -> <cwire>")
                 if a[2] != "->":
-                    raise ProgramParseError(lineno, "usage: measz <party> <qwire> -> <cwire>")
-                ins = MeasureZ(
-                    _parse_party(a[0], lineno),
-                    _parse_wire(a[1], lineno, WireKind.QUANTUM),
-                    _parse_wire(a[3], lineno, WireKind.CLASSICAL),
-                )
+                    raise ValueError("usage: measz <party> <qwire> -> <cwire>")
+                ins = MeasureZ(_parse_party(a[0]), _parse_wire(a[1]), _parse_wire(a[3]))
             elif kw == "send":
                 a = args(2, "send <A->B|B->A> <cwire>")
                 m = _SEND_RE.match(a[0])
                 if not m:
-                    raise ProgramParseError(lineno, f"expected A->B or B->A, got {a[0]!r}")
+                    raise ValueError(f"expected A->B or B->A, got {a[0]!r}")
                 src, dst = _PARTIES[m.group(1).lower()], _PARTIES[m.group(2).lower()]
-                if src is dst:
-                    raise ProgramParseError(lineno, "send must cross the cut")
-                ins = SendBit(src, dst, _parse_wire(a[1], lineno, WireKind.CLASSICAL))
+                ins = SendBit(src, dst, _parse_wire(a[1]))
             elif kw == "cpauli":
                 a = args(5, "cpauli <party> <qwire> <X|Z> if <cwire>")
-                if a[3].lower() != "if" or a[2].upper() not in ("X", "Z"):
-                    raise ProgramParseError(lineno, "usage: cpauli <party> <qwire> <X|Z> if <cwire>")
+                if a[3].lower() != "if":
+                    raise ValueError("usage: cpauli <party> <qwire> <X|Z> if <cwire>")
                 ins = ConditionalPauli(
-                    _parse_party(a[0], lineno),
-                    _parse_wire(a[1], lineno, WireKind.QUANTUM),
-                    a[2].upper(),
-                    _parse_wire(a[4], lineno, WireKind.CLASSICAL),
+                    _parse_party(a[0]), _parse_wire(a[1]), a[2].upper(), _parse_wire(a[4])
                 )
             elif kw == "discard":
                 a = args(1, "discard <cwire>")
-                ins = DiscardBit(_parse_wire(a[0], lineno, WireKind.CLASSICAL))
+                ins = DiscardBit(_parse_wire(a[0]))
             else:
-                raise ProgramParseError(lineno, f"unknown instruction {toks[0]!r}")
+                raise ValueError(f"unknown instruction {toks[0]!r}")
         except ValueError as exc:
-            if isinstance(exc, ProgramParseError):
-                raise
             raise ProgramParseError(lineno, str(exc)) from exc
 
         if ins is not None:

@@ -153,15 +153,12 @@ def verify_program(
     ratio = overlap / np.sqrt(np.where(seen, prob, 1.0))
     infid = np.where(seen, 1.0 - np.minimum(1.0, ratio), 0.0).max(axis=1)
     mass = np.where(seen, prob, 0.0).sum(axis=1) / psi.shape[1]
+    # kraus_stack lists transcripts in bit order over one wire list, which
+    # is also the order of their keys: the report needs no sort.
     branches = tuple(
-        sorted(
-            (
-                BranchReport(transcript_key(transcript), float(mass[t]), float(infid[t]))
-                for t, transcript in enumerate(transcripts)
-                if seen[t].any()
-            ),
-            key=lambda b: b.transcript,
-        )
+        BranchReport(transcript_key(transcript), float(mass[t]), float(infid[t]))
+        for t, transcript in enumerate(transcripts)
+        if seen[t].any()
     )
     dist = kraus_choi_distance(ops, u_spec)
     max_infid = max((b.max_infidelity for b in branches), default=0.0)

@@ -106,9 +106,16 @@ def test_lint_good_and_bad_files(capsys):
 
 def test_lint_unparseable_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "nonsense.tg"
-    bad.write_text("ext A q0\nwobble q0\n")
-    assert main(["lint", str(bad)]) == 2
-    assert "line 2" in capsys.readouterr().err
+    for text, line in (
+        ("ext A q0\nwobble q0\n", 2),
+        ("ext A q0\n: X\n", 2),
+        ("ext A q0\next B q1\next A q0\n", 3),
+        ("ext A q0\nmeasz A q1 -> c1 : ((((\n", 2),
+    ):
+        bad.write_text(text)
+        assert main(["lint", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: line {line}:"), (text, err)
 
 
 def test_missing_file_exits_2(capsys):

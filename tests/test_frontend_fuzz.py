@@ -3,6 +3,8 @@
 Whatever text reaches ``--gate`` or ``--against`` and whatever bytes a
 linted file holds, ``telegate`` exits 0, 1 or 2, no exception escapes
 ``cli.main``, and exit 2 comes with an ``error:`` line on stderr.
+Beneath the CLI, ``parse_program`` either returns a ``Program`` or
+raises ``ProgramParseError`` naming a line of its input.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from telegate.cli import main
+from telegate.protocol import Program, ProgramParseError, parse_program
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -55,3 +58,23 @@ def test_lint_bytes_beside_valid_lines(lint_target, data, line):
     reaches past the first line."""
     lint_target.write_bytes((DEMOS / "nonlocal_cnot.tg").read_bytes().replace(line, data, 1))
     _check_contract(["lint", str(lint_target)])
+
+
+# Tokens of the program format (docs/program-format.md), well and badly
+# placed, so fuzzed lines reach every keyword's argument checks.
+PROGRAM_TOKENS = (
+    "ext", "phase", "alloc", "bell", "gate", "cgate", "measz", "send", "cpauli", "discard",
+    "A", "b", "Alice", "BOB", "C", "q0", "q1", "Q2", "c1", "C2", "x1", "q", "=", "0", "1",
+    "3", "->", "A->B", "b->a", "A->A", "q1@A", "q2@B", "q0@b", "c1@A", "q1@", "@A", "X",
+    "Z", "Y", "if", ":", ": X", ": H x H", ": ((((", ": [[0,1],[1,0]]", "#", "# note",
+)
+
+_TOKEN_LINES = st.lists(st.sampled_from(PROGRAM_TOKENS), max_size=7).map(" ".join)
+
+
+@given(st.one_of(st.text(), st.lists(_TOKEN_LINES, max_size=8).map("\n".join)))
+def test_parse_program_returns_program_or_names_a_line(text):
+    try:
+        assert isinstance(parse_program(text), Program)
+    except ProgramParseError as exc:
+        assert 1 <= exc.line <= len(text.splitlines()), (exc.line, text)

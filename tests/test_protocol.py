@@ -281,6 +281,42 @@ def test_parse_errors_carry_line_numbers():
         parse_program("ext A q0\ngate A q0 : WAT\n")
     with pytest.raises(ProgramParseError, match="party"):
         parse_program("measz C q0 -> c1\n")
+    # the IR constructors' refusals carry the line too
+    for text, line, reason in (
+        ("ext A q0\n: X\n", 2, "missing keyword"),
+        ("ext A q0\next B q1\next A q0\n", 3, "external wire q0 declared twice"),
+        ("ext A q0 : X\n", 1, "unexpected ':'"),
+        ("ext A c0\n", 1, "expected a quantum wire"),
+        ("ext A q0\nmeasz A q0 -> q1\n", 2, "expected a classical wire"),
+        ("ext A q0\nsend A->A c1\n", 2, "must cross the cut"),
+        ("ext A q0\ncpauli A q0 Y if c1\n", 2, "pauli must be 'X' or 'Z'"),
+    ):
+        with pytest.raises(ProgramParseError, match=reason) as exc:
+            parse_program(text)
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"line {line}: ")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "phase 1",
+        "alloc A q1 = 0",
+        "bell q1@A q2@B",
+        "measz A q1 -> c1",
+        "send A->B c1",
+        "cpauli B q2 X if c1",
+        "discard c1",
+    ],
+)
+def test_stray_colon_is_refused_on_non_gate_lines(line):
+    """Only gate and cgate lines take ': <expr>'; elsewhere the text after
+    ':' is refused rather than dropped."""
+    text = f"ext A q0\n\n{line}\n"
+    parse_program(text)
+    with pytest.raises(ProgramParseError, match="unexpected ':'") as exc:
+        parse_program(text.replace(line, f"{line} : (((("))
+    assert exc.value.line == 3
 
 
 def test_format_parse_round_trip():
