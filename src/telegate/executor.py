@@ -5,13 +5,15 @@ once, in one straight-line pass that covers every classical transcript,
 on the d×d identity (d = 2^n for n external wires), so that each
 transcript t ends as the Kraus operator K_t of the channel the program
 implements: the branch output for input psi is ``K_t @ psi``
-(unnormalized) and its probability is ``|K_t psi|^2``.  A program built
+(unnormalized) and its probability is ``|K_t psi|^2``; for a basis input
+e_j that output is column j of K_t, so no product is needed.  A program built
 by the builder has at most four transcripts, so everything downstream is
 small, and every other function here reads that stack:
 
 * :func:`run_branches` is a normalizing view for one input state;
-* :func:`kraus_choi_distance` compares the channel with a unitary in the
-  span of the at most five vectors vec(K_t) and vec(U);
+* :func:`kraus_choi_distance` compares the channel with a unitary U from
+  the projections a_t = tr(U†K_t)/|U|_F^2 and the T×T Gram matrix of the
+  residuals K_t - a_t U, in O(T^2 d^2) and with no factorization;
 * :func:`channel_choi` assembles the dense Choi matrix
   J = sum_t vec(K_t) vec(K_t)† / d, for callers that need the matrix
   itself.  J needs no check of its own: as a Gram matrix it is Hermitian
@@ -259,12 +261,6 @@ def run_branches(p: Program, input_state: StateVector) -> list[BranchOutcome]:
     return outcomes
 
 
-def _choi_vectors(ops: np.ndarray) -> np.ndarray:
-    """Columns vec(K_t)/sqrt(d) of a (T, d, d) stack: row-major, output
-    index first, so that the Choi matrix is their sum of outer products."""
-    return ops.reshape(len(ops), -1).T / math.sqrt(ops.shape[1])
-
-
 def channel_choi(p: Program) -> np.ndarray:
     """Dense, read-only Choi matrix of the channel ``p`` implements on its
     external wires: output qubits first (most significant), reference
@@ -277,26 +273,47 @@ def channel_choi(p: Program) -> np.ndarray:
     n, width = p.n_external, _register_width(p)
     detail = f" ({width} for the program, {n} for the reference)"
     qsim.check_qubits(n + width, "dense Choi matrix", detail)
-    v = _choi_vectors(kraus_stack(p)[1])
+    ops = kraus_stack(p)[1]
+    # Columns vec(K_t)/sqrt(d), row-major (output index first): J is the
+    # sum of their outer products.
+    v = ops.reshape(len(ops), -1).T / math.sqrt(ops.shape[1])
     j = v @ v.conj().T
     j.flags.writeable = False
     return j
 
 
 def kraus_choi_distance(kraus: np.ndarray | list[np.ndarray], u: UnitaryMatrix) -> float:
-    """Frobenius distance between the Choi matrix of the channel with Kraus
-    operators ``kraus`` (a (T, d, d) stack, or a list of d×d arrays) and
-    that of ``u``, without forming either matrix.
+    """Frobenius distance between the Choi matrices of the channel with
+    Kraus operators ``kraus`` (a (T, d, d) stack, or a list of d×d arrays)
+    and of ``u``, without forming either matrix.
 
-    With V = [vec K_1 .. vec K_r, vec U]/sqrt(d) and S = diag(1, .., 1, -1)
-    the difference is V S V†; for V = QR it has the norm of R S R†, an
-    (r+1)×(r+1) matrix.  Unlike sqrt(pᵀGp - 2pᵀo + 1) from the Gram matrix,
-    this does not cancel to ~1e-8 error when the channels agree.
+    Each K_t splits into its projection on U and a residual orthogonal to
+    it: K_t = a_t U + E_t with a_t = tr(U†K_t)/|U|_F^2.  With n = |U|_F^2/d,
+    c = sum_t |a_t|^2 - 1, w = sum_t conj(a_t) vec(E_t) and G the T×T Gram
+    matrix of the vec(E_t), the difference of the Choi matrices has
+
+        |ΔJ|_F^2 = c^2 n^2 + 2 n |w|^2 / d + |G|_F^2 / d^2
+
+    (the three parts are orthogonal).  Every term is a small quantity
+    computed directly, so nothing cancels when the channels agree, unlike
+    sqrt(pᵀGp - 2pᵀo + 1) from the Gram matrix of the K_t and U.  c is
+    taken from the a_t, not from trace preservation, which holds only
+    within 1e-12, and a_t divides by |U|_F^2, not d, so ``u`` need be
+    unitary only within its construction check.
     """
     ops = np.asarray(kraus)
     if ops.ndim != 3 or ops.shape[1:] != u.matrix.shape:
         raise ValueError(f"Kraus operators do not match the dimension {u.dim} of the unitary")
-    r = np.linalg.qr(_choi_vectors(np.concatenate([ops, u.matrix[None]])), mode="r")
-    signs = np.ones(r.shape[1])
-    signs[-1] = -1.0
-    return float(np.linalg.norm((r * signs) @ r.conj().T))
+    d = u.dim
+    vec_u = u.matrix.reshape(-1)
+    norm2 = float(np.vdot(vec_u, vec_u).real)
+    flat = ops.reshape(len(ops), -1)
+    a = (flat @ vec_u.conj()) / norm2
+    resid = flat - a[:, None] * vec_u
+    c = float(np.vdot(a, a).real) - 1.0
+    n = norm2 / d
+    w = a.conj() @ resid
+    gram = resid.conj() @ resid.T
+    cross = float(np.vdot(w, w).real)
+    residual = float(np.vdot(gram, gram).real)
+    return math.sqrt((c * n) ** 2 + 2.0 * n * cross / d + residual / d**2)

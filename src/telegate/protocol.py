@@ -466,8 +466,11 @@ def parse_program(text: str) -> Program:
     ``#`` starts a comment; keywords and wire/party tokens are
     case-insensitive; gate expressions (after ``:``, on ``gate`` and
     ``cgate`` lines only) follow the case-sensitive gate-expression
-    language.  Raises :class:`ProgramParseError`, naming the line, on
-    the first line that is not well formed.
+    language.  Lines end at ``\n`` only, as editors and ``grep -n``
+    count them (a ``\r`` before it is stripped as whitespace; form feeds
+    and other Unicode line breaks are whitespace inside a line).  Raises
+    :class:`ProgramParseError`, naming the line, on the first line that
+    is not well formed.
     """
     externals: list[ExternalWire] = []
     instructions: list[Instruction] = []
@@ -475,7 +478,7 @@ def parse_program(text: str) -> Program:
     lines: list[int] = []
     current_phase: int | None = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -211,13 +211,18 @@ def controlled(u: UnitaryMatrix) -> UnitaryMatrix:
     """Block matrix diag(I, U): apply ``u`` when the control qubit is |1>.
 
     The control is the first (most significant) tensor factor of the result.
+    The result is not checked again: diag(I, U)†diag(I, U) - I is
+    diag(0, U†U - I), so its unitarity defect is exactly that of ``u``,
+    which passed the check when it was built.
     """
     check_qubits(u.n_qubits + 1, "controlled gate")
     d = u.dim
     block = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     block[:d, :d] = np.eye(d)
     block[d:, d:] = u.matrix
-    return UnitaryMatrix(block)
+    gate = object.__new__(UnitaryMatrix)
+    object.__setattr__(gate, "matrix", _freeze(block))
+    return gate
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -138,15 +138,21 @@ def verify_program(
     ``u_spec`` applied to that input; branch evidence is aggregated per
     transcript (probability averaged over probes, infidelity maximized),
     skipping probes that reach a transcript with probability below 1e-14.
-    The Choi distance compares the whole channels.
+    The basis probes need no product: their branch outputs are the
+    columns of the Kraus operators and their targets the columns of
+    ``u_spec``; only the Haar probes are multiplied.  The Choi distance
+    compares the whole channels (:func:`kraus_choi_distance`).
     """
     check_specification(p, u_spec)
     psi = probe_states(p.n_external, probes, seed)
     transcripts, ops = kraus_stack(p)
 
-    expected = u_spec.matrix @ psi
+    # Basis probe j's outputs are column j of K_t and of U.
+    d = u_spec.dim
+    haar = psi[:, d:]
+    expected = np.concatenate([u_spec.matrix, u_spec.matrix @ haar], axis=1)
     expected /= np.linalg.norm(expected, axis=0)
-    out = ops @ psi  # (transcript, output index, probe)
+    out = np.concatenate([ops, ops @ haar], axis=2)  # (transcript, output index, probe)
     prob = np.einsum("tij,tij->tj", out.conj(), out).real
     seen = prob >= BRANCH_PRUNE
     overlap = np.abs(np.einsum("ij,tij->tj", expected.conj(), out))

@@ -111,6 +111,9 @@ def test_lint_unparseable_file_exits_2(tmp_path, capsys):
         ("ext A q0\n: X\n", 2),
         ("ext A q0\next B q1\next A q0\n", 3),
         ("ext A q0\nmeasz A q1 -> c1 : ((((\n", 2),
+        ("ext A q0\x0cwobble q0", 1),
+        ("ext A q0\x85ext B q1", 1),
+        ("ext A q0\r\nwobble q0\r\n", 2),
     ):
         bad.write_text(text)
         assert main(["lint", str(bad)]) == 2

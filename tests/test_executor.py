@@ -252,7 +252,7 @@ def test_program_choi_matches_bruteforce_cnot_choi():
 
 @given(st.integers(0, 2**32 - 1))
 def test_kraus_choi_distance_matches_bruteforce(seed):
-    """Two unitaries: the low-rank distance against the norm of the
+    """Two unitaries: the residual-form distance against the norm of the
     difference of the oracle's dense Choi matrices."""
     rng = np.random.default_rng(seed)
     u, v = qsim.haar_random_unitary(4, rng), qsim.haar_random_unitary(4, rng)

@@ -77,4 +77,6 @@ def test_parse_program_returns_program_or_names_a_line(text):
     try:
         assert isinstance(parse_program(text), Program)
     except ProgramParseError as exc:
-        assert 1 <= exc.line <= len(text.splitlines()), (exc.line, text)
+        lines = text.split("\n")
+        assert 1 <= exc.line <= len(lines), (exc.line, text)
+        assert lines[exc.line - 1].split("#", 1)[0].strip(), (exc.line, text)

@@ -290,11 +290,21 @@ def test_parse_errors_carry_line_numbers():
         ("ext A q0\nmeasz A q0 -> q1\n", 2, "expected a classical wire"),
         ("ext A q0\nsend A->A c1\n", 2, "must cross the cut"),
         ("ext A q0\ncpauli A q0 Y if c1\n", 2, "pauli must be 'X' or 'Z'"),
+        # only \n ends a line: form feed and NEL are whitespace within it
+        ("ext A q0\x0cwobble q0\n", 1, "usage: ext"),
+        ("ext A q0\x85ext B q1\n", 1, "usage: ext"),
+        ("ext A q0\u2028wobble q0\n", 1, "usage: ext"),
+        ("ext A q0\r\next B q1\r\nwobble q0\r\n", 3, "unknown instruction"),
     ):
         with pytest.raises(ProgramParseError, match=reason) as exc:
             parse_program(text)
         assert exc.value.line == line
         assert str(exc.value).startswith(f"line {line}: ")
+
+
+def test_source_lines_count_newlines_only():
+    text = "ext A q0\r\n# page one\x0c page two\x0b\r\nalloc A q1 = 0\r\nmeasz A q1 -> c1\n"
+    assert parse_program(text).source_lines == (3, 4)
 
 
 @pytest.mark.parametrize(

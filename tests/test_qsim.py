@@ -97,6 +97,25 @@ def test_controlled_bottom_block_is_exact(seed, n):
     assert np.array_equal(c.matrix[:d, :d], np.eye(d))
 
 
+def _defect(m: np.ndarray) -> float:
+    return float(np.abs(m.conj().T @ m - np.eye(len(m))).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("scale", [0.0, 1e-12, 4e-12])
+def test_controlled_has_the_defect_of_its_block(n, scale):
+    """controlled() does not check U†U again: diag(I, U)†diag(I, U) - I is
+    diag(0, U†U - I), so the result has U's defect, which U's own check
+    bounded.  Near-unitary U (defect up to ~3e-11) included."""
+    rng = np.random.default_rng(n)
+    d = 1 << n
+    noise = scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    u = UnitaryMatrix(qsim.haar_random_unitary(d, rng).matrix + noise)
+    c = qsim.controlled(u).matrix
+    assert abs(_defect(c) - _defect(u.matrix)) <= 1e-15  # one rounding apart
+    assert c.dtype == np.complex128 and not c.flags.writeable
+
+
 # executor._apply: the one kernel that evolves a state
 
 def test_apply_x_flips():

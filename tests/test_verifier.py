@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from oracles import choi_of_unitary, deferred_measurement_choi
 from telegate import qsim
 from telegate.builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program, build_specification
-from telegate.executor import run_branches
+from telegate.executor import kraus_choi_distance, kraus_stack, run_branches, transcript_key
 from telegate.protocol import MakeBellPair, Program, validate_locality
 from telegate.qsim import StateVector, UnitaryMatrix
 from telegate.verifier import probe_states, verify, verify_program
@@ -61,15 +61,98 @@ def test_every_mutation_flips_the_verdict(mutation):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("mutation", [None, *MUTATIONS])
 def test_choi_distance_matches_deferred_measurement_oracle(k, mutation):
-    """The low-rank Choi distance equals the dense distance between the
-    dilation's Choi matrix and the unitary's, both from definition sums."""
+    """The residual Choi distance equals the dense distance between the
+    dilation's Choi matrix and the unitary's, both from definition sums;
+    dropping the Z correction leaves (Z x I)CU, orthogonal to CU, on half
+    the transcripts, at distance exactly 1/sqrt(2)."""
     spec = NonlocalCUSpec(qsim.haar_random_unitary(1 << k, 40 + k), k)
     program = build_program(spec)
     if mutation:
         program = apply_mutation(program, mutation)
     u = build_specification(spec)
     want = np.linalg.norm(deferred_measurement_choi(program) - choi_of_unitary(u.matrix))
-    assert abs(verify_program(program, u).choi_dist - want) <= 1e-12
+    got = kraus_choi_distance(kraus_stack(program)[1], u)
+    assert abs(got - want) <= 1e-14
+    assert verify_program(program, u).choi_dist == got
+    if mutation == "drop-z-correction":
+        assert abs(got - 2**-0.5) <= 1e-14
+
+
+@pytest.mark.parametrize("mutation", [None, "drop-z-correction"])
+def test_choi_distance_to_a_nearly_unitary_literal(mutation):
+    """An --against matrix need be unitary only within 1e-10: the distance
+    still equals the dense oracle's when U†U - I is ~1e-11."""
+    program = build_program(NonlocalCUSpec(qsim.X, 1))
+    if mutation:
+        program = apply_mutation(program, mutation)
+    rng = np.random.default_rng(5)
+    cnot = qsim.controlled(qsim.X).matrix
+    u = UnitaryMatrix(cnot + 3e-12 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))))
+    assert 5e-12 < np.abs(u.matrix.conj().T @ u.matrix - np.eye(4)).max() < 1e-10
+    want = np.linalg.norm(deferred_measurement_choi(program) - choi_of_unitary(u.matrix))
+    assert abs(kraus_choi_distance(kraus_stack(program)[1], u) - want) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("mutation", [None, "drop-x-correction", "drop-cgate"])
+def test_branch_evidence_matches_explicit_probe_products(k, mutation):
+    """Reading the basis probes off the Kraus stack gives the evidence of
+    the explicit product ops @ probe_states(...), within 1e-15, whether
+    the probes are fewer than, equal to or more than the basis."""
+    spec = NonlocalCUSpec(qsim.haar_random_unitary(1 << k, 60 + k), k)
+    program = build_program(spec)
+    if mutation:
+        program = apply_mutation(program, mutation)
+    u = build_specification(spec).matrix
+    transcripts, ops = kraus_stack(program)
+    d = u.shape[0]
+    for probes in (1, d, d + 5, 16):
+        psi = probe_states(program.n_external, probes, seed=k)
+        out = ops @ psi
+        expected = u @ psi
+        expected /= np.linalg.norm(expected, axis=0)
+        prob = np.einsum("tij,tij->tj", out.conj(), out).real
+        seen = prob >= 1e-14
+        fid = np.abs(np.einsum("ij,tij->tj", expected.conj(), out)) / np.sqrt(np.where(seen, prob, 1))
+        infid = np.where(seen, 1 - np.minimum(1, fid), 0).max(axis=1)
+        mass = np.where(seen, prob, 0).sum(axis=1) / psi.shape[1]
+        report = verify_program(program, build_specification(spec), probes=probes, seed=k)
+        assert [b.transcript for b in report.branches] == [transcript_key(t) for t in transcripts]
+        for t, b in enumerate(report.branches):
+            assert abs(b.probability - mass[t]) <= 1e-15
+            assert abs(b.max_infidelity - infid[t]) <= 1e-15
+
+
+def _eigenphase_distance(theta: np.ndarray) -> float:
+    """Choi distance of two unitary channels whose relative unitary has
+    eigenphases ``theta``, free of the cancellation in
+    sqrt(2 - 2|tr|^2/D^2): (2/D) sqrt(sum_jk sin^2((theta_j - theta_k)/2))."""
+    half = (theta[:, None] - theta[None, :]) / 2
+    return 2 / len(theta) * math.sqrt(float((np.sin(half) ** 2).sum()))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_resolution_sweep(k):
+    """Certify C(V) against C(U) for V = U W diag(e^{i eps h}) W†, eps =
+    1e-2 .. 1e-12.  C(V)†C(U) has eigenphases 0 (d times) and -eps h_j, so
+    the distance is known without cancellation; the reported distance
+    must match it within 1e-6 relative, and the verdict fail exactly
+    where it exceeds tol_choi.  Branch infidelity scales as eps^2, so
+    below eps ~ 1e-5 the Choi distance alone catches the defect."""
+    rng = np.random.default_rng(70 + k)
+    d = 1 << k
+    u = qsim.haar_random_unitary(d, rng).matrix
+    w = qsim.haar_random_unitary(d, rng).matrix
+    h = rng.uniform(-1, 1, size=d)
+    spec_u = build_specification(NonlocalCUSpec(UnitaryMatrix(u), k))
+    for eps in 10.0 ** -np.arange(2, 13):
+        v = UnitaryMatrix(u @ w @ np.diag(np.exp(1j * eps * h)) @ w.conj().T)
+        report = verify_program(build_program(NonlocalCUSpec(v, k)), spec_u)
+        ref = _eigenphase_distance(np.concatenate([np.zeros(d), -eps * h]))
+        assert abs(report.choi_dist - ref) <= 1e-6 * ref + 1e-15, (eps, report.choi_dist, ref)
+        assert (report.verdict == "fail") == (ref > report.tol_choi), eps
+        if eps <= 1e-6:
+            assert report.max_infidelity <= report.tol_branch, eps
 
 
 def test_literal_bell_deletion_is_rejected_by_validator():
