@@ -145,6 +145,10 @@ def _walk(
     and a (2^m, rest, batch) array: row t holds the unnormalized output of
     the transcript whose bits spell t in binary, over the unmeasured
     qubits in axis order.
+
+    Controlled gates and conditional Paulis rewrite the register in
+    place (see :func:`_apply`), so ``batch`` must be an array the caller
+    hands over: :func:`kraus_stack` passes a fresh one.
     """
     axes = {w: a for a, w in enumerate(wires)}  # quantum wire or readable bit -> axis
     measured: list[tuple[WireRef, int]] = []
@@ -213,12 +217,18 @@ def _apply(
 ) -> np.ndarray:
     """Apply ``u`` to the qubit axes ``positions`` (``positions[0]`` most
     significant).  If ``controlled``, ``positions[0]`` is a control and ``u``
-    acts on the rest where it is |1>."""
+    acts on the rest where it is |1>.
+
+    A controlled gate is applied in place: only the control-1 half of
+    ``psi`` is read and rewritten, ``psi`` itself is returned, and the
+    caller must own it.  Otherwise the result is a new array."""
     perm, inverse = _permutation(psi.ndim, positions)
-    front = psi.transpose(perm).copy()
-    block = front[1] if controlled else front
-    block[...] = (u @ block.reshape(u.shape[0], -1)).reshape(block.shape)
-    return front.transpose(inverse)
+    front = psi.transpose(perm)
+    if controlled:
+        block = front[1]
+        block[...] = (u @ block.reshape(u.shape[0], -1)).reshape(block.shape)
+        return psi
+    return (u @ front.reshape(u.shape[0], -1)).reshape(front.shape).transpose(inverse)
 
 
 @functools.lru_cache(maxsize=None)

@@ -87,33 +87,45 @@ class EquivalenceReport:
 
 def probe_states(n_qubits: int, probes: int, seed: int) -> np.ndarray:
     """The d×m probe matrix (d = 2^n_qubits, m = max(probes, d)), one probe
-    per column: the computational basis in index order, then m - d seeded
-    Haar-random states.
+    per column: the computational basis in index order, then the m - d
+    seeded Haar-random states of :func:`_haar_probes`.
 
-    The Haar columns come from one ``default_rng(seed).normal(size=(m - d,
-    2, d))`` draw (real parts, then imaginary parts, probe by probe): the
+    :func:`verify_program` never builds this matrix: it reads the basis
+    probes off the Kraus operators and multiplies only the Haar block.
+    This is the full view of the probes it uses, for tests and readers.
+    """
+    haar = _haar_probes(n_qubits, probes, seed)
+    return np.concatenate([np.eye(haar.shape[0], dtype=np.complex128), haar], axis=1)
+
+
+def _haar_probes(n_qubits: int, probes: int, seed: int) -> np.ndarray:
+    """The d×(m - d) Haar block of :func:`probe_states`, one state per column.
+
+    The columns come from one ``default_rng(seed).normal(size=(m - d, 2,
+    d))`` draw (real parts, then imaginary parts, probe by probe): the
     same stream, in the same order, as m - d successive
     :func:`qsim.haar_random_state` calls.  Every column is a valid state:
-    finite, with norm 1 within 1e-9.
+    finite, with norm 1 within 1e-9.  When m = d the block is empty and
+    no generator is seeded.
 
-    The column index counts as a register of ceil(log2 m) qubits, which
+    The probe index counts as a register of ceil(log2 m) qubits, which
     covers the n_qubits rows too (m >= d): it is refused, before anything
-    is allocated, above :func:`qsim.max_qubits`, so the matrix is never
-    larger than a unitary at the cap.
+    is allocated, above :func:`qsim.max_qubits`, so the probe matrix
+    would never be larger than a unitary at the cap.
     """
     d = 1 << n_qubits
     m = max(probes, d)
     qsim.check_qubits((m - 1).bit_length(), "probe matrix", f" to index its {m} columns")
-    psi = np.zeros((d, m), dtype=np.complex128)
-    psi[:, :d] = np.eye(d)
+    if m == d:
+        return np.empty((d, 0), dtype=np.complex128)
     z = np.random.default_rng(seed).normal(size=(m - d, 2, d))
     haar = z[:, 0] + 1j * z[:, 1]
-    psi[:, d:] = (haar / np.linalg.norm(haar, axis=1, keepdims=True)).T
-    if not np.isfinite(psi.view(np.float64)).all():
+    haar /= np.linalg.norm(haar, axis=1, keepdims=True)
+    if not np.isfinite(haar.view(np.float64)).all():
         raise ValueError("probe amplitudes must be finite")
-    if np.abs(np.linalg.norm(psi, axis=0) - 1.0).max() > 1e-9:
+    if np.abs(np.linalg.norm(haar, axis=1) - 1.0).max() > 1e-9:
         raise ValueError("probe states must be normalized")
-    return psi
+    return np.ascontiguousarray(haar.T)
 
 
 def check_specification(p: Program, u_spec: UnitaryMatrix) -> None:
@@ -140,16 +152,15 @@ def verify_program(
     skipping probes that reach a transcript with probability below 1e-14.
     The basis probes need no product: their branch outputs are the
     columns of the Kraus operators and their targets the columns of
-    ``u_spec``; only the Haar probes are multiplied.  The Choi distance
+    ``u_spec``.  Only the Haar probes are drawn and multiplied, and none
+    are when ``probes`` is at most the dimension.  The Choi distance
     compares the whole channels (:func:`kraus_choi_distance`).
     """
     check_specification(p, u_spec)
-    psi = probe_states(p.n_external, probes, seed)
+    haar = _haar_probes(p.n_external, probes, seed)
     transcripts, ops = kraus_stack(p)
 
     # Basis probe j's outputs are column j of K_t and of U.
-    d = u_spec.dim
-    haar = psi[:, d:]
     expected = np.concatenate([u_spec.matrix, u_spec.matrix @ haar], axis=1)
     expected /= np.linalg.norm(expected, axis=0)
     out = np.concatenate([ops, ops @ haar], axis=2)  # (transcript, output index, probe)
@@ -158,7 +169,7 @@ def verify_program(
     overlap = np.abs(np.einsum("ij,tij->tj", expected.conj(), out))
     ratio = overlap / np.sqrt(np.where(seen, prob, 1.0))
     infid = np.where(seen, 1.0 - np.minimum(1.0, ratio), 0.0).max(axis=1)
-    mass = np.where(seen, prob, 0.0).sum(axis=1) / psi.shape[1]
+    mass = np.where(seen, prob, 0.0).sum(axis=1) / out.shape[2]
     # kraus_stack lists transcripts in bit order over one wire list, which
     # is also the order of their keys: the report needs no sort.
     branches = tuple(

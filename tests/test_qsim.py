@@ -13,8 +13,9 @@ SQ2 = 1 / math.sqrt(2)
 
 
 def apply(state: StateVector, positions, u: UnitaryMatrix, controlled=False) -> StateVector:
-    """``executor._apply`` on one state (a batch of one)."""
-    psi = state.amplitudes.reshape((2,) * state.n_qubits + (1,))
+    """``executor._apply`` on one state (a batch of one).  ``_apply`` may
+    rewrite its input, so it gets a copy of the read-only amplitudes."""
+    psi = state.amplitudes.reshape((2,) * state.n_qubits + (1,)).copy()
     return StateVector(_apply(psi, tuple(positions), u.matrix, controlled).reshape(-1))
 
 
@@ -188,6 +189,26 @@ def test_apply_matches_index_arithmetic_embedding(seed, n, controlled, data):
     got = apply(state, targets, u, controlled)
     want = embed(full, list(targets), n) @ state.amplitudes
     assert np.abs(got.amplitudes - want).max() < 1e-12
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 3), st.data())
+def test_controlled_apply_rewrites_only_the_control_1_half(seed, n, batch, data):
+    """A controlled gate is applied in place: ``_apply`` returns the array
+    it was given, with the control-0 half bit-identical to the input.  A
+    plain gate leaves its input as it was."""
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(2, min(3, n)))
+    targets = tuple(data.draw(st.permutations(range(n)))[:k])
+    shape = (2,) * n + (batch,)
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    before = psi.copy()
+    out = _apply(psi, targets, qsim.haar_random_unitary(1 << (k - 1), rng).matrix, controlled=True)
+    assert out is psi
+    control = targets[0]
+    assert np.take(out, 0, axis=control).tobytes() == np.take(before, 0, axis=control).tobytes()
+    kept = out.copy()
+    _apply(out, targets, qsim.haar_random_unitary(1 << k, rng).matrix)
+    assert out.tobytes() == kept.tobytes()
 
 
 # executor._walk on one MeasureZ: the one way a state is measured

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import choi_of_unitary, deferred_measurement_choi
-from telegate import qsim
+from telegate import qsim, verifier
 from telegate.builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program, build_specification
 from telegate.executor import kraus_choi_distance, kraus_stack, run_branches, transcript_key
 from telegate.protocol import MakeBellPair, Program, validate_locality
 from telegate.qsim import StateVector, UnitaryMatrix
-from telegate.verifier import probe_states, verify, verify_program
+from telegate.verifier import DEFAULT_PROBES, _haar_probes, probe_states, verify, verify_program
 
 
 def test_identity_passes_tightly():
@@ -131,21 +131,24 @@ def _eigenphase_distance(theta: np.ndarray) -> float:
     return 2 / len(theta) * math.sqrt(float((np.sin(half) ** 2).sum()))
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", range(1, 9))
 def test_resolution_sweep(k):
     """Certify C(V) against C(U) for V = U W diag(e^{i eps h}) W†, eps =
-    1e-2 .. 1e-12.  C(V)†C(U) has eigenphases 0 (d times) and -eps h_j, so
-    the distance is known without cancellation; the reported distance
-    must match it within 1e-6 relative, and the verdict fail exactly
-    where it exceeds tol_choi.  Branch infidelity scales as eps^2, so
-    below eps ~ 1e-5 the Choi distance alone catches the defect."""
+    1e-2 .. 1e-12 for k <= 3 and a few eps around tol_choi above, where
+    every default probe is a basis column.  C(V)†C(U) has eigenphases 0
+    (d times) and -eps h_j, so the distance is known without
+    cancellation; the reported distance must match it within 1e-6
+    relative, and the verdict fail exactly where it exceeds tol_choi.
+    Branch infidelity scales as eps^2, so below eps ~ 1e-5 the Choi
+    distance alone catches the defect."""
     rng = np.random.default_rng(70 + k)
     d = 1 << k
     u = qsim.haar_random_unitary(d, rng).matrix
     w = qsim.haar_random_unitary(d, rng).matrix
     h = rng.uniform(-1, 1, size=d)
     spec_u = build_specification(NonlocalCUSpec(UnitaryMatrix(u), k))
-    for eps in 10.0 ** -np.arange(2, 13):
+    exponents = np.arange(2, 13) if k <= 3 else np.array([4, 8, 9, 11])
+    for eps in 10.0 ** -exponents:
         v = UnitaryMatrix(u @ w @ np.diag(np.exp(1j * eps * h)) @ w.conj().T)
         report = verify_program(build_program(NonlocalCUSpec(v, k)), spec_u)
         ref = _eigenphase_distance(np.concatenate([np.zeros(d), -eps * h]))
@@ -223,6 +226,33 @@ def test_verify_program_dimension_mismatch():
     empty = Program((ExternalWire(qwire(0), Party.ALICE),))
     with pytest.raises(ValueError, match="match"):
         verify_program(empty, qsim.identity(4))
+
+
+@pytest.mark.parametrize("k, probes", [(2, 4), (4, DEFAULT_PROBES)])
+def test_basis_probes_draw_nothing(monkeypatch, k, probes):
+    """With probes <= d every probe is a basis column: verify_program
+    seeds no generator and builds no probe matrix, and reports what it
+    reported before either was refused."""
+    spec = NonlocalCUSpec(qsim.haar_random_unitary(1 << k, 80 + k), k)
+    program, u = build_program(spec), build_specification(spec)
+    want = verify_program(program, u, probes=probes).to_json()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a probe was drawn or built")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(verifier, "probe_states", refuse)
+    assert verify_program(program, u, probes=probes).to_json() == want
+
+
+@pytest.mark.parametrize("n, probes, seed", [(1, 16, 0), (1, 3, 3), (3, 9, 5), (4, 40, 2)])
+def test_haar_block_is_the_probe_matrix_tail(n, probes, seed):
+    """The block verify_program multiplies is, bit for bit, the Haar part
+    of the full probe matrix."""
+    d = 1 << n
+    haar = _haar_probes(n, probes, seed)
+    assert haar.shape == (d, probes - d) and haar.dtype == np.complex128
+    assert haar.tobytes() == np.ascontiguousarray(probe_states(n, probes, seed)[:, d:]).tobytes()
 
 
 def test_probe_states_always_include_basis():
