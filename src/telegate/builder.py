@@ -17,6 +17,7 @@ unitary acting across the cut.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import qsim
@@ -69,14 +70,29 @@ def build_program(spec: NonlocalCUSpec, gate_label: str | None = None) -> Progra
     ``q{k+2}`` (Bob's) and classical bits ``c1``, ``c2``.  ``gate_label``
     optionally records the source expression for ``spec.c`` so exported
     program text stays readable.
+
+    Only the controlled-``spec.c`` instruction is built per call: the
+    other eleven do not depend on the gate, and programs of the same k
+    share them (instructions are frozen).
     """
-    k = spec.k
+    externals, before, (b, targets), after = _skeleton(spec.k)
+    cgate = ApplyControlledLocal(Party.BOB, b, targets, spec.c, gate_label)
+    return Program(externals, before + (cgate,) + after, _PHASES)
+
+
+_PHASES = (1,) + (2,) * 5 + (3,) * 6
+
+
+@functools.lru_cache(maxsize=MAX_TARGET_QUBITS)
+def _skeleton(k: int) -> tuple:
+    """The gate-independent parts of :func:`build_program` for target size
+    ``k``: the externals, the instructions before and after the controlled
+    gate, and that gate's control and targets."""
     control = qwire(0)
     targets = tuple(qwire(i) for i in range(1, k + 1))
     a, b = qwire(k + 1), qwire(k + 2)
     c1, c2 = cwire(1), cwire(2)
-
-    instructions = (
+    before = (
         # phase 1: entanglement distribution
         MakeBellPair(a, b),
         # phase 2: Alice-side interaction, forward message, Bob-side gate
@@ -84,7 +100,9 @@ def build_program(spec: NonlocalCUSpec, gate_label: str | None = None) -> Progra
         MeasureZ(Party.ALICE, a, c1),
         SendBit(Party.ALICE, Party.BOB, c1),
         ConditionalPauli(Party.BOB, b, "X", c1),
-        ApplyControlledLocal(Party.BOB, b, targets, spec.c, gate_label),
+    )
+    # (Bob's controlled gate, with b standing in for the control)
+    after = (
         # phase 3: Bob-side measurement, return message, Alice-side correction
         ApplyLocal(Party.BOB, (b,), qsim.H, "H"),
         MeasureZ(Party.BOB, b, c2),
@@ -93,11 +111,10 @@ def build_program(spec: NonlocalCUSpec, gate_label: str | None = None) -> Progra
         DiscardBit(c1),
         DiscardBit(c2),
     )
-    phases = (1,) + (2,) * 5 + (3,) * 6
     externals = (ExternalWire(control, Party.ALICE),) + tuple(
         ExternalWire(t, Party.BOB) for t in targets
     )
-    return Program(externals, instructions, phases)
+    return externals, before, (b, targets), after
 
 
 def build_specification(spec: NonlocalCUSpec) -> UnitaryMatrix:

@@ -18,6 +18,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import gatelang
 from .builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program, build_specification
 from .executor import ExecutionError, channel_choi, check_register, run_branches, transcript_key
@@ -234,15 +236,14 @@ def _cmd_trace(args) -> int:
 def _cmd_choi(args) -> int:
     program, _, _ = _load(args, need_spec=False)
     choi = channel_choi(program)
+    # (re, im) pairs as Python floats, whose repr is what JSON writes too
+    pairs = choi.view(np.float64).reshape(len(choi), len(choi), 2)
     if args.format == "json":
-        doc = {
-            "dim": len(choi),
-            "entries": [[[float(z.real), float(z.imag)] for z in row] for row in choi],
-        }
+        doc = {"dim": len(choi), "entries": pairs.tolist()}
         print(json.dumps(doc, sort_keys=True, separators=(", ", ": ")))
     else:
-        for row in choi:
-            print(",".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row))
+        rows = pairs.reshape(len(choi), -1).tolist()
+        print("\n".join(",".join(map(repr, row)) for row in rows))
     return 0
 
 

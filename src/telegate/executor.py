@@ -22,7 +22,7 @@ small, and every other function here reads that stack:
   the operators it returns (Watrous, *The Theory of Quantum
   Information*, ch. 2).
 
-:func:`_walk` and :func:`_apply` are the only code that evolves or
+:func:`_run` and :func:`_apply` are the only code that evolves or
 measures a state.  Measurement is deferred (Nielsen & Chuang §4.4): a
 measured qubit stays in the register as the record of its outcome, a
 conditional Pauli becomes a Pauli controlled on that record, and at the
@@ -31,6 +31,20 @@ the external wires plus every qubit the program allocates, and that is
 what the qubit cap counts; branch outputs cover exactly the external
 wires.
 
+The pass is split in two.  :func:`_layout` works out everything that
+depends only on the program's *shape* (:func:`_shape`: its externals,
+and each instruction with its gate matrix and label left out): the
+register width, each step's axis permutation, the final axis order and
+every transcript.  :func:`_run` then applies the numbers, reading each
+gate matrix from the program by index.  Every program the builder makes
+for one k has one shape, so :func:`kraus_stack` validates and lays out
+a shape once and keeps the layout in a cache of at most
+:data:`LAYOUT_CACHE_SIZE` shapes, oldest out first.  The cache holds no
+arrays, and an invalid program never enters it.  The qubit cap is
+checked on every call, since ``TELEGATE_MAX_QUBITS`` may change between
+calls.  A one-shot CLI call runs one program per process, so its layout
+is always new and it gains nothing from the cache.
+
 Choi matrices here are normalized to trace 1.  No sampling is involved:
 the branch ensemble is complete, so tests tolerate only floating-point
 error.  Returned lists are sorted by transcript bits.
@@ -38,9 +52,11 @@ error.  Returned lists are sorted by transcript bits.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +78,15 @@ from .protocol import (
 from .qsim import BRANCH_PRUNE, StateVector, UnitaryMatrix
 
 _PAULI = {"X": qsim.X.matrix, "Z": qsim.Z.matrix}
-_BASIS = tuple(StateVector.from_bits(b).amplitudes for b in "01")
-_BELL = qsim.bell_pair().amplitudes
+# Amplitudes of fresh qubits: |0>, |1>, then the Bell pair.
+_FRESH = (*(StateVector.from_bits(b).amplitudes for b in "01"), qsim.bell_pair().amplitudes)
+_REGISTER_DETAIL = " alive in one register (measured qubits are kept)"
+
+# Layouts by program shape (see kraus_stack), oldest first; the lock
+# keeps two threads from evicting at once.
+LAYOUT_CACHE_SIZE = 64
+_LAYOUTS: dict[tuple, "_Layout"] = {}
+_LAYOUTS_LOCK = threading.Lock()
 
 Transcript = tuple[tuple[WireRef, int], ...]
 
@@ -87,8 +110,10 @@ class ExecutionError(RuntimeError):
     conditional reading a bit that was never set)."""
 
 
+@functools.lru_cache(maxsize=4 * LAYOUT_CACHE_SIZE)
 def transcript_key(transcript: Transcript) -> str:
-    """Report form of a transcript: ``"c1=0,c2=1"``, or ``"-"`` if empty."""
+    """Report form of a transcript: ``"c1=0,c2=1"``, or ``"-"`` if empty.
+    Cached: a sweep asks for the same few keys again and again."""
     return ",".join(f"{wire}={bit}" for wire, bit in transcript) or "-"
 
 
@@ -102,23 +127,38 @@ def kraus_stack(p: Program) -> tuple[list[Transcript], np.ndarray]:
     reaches them with probability 1e-14); the rest must be finite and
     satisfy sum_t |K_t|_F^2 / d = 1 within 1e-12, which makes the channel
     trace preserving.
+
+    Validation and the layout of the pass (:func:`_layout`) depend only
+    on the shape of ``p`` (:func:`_shape`), so they run once per shape and
+    the layout is kept in a cache of at most :data:`LAYOUT_CACHE_SIZE`
+    entries; the register cap, which can change between calls, is checked
+    on every call.
     """
-    violations = validate_locality(p)
-    if violations:
-        summary = "; ".join(str(v) for v in violations[:3])
-        raise ValueError(f"program fails locality validation: {summary}")
-    check_register(p)
+    key = _shape(p)
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        violations = validate_locality(p)
+        if violations:
+            summary = "; ".join(str(v) for v in violations[:3])
+            raise ValueError(f"program fails locality validation: {summary}")
+        check_register(p)
+        layout = _layout(p)
+        with _LAYOUTS_LOCK:
+            if len(_LAYOUTS) >= LAYOUT_CACHE_SIZE:
+                del _LAYOUTS[next(iter(_LAYOUTS))]  # the oldest
+            _LAYOUTS[key] = layout
+    else:
+        qsim.check_qubits(layout.width, "program", _REGISTER_DETAIL)
     n = p.n_external
     d = 1 << n
     batch = np.eye(d, dtype=np.complex128).reshape((2,) * n + (d,))
-    return _checked(*_walk(p.instructions, batch, list(p.external_wires)))
+    return _checked(layout.transcripts, _run(layout, p.instructions, batch))
 
 
 def check_register(p: Program) -> None:
     """Refuse ``p`` if its externals plus every qubit it allocates exceed
     :func:`qsim.max_qubits`: the register :func:`kraus_stack` would hold."""
-    detail = " alive in one register (measured qubits are kept)"
-    qsim.check_qubits(_register_width(p), "program", detail)
+    qsim.check_qubits(_register_width(p), "program", _REGISTER_DETAIL)
 
 
 def _register_width(p: Program) -> int:
@@ -133,38 +173,56 @@ def _register_width(p: Program) -> int:
     return width
 
 
-def _walk(
-    instructions: tuple, batch: np.ndarray, wires: list[WireRef]
-) -> tuple[tuple[WireRef, ...], np.ndarray]:
-    """Run ``instructions`` once over every transcript at the same time.
+def _shape(p: Program) -> tuple:
+    """What :func:`_layout` reads of ``p``, as a dict key: the externals,
+    and each instruction with its gate matrix and label left out (the
+    instructions that carry neither are taken whole)."""
+    return p.externals, tuple([
+        (ApplyLocal, ins.party, ins.wires) if isinstance(ins, ApplyLocal)
+        else (ApplyControlledLocal, ins.party, ins.control, ins.targets)
+        if isinstance(ins, ApplyControlledLocal)
+        else ins
+        for ins in p.instructions
+    ])
 
-    ``batch`` has one axis of size 2 per wire in ``wires``, in that order,
-    then one batch axis.  Measurement is deferred: a measured qubit keeps
-    its axis as the record of its outcome, and a conditional Pauli is
-    controlled on that axis.  Returns the measured bits in program order
-    and a (2^m, rest, batch) array: row t holds the unnormalized output of
-    the transcript whose bits spell t in binary, over the unmeasured
-    qubits in axis order.
 
-    Controlled gates and conditional Paulis rewrite the register in
-    place (see :func:`_apply`), so ``batch`` must be an array the caller
-    hands over: :func:`kraus_stack` passes a fresh one.
+# The structure of one pass over a program, without its numbers: the
+# register ``width``; ``steps`` in program order, where ``(None, j)``
+# tensors ``_FRESH[j]`` after the live qubits and ``(source, perm,
+# inverse, controlled)`` applies, on the axes ``perm`` brings to the
+# front, the gate of instruction ``source`` (an index) or the Pauli
+# ``source`` names; ``order``, which puts the measured axes first for the
+# final reshape; and ``transcripts``, every outcome of the measured bits
+# in bit order.  A collections.namedtuple, not a typing.NamedTuple, which
+# adds ~0.5 ms to every CLI start (CPython 3.11).
+_Layout = collections.namedtuple("_Layout", "width steps order transcripts")
+
+
+def _layout(p: Program) -> _Layout:
+    """Lay out the straight-line pass over ``p`` (see :func:`_run`).
+
+    Measurement is deferred: a measured qubit keeps its axis as the
+    record of its outcome, and a conditional Pauli is controlled on that
+    axis.  Reads only what :func:`_shape` keeps of ``p``.
     """
-    axes = {w: a for a, w in enumerate(wires)}  # quantum wire or readable bit -> axis
+    axes = {w: a for a, w in enumerate(p.external_wires)}  # quantum wire or readable bit -> axis
+    ndim = p.n_external + 1  # the qubit axes, then the batch axis
+    steps: list[tuple] = []
     measured: list[tuple[WireRef, int]] = []
-    psi = batch
-    for ins in instructions:
+    for i, ins in enumerate(p.instructions):
         if isinstance(ins, AllocQubit):
-            axes[ins.wire] = psi.ndim - 1
-            psi = _append_qubits(psi, _BASIS[ins.basis_value])
+            axes[ins.wire] = ndim - 1
+            ndim += 1
+            steps.append((None, ins.basis_value))
         elif isinstance(ins, MakeBellPair):
-            axes[ins.left], axes[ins.right] = psi.ndim - 1, psi.ndim
-            psi = _append_qubits(psi, _BELL)
+            axes[ins.left], axes[ins.right] = ndim - 1, ndim
+            ndim += 2
+            steps.append((None, 2))
         elif isinstance(ins, ApplyLocal):
-            psi = _apply(psi, _positions(axes, ins.wires), ins.gate.matrix)
+            steps.append((i, *_permutation(ndim, _positions(axes, ins.wires)), False))
         elif isinstance(ins, ApplyControlledLocal):
-            targets = (ins.control, *ins.targets)
-            psi = _apply(psi, _positions(axes, targets), ins.gate.matrix, controlled=True)
+            targets = _positions(axes, (ins.control, *ins.targets))
+            steps.append((i, *_permutation(ndim, targets), True))
         elif isinstance(ins, MeasureZ):
             (axis,) = _positions(axes, (ins.wire,))
             del axes[ins.wire]
@@ -176,23 +234,49 @@ def _walk(
                     f"conditional pauli reads unset classical wire {ins.condition}"
                 )
             positions = _positions(axes, (ins.condition, ins.wire))
-            psi = _apply(psi, positions, _PAULI[ins.pauli], controlled=True)
+            steps.append((ins.pauli, *_permutation(ndim, positions), True))
         elif isinstance(ins, DiscardBit):
             axes.pop(ins.wire, None)  # the axis stays in the transcript
         elif isinstance(ins, SendBit):
             pass  # classical routing only; no effect on the state
         else:  # pragma: no cover - union is closed
             raise TypeError(f"unknown instruction {ins!r}")
-    bit_axes = [axis for _, axis in measured]
-    rest = [a for a in range(psi.ndim) if a not in bit_axes]
-    stack = psi.transpose(bit_axes + rest).reshape(1 << len(bit_axes), -1, psi.shape[-1])
-    return tuple(bit for bit, _ in measured), stack
+    bits = tuple(bit for bit, _ in measured)
+    bit_axes = tuple(axis for _, axis in measured)
+    order = bit_axes + tuple(a for a in range(ndim) if a not in bit_axes)
+    outcomes = itertools.product((0, 1), repeat=len(bits))
+    return _Layout(ndim - 1, tuple(steps), order, tuple(tuple(zip(bits, o)) for o in outcomes))
+
+
+def _run(layout: _Layout, instructions: tuple, batch: np.ndarray) -> np.ndarray:
+    """Run the pass ``layout`` over every transcript at the same time,
+    reading each gate matrix from ``instructions``.
+
+    ``batch`` has one axis of size 2 per external wire, in order, then one
+    batch axis.  Returns a (2^m, rest, batch) array for the m measured
+    bits: row t holds the unnormalized output of transcript t of
+    ``layout.transcripts``, over the unmeasured qubits in axis order.
+
+    Controlled gates and conditional Paulis rewrite the register in
+    place (see :func:`_apply`), so ``batch`` must be an array the caller
+    hands over: :func:`kraus_stack` passes a fresh one.
+    """
+    psi = batch
+    for step in layout.steps:
+        source = step[0]
+        if source is None:
+            psi = _append_qubits(psi, _FRESH[step[1]])
+            continue
+        _, perm, inverse, controlled = step
+        u = _PAULI[source] if source in _PAULI else instructions[source].gate.matrix
+        psi = _apply(psi, perm, inverse, u, controlled)
+    return psi.transpose(layout.order).reshape(len(layout.transcripts), -1, psi.shape[-1])
 
 
 def _checked(
-    bits: tuple[WireRef, ...], stack: np.ndarray
+    transcripts: tuple[Transcript, ...], stack: np.ndarray
 ) -> tuple[list[Transcript], np.ndarray]:
-    """Drop the dust rows of a :func:`_walk` result and check the rest:
+    """Drop the dust rows of a :func:`_run` result and check the rest:
     finite, with total mass equal to the batch size within 1e-12."""
     flat = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
     if not np.isfinite(flat).all():
@@ -202,8 +286,7 @@ def _checked(
     total = float(mass[keep].sum()) / stack.shape[-1]
     if abs(total - 1.0) > 1e-12:
         raise ExecutionError(f"channel is not trace preserving: sum |K_t|^2 / d = {total!r}")
-    outcomes = itertools.compress(itertools.product((0, 1), repeat=len(bits)), keep)
-    return [tuple(zip(bits, o)) for o in outcomes], stack[keep]
+    return list(itertools.compress(transcripts, keep)), stack[keep]
 
 
 def _append_qubits(psi: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -213,16 +296,20 @@ def _append_qubits(psi: np.ndarray, amps: np.ndarray) -> np.ndarray:
 
 
 def _apply(
-    psi: np.ndarray, positions: tuple[int, ...], u: np.ndarray, controlled: bool = False
+    psi: np.ndarray,
+    perm: tuple[int, ...],
+    inverse: tuple[int, ...],
+    u: np.ndarray,
+    controlled: bool = False,
 ) -> np.ndarray:
-    """Apply ``u`` to the qubit axes ``positions`` (``positions[0]`` most
-    significant).  If ``controlled``, ``positions[0]`` is a control and ``u``
-    acts on the rest where it is |1>.
+    """Apply ``u`` to the qubit axes that ``perm`` brings to the front, in
+    order (the first most significant); ``inverse`` undoes ``perm`` (see
+    :func:`_permutation`).  If ``controlled``, the first of those axes is
+    a control and ``u`` acts on the rest where it is |1>.
 
     A controlled gate is applied in place: only the control-1 half of
     ``psi`` is read and rewritten, ``psi`` itself is returned, and the
     caller must own it.  Otherwise the result is a new array."""
-    perm, inverse = _permutation(psi.ndim, positions)
     front = psi.transpose(perm)
     if controlled:
         block = front[1]
@@ -231,7 +318,6 @@ def _apply(
     return (u @ front.reshape(u.shape[0], -1)).reshape(front.shape).transpose(inverse)
 
 
-@functools.lru_cache(maxsize=None)
 def _permutation(ndim: int, positions: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The axis order that brings ``positions`` to the front, in order, and
     its inverse."""

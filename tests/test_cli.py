@@ -142,6 +142,25 @@ def test_choi_json_identity_program(capsys):
     assert abs(trace - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("gate", ["H", "H x S", "RZ(0.1) x X x H"])
+def test_choi_output_formats_each_entry_as_its_float(gate, capsys):
+    """Both formats write each entry's real and imaginary part as the repr
+    of a Python float, byte for byte as formatting entry by entry does."""
+    from telegate import build_program, channel_choi, gatelang
+    from telegate.builder import NonlocalCUSpec
+
+    spec = NonlocalCUSpec.for_gate(gatelang.evaluate(gatelang.parse(gate)))
+    choi = channel_choi(build_program(spec))
+    csv = "".join(
+        ",".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row) + "\n" for row in choi
+    )
+    doc = {"dim": len(choi), "entries": [[[float(z.real), float(z.imag)] for z in row] for row in choi]}
+    assert main(["choi", "--gate", gate]) == 0
+    assert capsys.readouterr().out == csv
+    assert main(["choi", "--gate", gate, "--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(doc, sort_keys=True, separators=(", ", ": ")) + "\n"
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["verify"]) == 2  # no --gate/--file
     assert main(["frobnicate"]) == 2

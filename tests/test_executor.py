@@ -12,11 +12,11 @@ from oracles import (
     deferred_measurement_kraus,
     random_program_text,
 )
-from telegate import qsim
+from telegate import executor, qsim
 from telegate.builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program
 from telegate.executor import (
     ExecutionError,
-    _walk,
+    _layout,
     channel_choi,
     kraus_choi_distance,
     kraus_stack,
@@ -146,7 +146,7 @@ def test_unset_conditioning_bit_is_execution_error():
     # bypass validation on purpose: the executor must still refuse
     bad = (ConditionalPauli(Party.ALICE, qwire(0), "X", cwire(7)),)
     with pytest.raises(ExecutionError, match="unset"):
-        _walk(bad, np.eye(2, dtype=complex), [qwire(0)])
+        _layout(Program((ExternalWire(qwire(0), Party.ALICE),), bad))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -180,37 +180,159 @@ def test_kraus_register_cap_counts_live_qubits_only(monkeypatch):
 
 
 def test_kraus_pass_checks_its_operators(monkeypatch):
-    from telegate import executor
-
+    """The checks run on every call, on a cold layout cache and on a warm one."""
     p = build_program(NonlocalCUSpec(qsim.X, 1))
-    walk = executor._walk
+    run = executor._run
 
     def tampered(edit):
-        def fake(*args):
-            bits, stack = walk(*args)
-            return bits, edit(stack)
-        return fake
+        return lambda *args: edit(run(*args))
 
-    # transcript 0 never happens: its row is dropped as dust
-    monkeypatch.setattr(executor, "_walk", tampered(lambda s: s * np.array([0, 1, 1, 1])[:, None, None]))
-    with pytest.raises(ExecutionError, match="trace preserving"):
-        kraus_stack(p)
-    monkeypatch.setattr(executor, "_walk", tampered(lambda s: s * np.nan))
-    with pytest.raises(ExecutionError, match="finite"):
-        kraus_stack(p)
+    for edit, error in (
+        # transcript 0 never happens: its row is dropped as dust
+        (lambda s: s * np.array([0, 1, 1, 1])[:, None, None], "trace preserving"),
+        (lambda s: s * np.nan, "finite"),
+    ):
+        monkeypatch.setattr(executor, "_run", tampered(edit))
+        executor._LAYOUTS.clear()
+        for _ in ("cold", "warm"):
+            with pytest.raises(ExecutionError, match=error):
+                kraus_stack(p)
+            assert len(executor._LAYOUTS) == 1
 
 
 def test_straight_line_pass_applies_each_gate_once(monkeypatch):
     """One ``_apply`` per gate or conditional instruction of a built k=1
     program (2 controlled gates, H, 2 conditional Paulis), not one per
-    branch prefix as a depth-first walk makes (8)."""
-    from telegate import executor
-
+    branch prefix as a depth-first walk makes (8), on a cold layout cache
+    and on a warm one."""
     calls = []
     apply = executor._apply
     monkeypatch.setattr(executor, "_apply", lambda *a, **kw: calls.append(a) or apply(*a, **kw))
-    kraus_stack(build_program(NonlocalCUSpec(qsim.X, 1)))
-    assert len(calls) == 5
+    p = build_program(NonlocalCUSpec(qsim.X, 1))
+    executor._LAYOUTS.clear()
+    for _ in ("cold", "warm"):
+        calls.clear()
+        kraus_stack(p)
+        assert len(calls) == 5
+    assert len(executor._LAYOUTS) == 1
+
+
+# The layout cache: one layout per program shape
+
+def cold_kraus_stack(p: Program):
+    executor._LAYOUTS.clear()
+    return kraus_stack(p)
+
+
+def assert_same_stack(got, want):
+    assert got[0] == want[0]
+    assert got[1].shape == want[1].shape and got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_warm_layout_gives_the_cold_result(k):
+    """Bit-identical transcripts and stacks from a cold and a warm cache,
+    for intact and mutated built programs, and for a second gate of the
+    same k, which has the same shape and so reuses the first's layout."""
+    specs = [NonlocalCUSpec(qsim.haar_random_unitary(1 << k, 40 + k + j), k) for j in range(2)]
+    for mutation in (None, *MUTATIONS):
+        first, second = (
+            apply_mutation(build_program(s), mutation) if mutation else build_program(s)
+            for s in specs
+        )
+        cold = cold_kraus_stack(first)
+        assert_same_stack(kraus_stack(first), cold)
+        want = cold_kraus_stack(second)
+        kraus_stack(first)
+        assert_same_stack(kraus_stack(second), want)
+        assert len(executor._LAYOUTS) == 1
+
+
+def assert_distinct_layouts(text_a: str, text_b: str):
+    """Programs ``a`` and ``b`` differ in one field and in their channels:
+    with ``a``'s layout cached, ``b`` still gets a layout of its own and
+    the result a cold cache gives."""
+    a, b = parse_program(text_a), parse_program(text_b)
+    want = cold_kraus_stack(b)
+    other = cold_kraus_stack(a)
+    got = kraus_stack(b)
+    assert len(executor._LAYOUTS) == 2
+    assert_same_stack(got, want)
+    assert got[1].tobytes() != other[1].tobytes()
+
+
+def test_alloc_basis_value_is_part_of_the_shape():
+    text = "ext A q0\nalloc A q1 = {}\ncgate A q1 -> q0 : X\nmeasz A q1 -> c1\n"
+    assert_distinct_layouts(text.format(0), text.format(1))
+
+
+def test_cpauli_letter_is_part_of_the_shape():
+    text = "ext A q0\nalloc A q1 = 0\ngate A q1 : H\nmeasz A q1 -> c1\ncpauli A q0 {} if c1\n"
+    assert_distinct_layouts(text.format("X"), text.format("Z"))
+
+
+def test_wire_id_is_part_of_the_shape():
+    text = "ext A q0\next A q1\ngate A q{} : X\n"
+    assert_distinct_layouts(text.format(0), text.format(1))
+
+
+def test_party_is_part_of_the_shape():
+    """Moving one gate to the other party makes the program invalid: a
+    cached layout of the valid one must not let it through."""
+    text = "ext A q0\next B q1\ngate {} q0 : X\n"
+    valid, invalid = parse_program(text.format("A")), parse_program(text.format("B"))
+    cold_kraus_stack(valid)
+    with pytest.raises(ValueError, match="cross-party quantum touch"):
+        kraus_stack(invalid)
+    assert len(executor._LAYOUTS) == 1
+
+
+def test_invalid_program_is_refused_every_time_and_never_cached():
+    p = two_wire_program(MeasureZ(Party.ALICE, qwire(0), cwire(1)), DiscardBit(cwire(1)))
+    executor._LAYOUTS.clear()
+    messages = []
+    for _ in range(3):
+        with pytest.raises(ValueError, match="locality") as info:
+            kraus_stack(p)
+        messages.append(str(info.value))
+        assert executor._LAYOUTS == {}
+    assert len(set(messages)) == 1
+
+
+def test_lowered_cap_refuses_a_cached_layout(monkeypatch):
+    p = build_program(NonlocalCUSpec(qsim.X, 1))  # 4 qubits alive
+    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "3")
+    with pytest.raises(ValueError) as cold:
+        cold_kraus_stack(p)
+    assert executor._LAYOUTS == {}
+    monkeypatch.delenv("TELEGATE_MAX_QUBITS")
+    kraus_stack(p)
+    assert len(executor._LAYOUTS) == 1
+    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "3")
+    with pytest.raises(ValueError) as warm:
+        kraus_stack(p)
+    assert str(warm.value) == str(cold.value)
+    assert "4 qubits alive" in str(warm.value)
+
+
+def test_layout_cache_is_bounded_oldest_first():
+    """More shapes than the cache holds: it keeps the newest
+    LAYOUT_CACHE_SIZE, and an evicted shape is laid out again."""
+    programs = [
+        Program(
+            (ExternalWire(qwire(0), Party.ALICE),),
+            (ApplyLocal(Party.ALICE, (qwire(0),), qsim.H),) * i,
+        )
+        for i in range(executor.LAYOUT_CACHE_SIZE + 8)
+    ]
+    executor._LAYOUTS.clear()
+    for p in programs:
+        kraus_stack(p)
+        assert len(executor._LAYOUTS) <= executor.LAYOUT_CACHE_SIZE
+    assert len(executor._LAYOUTS) == executor.LAYOUT_CACHE_SIZE
+    assert executor._shape(programs[0]) not in executor._LAYOUTS
+    assert executor._shape(programs[-1]) in executor._LAYOUTS
+    assert_same_stack(kraus_stack(programs[0]), ([()], np.eye(2)[None].astype(complex)))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -224,6 +346,7 @@ def test_kraus_pass_matches_per_transcript_dilation(seed):
     assert [t for t, _ in got] == [t for t, _ in want]
     for (_, k), (_, ref) in zip(got, want):
         assert np.abs(k - ref).max() < 1e-12
+    assert len(executor._LAYOUTS) <= executor.LAYOUT_CACHE_SIZE
 
 
 # Choi matrices

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from telegate import qsim
-from telegate.executor import ExecutionError, _apply, _checked, _positions, _walk
-from telegate.protocol import ApplyLocal, MeasureZ, Party, cwire, qwire
+from telegate.executor import ExecutionError, _apply, _checked, _layout, _permutation, _positions, _run
+from telegate.protocol import ApplyLocal, ExternalWire, MeasureZ, Party, Program, cwire, qwire
 from telegate.qsim import StateVector, UnitaryMatrix
 
 SQ2 = 1 / math.sqrt(2)
@@ -16,19 +16,23 @@ def apply(state: StateVector, positions, u: UnitaryMatrix, controlled=False) -> 
     """``executor._apply`` on one state (a batch of one).  ``_apply`` may
     rewrite its input, so it gets a copy of the read-only amplitudes."""
     psi = state.amplitudes.reshape((2,) * state.n_qubits + (1,)).copy()
-    return StateVector(_apply(psi, tuple(positions), u.matrix, controlled).reshape(-1))
+    perm, inverse = _permutation(psi.ndim, tuple(positions))
+    return StateVector(_apply(psi, perm, inverse, u.matrix, controlled).reshape(-1))
 
 
 def measure(state: StateVector, qubit: int) -> list[tuple[int, float, StateVector]]:
-    """``executor._walk`` on a single MeasureZ, with the dust drop and
-    checks of ``executor._checked``: ``(outcome, probability,
-    renormalized post-state)`` per branch kept, by outcome."""
+    """``executor._layout`` and ``_run`` on a single MeasureZ, with the
+    dust drop and checks of ``executor._checked``: ``(outcome,
+    probability, renormalized post-state)`` per branch kept, by outcome."""
     n = state.n_qubits
-    transcripts, ops = _checked(*_walk(
+    p = Program(
+        tuple(ExternalWire(qwire(q), Party.ALICE) for q in range(n)),
         (MeasureZ(Party.ALICE, qwire(qubit), cwire(0)),),
-        state.amplitudes.reshape((2,) * n + (1,)),
-        [qwire(q) for q in range(n)],
-    ))
+    )
+    layout = _layout(p)
+    transcripts, ops = _checked(
+        layout.transcripts, _run(layout, p.instructions, state.amplitudes.reshape((2,) * n + (1,)))
+    )
     branches = []
     for ((_, outcome),), op in zip(transcripts, ops):
         v = op.reshape(-1)
@@ -202,16 +206,17 @@ def test_controlled_apply_rewrites_only_the_control_1_half(seed, n, batch, data)
     shape = (2,) * n + (batch,)
     psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     before = psi.copy()
-    out = _apply(psi, targets, qsim.haar_random_unitary(1 << (k - 1), rng).matrix, controlled=True)
+    axes = _permutation(psi.ndim, targets)
+    out = _apply(psi, *axes, qsim.haar_random_unitary(1 << (k - 1), rng).matrix, controlled=True)
     assert out is psi
     control = targets[0]
     assert np.take(out, 0, axis=control).tobytes() == np.take(before, 0, axis=control).tobytes()
     kept = out.copy()
-    _apply(out, targets, qsim.haar_random_unitary(1 << k, rng).matrix)
+    _apply(out, *axes, qsim.haar_random_unitary(1 << k, rng).matrix)
     assert out.tobytes() == kept.tobytes()
 
 
-# executor._walk on one MeasureZ: the one way a state is measured
+# executor._run on one MeasureZ: the one way a state is measured
 
 def test_measure_zero_state():
     branches = measure(StateVector.zero(1), 0)
