@@ -4,13 +4,16 @@
 # Alice holds the control qubit, Bob holds the target.  Neither party may
 # apply a gate to the other's qubit; they share one entangled pair up front
 # and may send classical bits.  The builder emits the standard three-phase
-# program; the executor enumerates all four classical transcripts exactly.
+# program; the executor enumerates all four classical transcripts exactly,
+# as one Kraus operator K_t per transcript t.  On an input psi, transcript t
+# happens with probability |K_t psi|^2 and leaves K_t psi, normalized.
 
 import numpy as np
 
-from telegate import NonlocalCUSpec, build_program, qsim, resource_census, run_branches
+from telegate import (
+    NonlocalCUSpec, build_program, kraus_stack, qsim, resource_census, transcript_key,
+)
 from telegate.protocol import format_instruction
-from telegate.qsim import StateVector
 
 # The gate to control: X, so the whole construction implements a CNOT whose
 # control and target live at different parties.
@@ -26,21 +29,22 @@ print(f"\nconsumes: {census.ebits} ebit, "
       f"{census.bits_alice_to_bob} bit Alice->Bob, "
       f"{census.bits_bob_to_alice} bit Bob->Alice")
 
+transcripts, ops = kraus_stack(program)
+
 # Run it on |10> (control set, target clear).  A CNOT should give |11>
 # on every branch, and each of the four transcripts is equally likely --
 # the measured bits are pure noise, carrying nothing about the input.
-outcomes = run_branches(program, StateVector.from_bits("10"))
+ten = np.array([0, 0, 1, 0])
 print("\nbranches on input |10>:")
-for o in outcomes:
-    bits = ",".join(f"{wire}={bit}" for wire, bit in o.transcript)
-    amps = np.round(o.final_state.amplitudes, 12)
-    print(f"  {bits}   p={o.probability:.4f}   final amplitudes {amps}")
+for transcript, out in zip(transcripts, ops @ ten):
+    p = np.vdot(out, out).real
+    amps = np.round(out / np.sqrt(p), 12)
+    print(f"  {transcript_key(transcript)}   p={p:.4f}   final amplitudes {amps}")
 
 # The same program teleports superposed controls too.
-plus = StateVector(np.array([1, 0, 1, 0]) / np.sqrt(2))  # (|00> + |10>)/sqrt(2)
-outcomes = run_branches(program, plus)
-bell = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2))
+plus = np.array([1, 0, 1, 0]) / np.sqrt(2)  # (|00> + |10>)/sqrt(2)
+bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
 print("\nbranches on a superposed control (expect a Bell state):")
-for o in outcomes:
-    bits = ",".join(f"{wire}={bit}" for wire, bit in o.transcript)
-    print(f"  {bits}   fidelity vs Bell = {qsim.fidelity(o.final_state, bell):.12f}")
+for transcript, out in zip(transcripts, ops @ plus):
+    phi = out / np.linalg.norm(out)
+    print(f"  {transcript_key(transcript)}   fidelity vs Bell = {abs(np.vdot(phi, bell)):.12f}")

@@ -14,14 +14,7 @@ per-branch fidelities and Choi-matrix distance.
 
 from . import builder, executor, gatelang, protocol, qsim, verifier
 from .builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program, build_specification
-from .executor import (
-    BranchOutcome,
-    channel_choi,
-    kraus_choi_distance,
-    kraus_stack,
-    run_branches,
-    transcript_key,
-)
+from .executor import channel_choi, kraus_choi_distance, kraus_stack, transcript_key
 from .protocol import (
     Party,
     Program,
@@ -38,7 +31,6 @@ from .verifier import EquivalenceReport, verify, verify_program
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchOutcome",
     "EquivalenceReport",
     "MUTATIONS",
     "NonlocalCUSpec",
@@ -62,7 +54,6 @@ __all__ = [
     "protocol",
     "qsim",
     "resource_census",
-    "run_branches",
     "transcript_key",
     "validate_locality",
     "verifier",

@@ -22,14 +22,15 @@ import numpy as np
 
 from . import gatelang
 from .builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program, build_specification
-from .executor import ExecutionError, channel_choi, check_register, run_branches, transcript_key
+from .executor import ExecutionError, channel_choi, check_register, kraus_stack, transcript_key
 from .protocol import Program, parse_program, resource_census, validate_locality
-from .qsim import StateVector, UnitaryMatrix, fidelity
+from .qsim import UnitaryMatrix
 from .verifier import (
     DEFAULT_PROBES,
     DEFAULT_SEED,
     DEFAULT_TOL_BRANCH,
     DEFAULT_TOL_CHOI,
+    _branch_evidence,
     check_specification,
     verify_program,
 )
@@ -185,10 +186,10 @@ def _print_program(program: Program) -> None:
         print(f"    {i:>2}  {format_instruction(ins)}")
 
 
-def _fmt_state(state: StateVector) -> str:
-    n = state.n_qubits
+def _fmt_state(amplitudes: np.ndarray) -> str:
+    n = amplitudes.size.bit_length() - 1
     terms = []
-    for idx, amp in enumerate(state.amplitudes):
+    for idx, amp in enumerate(amplitudes):
         if abs(amp) < 1e-12:
             continue
         bits = format(idx, f"0{n}b") if n else ""
@@ -203,33 +204,39 @@ def _cmd_trace(args) -> int:
         raise ValueError(
             f"input label must be {program.n_external} bits for this program, got {label!r}"
         )
-    state = StateVector.from_bits(label)
-    expected = StateVector(u_spec.matrix @ state.amplitudes)
-    outcomes = run_branches(program, state)
+    # Basis input j's branch outputs are column j of the Kraus operators.
+    # Its evidence is read from the evidence over the whole basis, as
+    # verify computes it: numpy sums a one-column block in another order,
+    # which can move the last bits.
+    j = int(label or "0", 2)
+    transcripts, ops = kraus_stack(program)
+    prob, seen, fid = _branch_evidence(ops, u_spec.matrix)
+    rows = [
+        (transcript_key(transcript), float(prob[t, j]), float(fid[t, j]),
+         ops[t, :, j] / math.sqrt(prob[t, j]))
+        for t, transcript in enumerate(transcripts)
+        if seen[t, j]
+    ]
     if args.format == "json":
         doc = {
             "input": label,
             "branches": [
                 {
-                    "transcript": transcript_key(o.transcript),
-                    "probability": o.probability,
-                    "fidelity": fidelity(o.final_state, expected),
-                    "amplitudes": [
-                        [float(a.real), float(a.imag)] for a in o.final_state.amplitudes
-                    ],
+                    "transcript": key,
+                    "probability": p,
+                    "fidelity": f,
+                    "amplitudes": [[float(a.real), float(a.imag)] for a in amps],
                 }
-                for o in outcomes
+                for key, p, f, amps in rows
             ],
         }
         print(json.dumps(doc, sort_keys=True, separators=(", ", ": ")))
     else:
         print(f"source: {desc}")
-        print(f"input |{label}>, {len(outcomes)} branch(es):")
+        print(f"input |{label}>, {len(rows)} branch(es):")
         print(f"  {'transcript':<16} {'probability':<12} {'fidelity':<10} final state")
-        for o in outcomes:
-            key = transcript_key(o.transcript)
-            fid = fidelity(o.final_state, expected)
-            print(f"  {key:<16} {o.probability:<12.6f} {fid:<10.6f} {_fmt_state(o.final_state)}")
+        for key, p, f, amps in rows:
+            print(f"  {key:<16} {p:<12.6f} {f:<10.6f} {_fmt_state(amps)}")
     return 0
 
 

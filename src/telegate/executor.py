@@ -10,7 +10,6 @@ e_j that output is column j of K_t, so no product is needed.  A program built
 by the builder has at most four transcripts, so everything downstream is
 small, and every other function here reads that stack:
 
-* :func:`run_branches` is a normalizing view for one input state;
 * :func:`kraus_choi_distance` compares the channel with a unitary U from
   the projections a_t = tr(U†K_t)/|U|_F^2 and the T×T Gram matrix of the
   residuals K_t - a_t U, in O(T^2 d^2) and with no factorization;
@@ -57,7 +56,6 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,20 +87,6 @@ _LAYOUTS: dict[tuple, "_Layout"] = {}
 _LAYOUTS_LOCK = threading.Lock()
 
 Transcript = tuple[tuple[WireRef, int], ...]
-
-
-@dataclass(frozen=True)
-class BranchOutcome:
-    """One classical history: the measured bits in program order, the exact
-    probability of that history, and the final state of the external wires."""
-
-    transcript: Transcript
-    probability: float
-    final_state: StateVector
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple(bit for _, bit in self.transcript)
 
 
 class ExecutionError(RuntimeError):
@@ -333,28 +317,6 @@ def _positions(axes: dict[WireRef, int], targets: tuple[WireRef, ...]) -> tuple[
         return tuple([axes[t] for t in targets])
     except KeyError as exc:
         raise ExecutionError(f"instruction touches missing quantum wire {exc.args[0]}") from None
-
-
-def run_branches(p: Program, input_state: StateVector) -> list[BranchOutcome]:
-    """Every measurement branch of ``p`` on ``input_state``, sorted by bits.
-
-    The input covers exactly the external wires, in declaration order.
-    Branches below probability 1e-14 are omitted, and the rest sum to 1
-    within 1e-12.
-    """
-    if input_state.n_qubits != p.n_external:
-        raise ValueError(
-            f"input has {input_state.n_qubits} qubits, program declares {p.n_external}"
-        )
-    amps = input_state.amplitudes
-    norm2 = float(np.vdot(amps, amps).real)
-    outcomes = []
-    for transcript, k in zip(*kraus_stack(p)):
-        out = k @ amps
-        prob = float(np.vdot(out, out).real) / norm2
-        if prob >= BRANCH_PRUNE:
-            outcomes.append(BranchOutcome(transcript, prob, StateVector(out / math.sqrt(prob))))
-    return outcomes
 
 
 def channel_choi(p: Program) -> np.ndarray:

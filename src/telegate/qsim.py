@@ -95,15 +95,6 @@ class StateVector:
         return self.amplitudes.size.bit_length() - 1
 
     @classmethod
-    def zero(cls, n_qubits: int) -> "StateVector":
-        """The all-|0> state on ``n_qubits`` qubits (a scalar for n=0)."""
-        if n_qubits < 0:
-            raise ValueError("n_qubits must be non-negative")
-        amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(amps)
-
-    @classmethod
     def from_bits(cls, bits: str) -> "StateVector":
         """Computational basis state from a bit label, e.g. ``"10"`` = |10>."""
         if not bits or any(b not in "01" for b in bits):
@@ -225,30 +216,11 @@ def controlled(u: UnitaryMatrix) -> UnitaryMatrix:
     return gate
 
 
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|, insensitive to the global phase of either argument."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"qubit count mismatch: {a.n_qubits} vs {b.n_qubits}")
-    return min(1.0, float(abs(np.vdot(a.amplitudes, b.amplitudes))))
-
-
-def _as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def haar_random_unitary(dim: int, rng: np.random.Generator | int | None = None) -> UnitaryMatrix:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    g = _as_rng(rng)
+    g = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     z = g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return UnitaryMatrix(q * (d / np.abs(d)))
 
-
-def haar_random_state(n_qubits: int, rng: np.random.Generator | int | None = None) -> StateVector:
-    """Uniformly random pure state on ``n_qubits`` qubits."""
-    g = _as_rng(rng)
-    v = g.normal(size=1 << n_qubits) + 1j * g.normal(size=1 << n_qubits)
-    return StateVector(v / np.linalg.norm(v))

@@ -85,28 +85,16 @@ class EquivalenceReport:
         return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
 
 
-def probe_states(n_qubits: int, probes: int, seed: int) -> np.ndarray:
-    """The d×m probe matrix (d = 2^n_qubits, m = max(probes, d)), one probe
-    per column: the computational basis in index order, then the m - d
-    seeded Haar-random states of :func:`_haar_probes`.
-
-    :func:`verify_program` never builds this matrix: it reads the basis
-    probes off the Kraus operators and multiplies only the Haar block.
-    This is the full view of the probes it uses, for tests and readers.
-    """
-    haar = _haar_probes(n_qubits, probes, seed)
-    return np.concatenate([np.eye(haar.shape[0], dtype=np.complex128), haar], axis=1)
-
-
 def _haar_probes(n_qubits: int, probes: int, seed: int) -> np.ndarray:
-    """The d×(m - d) Haar block of :func:`probe_states`, one state per column.
+    """The d×(m - d) Haar-random probes (d = 2^n_qubits, m = max(probes,
+    d)), one state per column; the other d probes are the computational
+    basis, which :func:`verify_program` reads off the Kraus operators.
 
     The columns come from one ``default_rng(seed).normal(size=(m - d, 2,
-    d))`` draw (real parts, then imaginary parts, probe by probe): the
-    same stream, in the same order, as m - d successive
-    :func:`qsim.haar_random_state` calls.  Every column is a valid state:
-    finite, with norm 1 within 1e-9.  When m = d the block is empty and
-    no generator is seeded.
+    d))`` draw (real parts, then imaginary parts, probe by probe), each
+    divided by its norm.  Every column is a valid state: finite, with
+    norm 1 within 1e-9.  When m = d the block is empty and no generator
+    is seeded.
 
     The probe index counts as a register of ceil(log2 m) qubits, which
     covers the n_qubits rows too (m >= d): it is refused, before anything
@@ -126,6 +114,28 @@ def _haar_probes(n_qubits: int, probes: int, seed: int) -> np.ndarray:
     if np.abs(np.linalg.norm(haar, axis=1) - 1.0).max() > 1e-9:
         raise ValueError("probe states must be normalized")
     return np.ascontiguousarray(haar.T)
+
+
+def _branch_evidence(
+    out: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The evidence of every branch on every probe: (T, m) arrays of the
+    probability p = |K_t ψ_j|^2, of ``seen`` = p >= 1e-14 and of the
+    fidelity min(1, |<U ψ_j, K_t ψ_j>| / sqrt(p)), which is
+    phase-insensitive and meaningful only where seen.
+
+    ``out`` is the (T, d, m) array of unnormalized branch outputs K_t ψ_j
+    (transcript, output index, probe) and ``targets`` the d×m array of
+    the U ψ_j, which is divided by its column norms here.  For the
+    computational basis these are the Kraus stack itself and U.  This is
+    the one formula behind :func:`verify_program`'s branch evidence and
+    the fidelity column of ``telegate trace``.
+    """
+    expected = targets / np.linalg.norm(targets, axis=0)
+    prob = np.einsum("tij,tij->tj", out.conj(), out).real
+    seen = prob >= BRANCH_PRUNE
+    overlap = np.abs(np.einsum("ij,tij->tj", expected.conj(), out))
+    return prob, seen, np.minimum(1.0, overlap / np.sqrt(np.where(seen, prob, 1.0)))
 
 
 def check_specification(p: Program, u_spec: UnitaryMatrix) -> None:
@@ -161,14 +171,10 @@ def verify_program(
     transcripts, ops = kraus_stack(p)
 
     # Basis probe j's outputs are column j of K_t and of U.
-    expected = np.concatenate([u_spec.matrix, u_spec.matrix @ haar], axis=1)
-    expected /= np.linalg.norm(expected, axis=0)
-    out = np.concatenate([ops, ops @ haar], axis=2)  # (transcript, output index, probe)
-    prob = np.einsum("tij,tij->tj", out.conj(), out).real
-    seen = prob >= BRANCH_PRUNE
-    overlap = np.abs(np.einsum("ij,tij->tj", expected.conj(), out))
-    ratio = overlap / np.sqrt(np.where(seen, prob, 1.0))
-    infid = np.where(seen, 1.0 - np.minimum(1.0, ratio), 0.0).max(axis=1)
+    targets = np.concatenate([u_spec.matrix, u_spec.matrix @ haar], axis=1)
+    out = np.concatenate([ops, ops @ haar], axis=2)
+    prob, seen, fid = _branch_evidence(out, targets)
+    infid = np.where(seen, 1.0 - fid, 0.0).max(axis=1)
     mass = np.where(seen, prob, 0.0).sum(axis=1) / out.shape[2]
     # kraus_stack lists transcripts in bit order over one wire list, which
     # is also the order of their keys: the report needs no sort.

@@ -1,21 +1,92 @@
-"""The mixed state of a branch ensemble, for comparing ``run_branches``
-with the deferred-measurement oracle.
+"""Test-side views of the package's execution path.
+
+``run_branches`` normalizes the branches of ``executor.kraus_stack`` for
+one input state, and ``branch_density`` mixes them, for comparing with
+the deferred-measurement oracle; ``probe_states`` is the full probe
+matrix of which ``verify_program`` builds only the Haar block; and
+``haar_random_state`` and ``zero_state`` make input states.
 
 Not part of ``oracles.py``, which stays independent of the package's
-execution path: this reads the ``BranchOutcome`` values that
-``run_branches`` returns.
+execution path: this reads ``kraus_stack`` and the verifier's probes.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
+from telegate.executor import Transcript, kraus_stack
+from telegate.protocol import Program
+from telegate.qsim import BRANCH_PRUNE, StateVector
+from telegate.verifier import _haar_probes
 
-def branch_density(outcomes) -> np.ndarray:
+
+@dataclass(frozen=True)
+class Branch:
+    """One classical history: the measured bits in program order, the exact
+    probability of that history, and the final state of the external wires."""
+
+    transcript: Transcript
+    probability: float
+    final_state: StateVector
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(bit for _, bit in self.transcript)
+
+
+def run_branches(p: Program, input_state: StateVector) -> list[Branch]:
+    """Every measurement branch of ``p`` on ``input_state``, sorted by bits:
+    ``K_t @ psi`` for each Kraus operator, normalized.
+
+    The input covers exactly the external wires, in declaration order.
+    Branches below probability 1e-14 are omitted, and the rest sum to 1
+    within 1e-12.
+    """
+    if input_state.n_qubits != p.n_external:
+        raise ValueError(
+            f"input has {input_state.n_qubits} qubits, program declares {p.n_external}"
+        )
+    amps = input_state.amplitudes
+    norm2 = float(np.vdot(amps, amps).real)
+    branches = []
+    for transcript, k in zip(*kraus_stack(p)):
+        out = k @ amps
+        prob = float(np.vdot(out, out).real) / norm2
+        if prob >= BRANCH_PRUNE:
+            branches.append(Branch(transcript, prob, StateVector(out / math.sqrt(prob))))
+    return branches
+
+
+def branch_density(branches: list[Branch]) -> np.ndarray:
     """Mixed output state of a branch ensemble: sum of p |phi><phi|."""
-    dim = outcomes[0].final_state.amplitudes.size
+    dim = branches[0].final_state.amplitudes.size
     rho = np.zeros((dim, dim), dtype=np.complex128)
-    for o in outcomes:
-        v = o.final_state.amplitudes
-        rho += o.probability * np.outer(v, v.conj())
+    for b in branches:
+        v = b.final_state.amplitudes
+        rho += b.probability * np.outer(v, v.conj())
     return rho
+
+
+def probe_states(n_qubits: int, probes: int, seed: int) -> np.ndarray:
+    """The d×m probe matrix of ``verify_program`` (d = 2^n_qubits, m =
+    max(probes, d)), one probe per column: the computational basis in
+    index order, then the m - d seeded Haar-random states it multiplies."""
+    haar = _haar_probes(n_qubits, probes, seed)
+    return np.concatenate([np.eye(haar.shape[0], dtype=np.complex128), haar], axis=1)
+
+
+def haar_random_state(n_qubits: int, rng: np.random.Generator | int | None = None) -> StateVector:
+    """Uniformly random pure state on ``n_qubits`` qubits."""
+    g = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    v = g.normal(size=1 << n_qubits) + 1j * g.normal(size=1 << n_qubits)
+    return StateVector(v / np.linalg.norm(v))
+
+
+def zero_state(n_qubits: int) -> StateVector:
+    """The all-|0> state on ``n_qubits`` qubits."""
+    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+    amps[0] = 1.0
+    return StateVector(amps)

@@ -9,12 +9,11 @@ import time
 
 import numpy as np
 
-from ensemble import branch_density
+from ensemble import branch_density, haar_random_state, run_branches
 from oracles import deferred_measurement_density
 from telegate import qsim
 from telegate.builder import NonlocalCUSpec, apply_mutation, build_program, build_specification
 from telegate.cli import main
-from telegate.executor import run_branches
 from telegate.gatelang import GateSyntaxError, parse, format_expr
 from telegate.protocol import (
     ApplyControlledLocal,
@@ -57,7 +56,7 @@ def test_criterion_2_branch_uniformity():
     for _ in range(20):
         program = build_program(NonlocalCUSpec.for_gate(qsim.haar_random_unitary(2, rng)))
         for _ in range(20):
-            outcomes = run_branches(program, qsim.haar_random_state(2, rng))
+            outcomes = run_branches(program, haar_random_state(2, rng))
             assert len(outcomes) == 4
             for o in outcomes:
                 assert abs(o.probability - 0.25) <= TOL_PROB
@@ -89,7 +88,7 @@ def test_criterion_5_deferred_measurement_oracle():
     rng = np.random.default_rng(5)
     for _ in range(25):
         program = build_program(NonlocalCUSpec.for_gate(qsim.haar_random_unitary(2, rng)))
-        state = qsim.haar_random_state(2, rng)
+        state = haar_random_state(2, rng)
         rho = branch_density(run_branches(program, state))
         rho_oracle = deferred_measurement_density(program, state.amplitudes)
         assert np.abs(rho - rho_oracle).max() <= TOL_ORACLE
@@ -178,7 +177,7 @@ def test_criterion_9_wide_targets():
         assert abs(report.choi_dist - 2 ** -0.5) <= 1e-12
         if k == 5:
             for program in (build_program(spec), mutated):
-                state = qsim.haar_random_state(k + 1, rng)
+                state = haar_random_state(k + 1, rng)
                 rho = branch_density(run_branches(program, state))
                 rho_oracle = deferred_measurement_density(program, state.amplitudes)
                 assert np.abs(rho - rho_oracle).max() <= TOL_ORACLE

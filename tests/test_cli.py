@@ -60,6 +60,33 @@ def test_trace_bad_input_label(capsys):
     assert "input label" in capsys.readouterr().err
 
 
+def test_trace_zero_external_program(tmp_path, capsys):
+    """A program on no external wires has one basis input, the empty
+    label: trace accepts the program, as lint, verify and choi do."""
+    program = tmp_path / "no_externals.tg"
+    program.write_text("alloc A q1 = 0\nmeasz A q1 -> c1\n")
+    assert main(["lint", str(program)]) == 0
+    assert main(["verify", "--file", str(program), "--against", "[[1]]"]) == 0
+    assert main(["choi", "--file", str(program)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1.0,0.0"
+    argv = ["trace", "--file", str(program), "--against", "[[1]]", "--input", ""]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "input |>, 1 branch(es):",
+        "  transcript       probability  fidelity   final state",
+        "  c1=0             1.000000     1.000000   (+1.000000+0.000000i)|>",
+    ]
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "input": "",
+        "branches": [
+            {"transcript": "c1=0", "probability": 1.0, "fidelity": 1.0, "amplitudes": [[1.0, 0.0]]}
+        ],
+    }
+    assert main([*argv[:-1], "0"]) == 2
+    assert "must be 0 bits" in capsys.readouterr().err
+
+
 def test_trace_file_requires_against(capsys):
     assert main(["trace", "--file", str(DEMOS / "nonlocal_cnot.tg"), "--input", "10"]) == 2
     assert "--against" in capsys.readouterr().err

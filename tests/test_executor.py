@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ensemble import branch_density
+from ensemble import branch_density, haar_random_state, run_branches
 from oracles import (
     choi_of_unitary,
     deferred_measurement_choi,
@@ -20,7 +20,6 @@ from telegate.executor import (
     channel_choi,
     kraus_choi_distance,
     kraus_stack,
-    run_branches,
 )
 from telegate.protocol import (
     ApplyLocal,
@@ -44,7 +43,7 @@ def two_wire_program(*instructions, phases=()) -> Program:
 
 
 def test_empty_program_single_branch():
-    state = qsim.haar_random_state(2, 5)
+    state = haar_random_state(2, 5)
     outcomes = run_branches(two_wire_program(), state)
     assert len(outcomes) == 1
     assert outcomes[0].transcript == ()
@@ -55,19 +54,21 @@ def test_empty_program_single_branch():
 def test_identity_gate_teleportation_on_00():
     p = build_program(NonlocalCUSpec(qsim.I2, 1))
     outcomes = run_branches(p, StateVector.from_bits("00"))
+    want = StateVector.from_bits("00").amplitudes
     assert len(outcomes) == 4
     for o in outcomes:
         assert abs(o.probability - 0.25) < 1e-12
-        assert abs(qsim.fidelity(o.final_state, StateVector.from_bits("00")) - 1) < 1e-12
+        assert abs(abs(np.vdot(o.final_state.amplitudes, want)) - 1) < 1e-12
 
 
 def test_cnot_teleportation_on_10():
     p = build_program(NonlocalCUSpec(qsim.X, 1))
     outcomes = run_branches(p, StateVector.from_bits("10"))
+    want = StateVector.from_bits("11").amplitudes
     assert len(outcomes) == 4
     for o in outcomes:
         assert abs(o.probability - 0.25) < 1e-12
-        assert abs(qsim.fidelity(o.final_state, StateVector.from_bits("11")) - 1) < 1e-12
+        assert abs(abs(np.vdot(o.final_state.amplitudes, want)) - 1) < 1e-12
 
 
 def test_outcomes_sorted_by_transcript_bits():
@@ -81,7 +82,7 @@ def test_outcomes_sorted_by_transcript_bits():
 def test_transcript_uniformity_for_any_gate_and_input(seed):
     rng = np.random.default_rng(seed)
     p = build_program(NonlocalCUSpec.for_gate(qsim.haar_random_unitary(2, rng)))
-    outcomes = run_branches(p, qsim.haar_random_state(2, rng))
+    outcomes = run_branches(p, haar_random_state(2, rng))
     assert len(outcomes) == 4
     for o in outcomes:
         assert abs(o.probability - 0.25) < 1e-12
@@ -91,7 +92,7 @@ def test_transcript_uniformity_for_any_gate_and_input(seed):
 def test_branch_mixture_matches_deferred_measurement_oracle(seed):
     rng = np.random.default_rng(seed)
     p = build_program(NonlocalCUSpec.for_gate(qsim.haar_random_unitary(2, rng)))
-    state = qsim.haar_random_state(2, rng)
+    state = haar_random_state(2, rng)
     rho_branches = branch_density(run_branches(p, state))
     rho_oracle = deferred_measurement_density(p, state.amplitudes)
     assert np.abs(rho_branches - rho_oracle).max() < 1e-10
