@@ -1,0 +1,67 @@
+"""The base of telegate's immutable value classes.
+
+The program IR, the gate-expression AST and the reports are small frozen
+records.  They are plain ``__slots__`` classes on :class:`Record`, not
+classes made by the standard library's code-generating record decorator,
+which builds and ``exec``s every method of every class at each import:
+with numpy already loaded, that was most of ``import telegate.cli``
+(median 37 ms against 12 ms without it, CPython 3.11 on 2 vCPUs, bytecode
+cached; ``BENCH_12.json``).
+
+A subclass lists its constructor's parameters, in order, as both its
+``__slots__`` and its ``_fields`` (which, unlike slots, its own
+subclasses inherit).  Its ``__init__`` checks the arguments, stores each
+field with :func:`set_field` and ends with :meth:`Record._seal`, passing
+the field values equality compares (fields left out, such as source
+positions and labels, affect neither equality nor the hash).  Then:
+
+* fields cannot be assigned or deleted (``AttributeError``);
+* ``a == b`` holds when both have the same class and equal keys; the
+  key tuple is built once, and the hash is computed from it once, in
+  ``_seal``, since the executor keys dicts by whole instructions;
+* ``repr`` prints ``Name(field=value, ...)`` over every field;
+* copies and pickles are rebuilt through the constructor, so they pass
+  its checks again and never carry a stored hash into a process whose
+  string hashes are salted differently.
+
+A class whose fields may hold an unhashable value (a gate matrix) keeps
+the key but not a hash: it stores ``_key`` itself and sets
+``__hash__ = None`` or computes the hash per call.
+"""
+
+from __future__ import annotations
+
+#: Stores a field from ``__init__``, past :meth:`Record.__setattr__`.
+set_field = object.__setattr__
+
+
+class Record:
+    """Frozen slotted record: see the module docstring."""
+
+    __slots__ = ("_key", "_hash")
+    _fields: tuple[str, ...] = ()
+
+    def _seal(self, *key) -> None:
+        set_field(self, "_key", key)
+        set_field(self, "_hash", hash(key))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)

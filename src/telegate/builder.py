@@ -18,9 +18,9 @@ unitary acting across the cut.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import qsim
+from ._record import Record, set_field
 from .protocol import (
     AllocQubit,
     ApplyControlledLocal,
@@ -41,20 +41,21 @@ from .qsim import UnitaryMatrix
 MAX_TARGET_QUBITS = 8
 
 
-@dataclass(frozen=True)
-class NonlocalCUSpec:
-    """The unitary to be controlled, acting on ``k`` target qubits."""
+class NonlocalCUSpec(Record):
+    """The unitary to be controlled, acting on ``k`` target qubits.
+    Unhashable, as its gate is."""
 
-    c: UnitaryMatrix
-    k: int
+    __slots__ = _fields = ("c", "k")
+    __hash__ = None
 
-    def __post_init__(self):
-        if not 1 <= self.k <= MAX_TARGET_QUBITS:
-            raise ValueError(f"k must be in 1..{MAX_TARGET_QUBITS}, got {self.k}")
-        if self.c.dim != 1 << self.k:
-            raise ValueError(
-                f"gate of dim {self.c.dim} does not act on {self.k} qubits"
-            )
+    def __init__(self, c: UnitaryMatrix, k: int):
+        if not 1 <= k <= MAX_TARGET_QUBITS:
+            raise ValueError(f"k must be in 1..{MAX_TARGET_QUBITS}, got {k}")
+        if c.dim != 1 << k:
+            raise ValueError(f"gate of dim {c.dim} does not act on {k} qubits")
+        set_field(self, "c", c)
+        set_field(self, "k", k)
+        set_field(self, "_key", (c, k))
 
     @classmethod
     def for_gate(cls, c: UnitaryMatrix) -> "NonlocalCUSpec":

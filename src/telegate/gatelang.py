@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import qsim
+from ._record import Record, set_field
 from .qsim import UnitaryMatrix
 
 
@@ -52,46 +52,63 @@ class GateEvalError(ValueError):
 
 
 # --- abstract syntax --------------------------------------------------------
+# Byte offsets (``pos``, ``arg_pos``) locate errors and are not compared.
 
 
-@dataclass(frozen=True)
-class NamedGate:
-    name: str
-    pos: int = field(default=0, compare=False)
+class NamedGate(Record):
+    __slots__ = _fields = ("name", "pos")
+
+    def __init__(self, name: str, pos: int = 0):
+        set_field(self, "name", name)
+        set_field(self, "pos", pos)
+        self._seal(name)
 
 
-@dataclass(frozen=True)
-class ParamGate:
-    name: str
-    arg: float
-    pos: int = field(default=0, compare=False)
-    arg_pos: int = field(default=0, compare=False)
+class ParamGate(Record):
+    __slots__ = _fields = ("name", "arg", "pos", "arg_pos")
+
+    def __init__(self, name: str, arg: float, pos: int = 0, arg_pos: int = 0):
+        set_field(self, "name", name)
+        set_field(self, "arg", arg)
+        set_field(self, "pos", pos)
+        set_field(self, "arg_pos", arg_pos)
+        self._seal(name, arg)
 
 
-@dataclass(frozen=True)
-class MatrixLiteral:
-    rows: tuple[tuple[complex, ...], ...]
-    pos: int = field(default=0, compare=False)
+class MatrixLiteral(Record):
+    __slots__ = _fields = ("rows", "pos")
+
+    def __init__(self, rows: tuple[tuple[complex, ...], ...], pos: int = 0):
+        set_field(self, "rows", rows)
+        set_field(self, "pos", pos)
+        self._seal(rows)
 
 
-@dataclass(frozen=True)
-class Product:
-    left: "GateExpr"
-    right: "GateExpr"
-    pos: int = field(default=0, compare=False)
+class _BinaryOp(Record):
+    __slots__ = _fields = ("left", "right", "pos")
+
+    def __init__(self, left: GateExpr, right: GateExpr, pos: int = 0):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        set_field(self, "pos", pos)
+        self._seal(left, right)
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: "GateExpr"
-    right: "GateExpr"
-    pos: int = field(default=0, compare=False)
+class Product(_BinaryOp):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Adjoint:
-    inner: "GateExpr"
-    pos: int = field(default=0, compare=False)
+class Tensor(_BinaryOp):
+    __slots__ = ()
+
+
+class Adjoint(Record):
+    __slots__ = _fields = ("inner", "pos")
+
+    def __init__(self, inner: GateExpr, pos: int = 0):
+        set_field(self, "inner", inner)
+        set_field(self, "pos", pos)
+        self._seal(inner)
 
 
 GateExpr = NamedGate | ParamGate | MatrixLiteral | Product | Tensor | Adjoint
@@ -112,13 +129,23 @@ _WS_RE = re.compile(r"[ \t\r\n]+")
 _SYMBOLS = "*'()[],"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAME, NUMBER, TENSOR, or one of the symbol characters
-    text: str
-    pos: int
-    value: complex = 0j
-    is_real: bool = False
+class _Token(Record):
+    __slots__ = _fields = ("kind", "text", "pos", "value", "is_real")
+
+    def __init__(
+        self,
+        kind: str,  # NAME, NUMBER, TENSOR, or one of the symbol characters
+        text: str,
+        pos: int,
+        value: complex = 0j,
+        is_real: bool = False,
+    ):
+        set_field(self, "kind", kind)
+        set_field(self, "text", text)
+        set_field(self, "pos", pos)
+        set_field(self, "value", value)
+        set_field(self, "is_real", is_real)
+        self._seal(kind, text, pos, value, is_real)
 
 
 def _lex(text: str) -> list[_Token]:

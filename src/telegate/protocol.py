@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
-
 from . import gatelang
+from ._record import Record, set_field
 from .qsim import UnitaryMatrix
 
 
@@ -40,30 +39,22 @@ class WireKind(enum.Enum):
     CLASSICAL = "c"
 
 
-@dataclass(frozen=True)
-class WireRef:
+class WireRef(Record):
     """A wire name: kind ('q' or 'c') plus a non-negative integer id.
 
     Wire references key every dict and set of the validator and the
-    executor, so the hash is computed once, from the kind's value rather
-    than the Enum member (whose ``__hash__`` runs in Python).  String
-    hashes differ between processes, so copies and pickles are rebuilt
-    through the constructor instead of carrying the stored hash along.
+    executor, so the key holds the kind's value rather than the Enum
+    member, whose ``__hash__`` runs in Python.
     """
 
-    kind: WireKind
-    id: int
+    __slots__ = _fields = ("kind", "id")
 
-    def __post_init__(self):
-        if self.id < 0:
-            raise ValueError(f"wire id must be non-negative, got {self.id}")
-        object.__setattr__(self, "_hash", hash((self.kind.value, self.id)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return WireRef, (self.kind, self.id)
+    def __init__(self, kind: WireKind, id: int):
+        if id < 0:
+            raise ValueError(f"wire id must be non-negative, got {id}")
+        set_field(self, "kind", kind)
+        set_field(self, "id", id)
+        self._seal(kind.value, id)
 
     @property
     def name(self) -> str:
@@ -84,135 +75,157 @@ def cwire(i: int) -> WireRef:
 # --- instruction variants ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AllocQubit:
+class AllocQubit(Record):
     """Allocate a fresh local qubit in a computational basis state."""
 
-    party: Party
-    wire: WireRef
-    basis_value: int
+    __slots__ = _fields = ("party", "wire", "basis_value")
 
-    def __post_init__(self):
-        _require_quantum(self.wire)
-        if self.basis_value not in (0, 1):
-            raise ValueError(f"basis_value must be 0 or 1, got {self.basis_value}")
+    def __init__(self, party: Party, wire: WireRef, basis_value: int):
+        _require_quantum(wire)
+        if basis_value not in (0, 1):
+            raise ValueError(f"basis_value must be 0 or 1, got {basis_value}")
+        set_field(self, "party", party)
+        set_field(self, "wire", wire)
+        set_field(self, "basis_value", basis_value)
+        self._seal(party, wire, basis_value)
 
 
-@dataclass(frozen=True)
-class MakeBellPair:
+class MakeBellPair(Record):
     """Create the shared pair (|00>+|11>)/sqrt(2): left half at Alice,
     right half at Bob.  The one primitive that spans the cut."""
 
-    left: WireRef
-    right: WireRef
+    __slots__ = _fields = ("left", "right")
 
-    def __post_init__(self):
-        _require_quantum(self.left)
-        _require_quantum(self.right)
-        if self.left == self.right:
+    def __init__(self, left: WireRef, right: WireRef):
+        _require_quantum(left)
+        _require_quantum(right)
+        if left == right:
             raise ValueError("bell pair halves must be distinct wires")
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        self._seal(left, right)
 
 
-@dataclass(frozen=True)
-class ApplyLocal:
-    """Apply a unitary to wires all owned by one party."""
+class ApplyLocal(Record):
+    """Apply a unitary to wires all owned by one party.  ``label`` (the
+    source expression, if any) is not compared; the gate makes the
+    instruction unhashable."""
 
-    party: Party
-    wires: tuple[WireRef, ...]
-    gate: UnitaryMatrix
-    label: str | None = field(default=None, compare=False)
+    __slots__ = _fields = ("party", "wires", "gate", "label")
+    __hash__ = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "wires", tuple(self.wires))
-        if not self.wires:
+    def __init__(
+        self,
+        party: Party,
+        wires: tuple[WireRef, ...],
+        gate: UnitaryMatrix,
+        label: str | None = None,
+    ):
+        wires = tuple(wires)
+        if not wires:
             raise ValueError("ApplyLocal needs at least one wire")
-        for w in self.wires:
+        for w in wires:
             _require_quantum(w)
-        if len(set(self.wires)) != len(self.wires):
+        if len(set(wires)) != len(wires):
             raise ValueError("ApplyLocal wires must be distinct")
-        if self.gate.dim != 1 << len(self.wires):
-            raise ValueError(
-                f"gate of dim {self.gate.dim} cannot act on {len(self.wires)} wires"
-            )
+        if gate.dim != 1 << len(wires):
+            raise ValueError(f"gate of dim {gate.dim} cannot act on {len(wires)} wires")
+        set_field(self, "party", party)
+        set_field(self, "wires", wires)
+        set_field(self, "gate", gate)
+        set_field(self, "label", label)
+        set_field(self, "_key", (party, wires, gate))
 
 
-@dataclass(frozen=True)
-class ApplyControlledLocal:
-    """Apply a unitary to target wires, controlled on another local wire."""
+class ApplyControlledLocal(Record):
+    """Apply a unitary to target wires, controlled on another local wire.
+    ``label`` is not compared; the gate makes the instruction unhashable."""
 
-    party: Party
-    control: WireRef
-    targets: tuple[WireRef, ...]
-    gate: UnitaryMatrix
-    label: str | None = field(default=None, compare=False)
+    __slots__ = _fields = ("party", "control", "targets", "gate", "label")
+    __hash__ = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(self.targets))
-        _require_quantum(self.control)
-        if not self.targets:
+    def __init__(
+        self,
+        party: Party,
+        control: WireRef,
+        targets: tuple[WireRef, ...],
+        gate: UnitaryMatrix,
+        label: str | None = None,
+    ):
+        targets = tuple(targets)
+        _require_quantum(control)
+        if not targets:
             raise ValueError("ApplyControlledLocal needs at least one target")
-        for w in self.targets:
+        for w in targets:
             _require_quantum(w)
-        touched = (self.control, *self.targets)
+        touched = (control, *targets)
         if len(set(touched)) != len(touched):
             raise ValueError("control and targets must be distinct wires")
-        if self.gate.dim != 1 << len(self.targets):
-            raise ValueError(
-                f"gate of dim {self.gate.dim} cannot act on {len(self.targets)} targets"
-            )
+        if gate.dim != 1 << len(targets):
+            raise ValueError(f"gate of dim {gate.dim} cannot act on {len(targets)} targets")
+        set_field(self, "party", party)
+        set_field(self, "control", control)
+        set_field(self, "targets", targets)
+        set_field(self, "gate", gate)
+        set_field(self, "label", label)
+        set_field(self, "_key", (party, control, targets, gate))
 
 
-@dataclass(frozen=True)
-class MeasureZ:
+class MeasureZ(Record):
     """Z-measure a local qubit, consuming it and writing a classical bit."""
 
-    party: Party
-    wire: WireRef
-    out: WireRef
+    __slots__ = _fields = ("party", "wire", "out")
 
-    def __post_init__(self):
-        _require_quantum(self.wire)
-        _require_classical(self.out)
+    def __init__(self, party: Party, wire: WireRef, out: WireRef):
+        _require_quantum(wire)
+        _require_classical(out)
+        set_field(self, "party", party)
+        set_field(self, "wire", wire)
+        set_field(self, "out", out)
+        self._seal(party, wire, out)
 
 
-@dataclass(frozen=True)
-class SendBit:
+class SendBit(Record):
     """Transmit a written classical bit across the cut."""
 
-    from_party: Party
-    to_party: Party
-    wire: WireRef
+    __slots__ = _fields = ("from_party", "to_party", "wire")
 
-    def __post_init__(self):
-        _require_classical(self.wire)
-        if self.from_party is self.to_party:
+    def __init__(self, from_party: Party, to_party: Party, wire: WireRef):
+        _require_classical(wire)
+        if from_party is to_party:
             raise ValueError("SendBit must cross the cut")
+        set_field(self, "from_party", from_party)
+        set_field(self, "to_party", to_party)
+        set_field(self, "wire", wire)
+        self._seal(from_party, to_party, wire)
 
 
-@dataclass(frozen=True)
-class ConditionalPauli:
+class ConditionalPauli(Record):
     """Apply X or Z to a local qubit iff a readable classical bit is 1."""
 
-    party: Party
-    wire: WireRef
-    pauli: str
-    condition: WireRef
+    __slots__ = _fields = ("party", "wire", "pauli", "condition")
 
-    def __post_init__(self):
-        _require_quantum(self.wire)
-        _require_classical(self.condition)
-        if self.pauli not in ("X", "Z"):
-            raise ValueError(f"pauli must be 'X' or 'Z', got {self.pauli!r}")
+    def __init__(self, party: Party, wire: WireRef, pauli: str, condition: WireRef):
+        _require_quantum(wire)
+        _require_classical(condition)
+        if pauli not in ("X", "Z"):
+            raise ValueError(f"pauli must be 'X' or 'Z', got {pauli!r}")
+        set_field(self, "party", party)
+        set_field(self, "wire", wire)
+        set_field(self, "pauli", pauli)
+        set_field(self, "condition", condition)
+        self._seal(party, wire, pauli, condition)
 
 
-@dataclass(frozen=True)
-class DiscardBit:
+class DiscardBit(Record):
     """Forget a classical bit (trace it out of the protocol)."""
 
-    wire: WireRef
+    __slots__ = _fields = ("wire",)
 
-    def __post_init__(self):
-        _require_classical(self.wire)
+    def __init__(self, wire: WireRef):
+        _require_classical(wire)
+        set_field(self, "wire", wire)
+        self._seal(wire)
 
 
 Instruction = (
@@ -237,46 +250,58 @@ def _require_classical(w: WireRef) -> None:
         raise ValueError(f"expected a classical wire, got {w}")
 
 
-@dataclass(frozen=True)
-class ExternalWire:
+class ExternalWire(Record):
     """A declared external quantum wire and its owning party.  Declaration
     order fixes the qubit order of program inputs and outputs."""
 
-    wire: WireRef
-    party: Party
+    __slots__ = _fields = ("wire", "party")
 
-    def __post_init__(self):
-        _require_quantum(self.wire)
+    def __init__(self, wire: WireRef, party: Party):
+        _require_quantum(wire)
+        set_field(self, "wire", wire)
+        set_field(self, "party", party)
+        self._seal(wire, party)
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     """An immutable instruction list with per-instruction phase tags.
 
     ``phases[i]`` is 1, 2, or 3 for instructions under one of the three
     protocol phases, or None for unphased instructions (e.g. parsed from
     a file without phase directives).  ``source_lines`` carries 1-based
-    file line numbers when the program came from text.
+    file line numbers when the program came from text; it is not
+    compared.  A program is hashable only when its instructions are (it
+    has no gate), so its hash is computed per call.
     """
 
-    externals: tuple[ExternalWire, ...]
-    instructions: tuple[Instruction, ...] = ()
-    phases: tuple[int | None, ...] = ()
-    source_lines: tuple[int, ...] | None = field(default=None, compare=False)
+    __slots__ = _fields = ("externals", "instructions", "phases", "source_lines")
 
-    def __post_init__(self):
-        object.__setattr__(self, "externals", tuple(self.externals))
-        object.__setattr__(self, "instructions", tuple(self.instructions))
-        phases = tuple(self.phases) if self.phases else (None,) * len(self.instructions)
-        if len(phases) != len(self.instructions):
+    def __init__(
+        self,
+        externals: tuple[ExternalWire, ...],
+        instructions: tuple[Instruction, ...] = (),
+        phases: tuple[int | None, ...] = (),
+        source_lines: tuple[int, ...] | None = None,
+    ):
+        externals = tuple(externals)
+        instructions = tuple(instructions)
+        phases = tuple(phases) if phases else (None,) * len(instructions)
+        if len(phases) != len(instructions):
             raise ValueError("phases must align with instructions")
         for p in phases:
             if p is not None and p not in (1, 2, 3):
                 raise ValueError(f"phase tag must be 1, 2, 3 or None, got {p}")
-        object.__setattr__(self, "phases", phases)
-        ext_wires = [e.wire for e in self.externals]
+        ext_wires = [e.wire for e in externals]
         if len(set(ext_wires)) != len(ext_wires):
             raise ValueError("external wires must be distinct")
+        set_field(self, "externals", externals)
+        set_field(self, "instructions", instructions)
+        set_field(self, "phases", phases)
+        set_field(self, "source_lines", source_lines)
+        set_field(self, "_key", (externals, instructions, phases))
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @property
     def n_external(self) -> int:
@@ -287,26 +312,32 @@ class Program:
         return tuple(e.wire for e in self.externals)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One locality/discipline violation: instruction index and reason.
     index -1 marks end-of-program checks (e.g. an unmeasured wire)."""
 
-    index: int
-    reason: str
+    __slots__ = _fields = ("index", "reason")
+
+    def __init__(self, index: int, reason: str):
+        set_field(self, "index", index)
+        set_field(self, "reason", reason)
+        self._seal(index, reason)
 
     def __str__(self) -> str:
         where = "end of program" if self.index < 0 else f"instruction {self.index}"
         return f"{where}: {self.reason}"
 
 
-@dataclass(frozen=True)
-class ResourceCensus:
+class ResourceCensus(Record):
     """Counts of consumed entanglement and cut-crossing classical bits."""
 
-    ebits: int
-    bits_alice_to_bob: int
-    bits_bob_to_alice: int
+    __slots__ = _fields = ("ebits", "bits_alice_to_bob", "bits_bob_to_alice")
+
+    def __init__(self, ebits: int, bits_alice_to_bob: int, bits_bob_to_alice: int):
+        set_field(self, "ebits", ebits)
+        set_field(self, "bits_alice_to_bob", bits_alice_to_bob)
+        set_field(self, "bits_bob_to_alice", bits_bob_to_alice)
+        self._seal(ebits, bits_alice_to_bob, bits_bob_to_alice)
 
 
 def resource_census(p: Program) -> ResourceCensus:

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._record import Record, set_field
 
 Array = np.ndarray
 
@@ -67,19 +68,19 @@ def _check_pow2(size: int, what: str) -> int:
     return n
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(Record):
     """Normalized amplitude vector over ``n_qubits`` qubits.
 
     The constructor validates the length is a power of two, all entries
     are finite, and the norm is 1 (within 1e-9), then renormalizes to
-    machine precision and freezes the array.
+    machine precision and freezes the array.  Equality compares the
+    amplitudes exactly; states are unhashable.
     """
 
-    amplitudes: Array
+    __slots__ = _fields = ("amplitudes",)
 
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1).copy()
+    def __init__(self, amplitudes: Array):
+        amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
         check_qubits(_check_pow2(amps.size, "state length"), "state")
         if not np.isfinite(amps.view(np.float64)).all():
             raise ValueError("state amplitudes must be finite")
@@ -88,7 +89,7 @@ class StateVector:
             raise ValueError(f"state is not normalized: |amplitudes| = {norm}")
         if abs(norm - 1.0) > 1e-13:  # snap drift without perturbing clean states
             amps /= norm
-        object.__setattr__(self, "amplitudes", _freeze(amps))
+        set_field(self, "amplitudes", _freeze(amps))
 
     @property
     def n_qubits(self) -> int:
@@ -112,19 +113,19 @@ class StateVector:
         return f"StateVector(n_qubits={self.n_qubits})"
 
 
-@dataclass(frozen=True, eq=False)
-class UnitaryMatrix:
+class UnitaryMatrix(Record):
     """Dense complex unitary of power-of-two dimension.
 
     Construction rejects matrices whose deviation from U†U = I exceeds
     1e-10 entrywise, non-finite entries, and dimensions beyond the
-    register cap.
+    register cap.  Equality compares the entries exactly; unitaries are
+    unhashable.
     """
 
-    matrix: Array
+    __slots__ = _fields = ("matrix",)
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128).copy()
+    def __init__(self, matrix: Array):
+        m = np.asarray(matrix, dtype=np.complex128).copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"unitary must be square, got shape {m.shape}")
         check_qubits(_check_pow2(m.shape[0], "unitary dimension"), "unitary")
@@ -133,7 +134,7 @@ class UnitaryMatrix:
         defect = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
         if defect > _UNITARY_ATOL:
             raise ValueError(f"matrix is not unitary: max |U†U - I| = {defect:.3e}")
-        object.__setattr__(self, "matrix", _freeze(m))
+        set_field(self, "matrix", _freeze(m))
 
     @property
     def dim(self) -> int:

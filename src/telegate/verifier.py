@@ -20,11 +20,11 @@ a stable JSON document (see ``docs/report-schema.md``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import qsim
+from ._record import Record, set_field
 from .builder import NonlocalCUSpec, build_program, build_specification
 from .executor import kraus_choi_distance, kraus_stack, transcript_key
 from .protocol import Program, ResourceCensus, resource_census
@@ -36,23 +36,39 @@ DEFAULT_PROBES = 16
 DEFAULT_SEED = 0
 
 
-@dataclass(frozen=True)
-class BranchReport:
+class BranchReport(Record):
     """Worst-case evidence for one transcript across all probe inputs."""
 
-    transcript: str
-    probability: float
-    max_infidelity: float
+    __slots__ = _fields = ("transcript", "probability", "max_infidelity")
+
+    def __init__(self, transcript: str, probability: float, max_infidelity: float):
+        set_field(self, "transcript", transcript)
+        set_field(self, "probability", probability)
+        set_field(self, "max_infidelity", max_infidelity)
+        self._seal(transcript, probability, max_infidelity)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    verdict: str  # "pass" or "fail"
-    tol_branch: float
-    tol_choi: float
-    census: ResourceCensus
-    choi_dist: float
-    branches: tuple[BranchReport, ...]
+class EquivalenceReport(Record):
+    __slots__ = _fields = (
+        "verdict", "tol_branch", "tol_choi", "census", "choi_dist", "branches"
+    )
+
+    def __init__(
+        self,
+        verdict: str,  # "pass" or "fail"
+        tol_branch: float,
+        tol_choi: float,
+        census: ResourceCensus,
+        choi_dist: float,
+        branches: tuple[BranchReport, ...],
+    ):
+        set_field(self, "verdict", verdict)
+        set_field(self, "tol_branch", tol_branch)
+        set_field(self, "tol_choi", tol_choi)
+        set_field(self, "census", census)
+        set_field(self, "choi_dist", choi_dist)
+        set_field(self, "branches", branches)
+        self._seal(verdict, tol_branch, tol_choi, census, choi_dist, branches)
 
     @property
     def passed(self) -> bool:
@@ -171,8 +187,10 @@ def verify_program(
     transcripts, ops = kraus_stack(p)
 
     # Basis probe j's outputs are column j of K_t and of U.
-    targets = np.concatenate([u_spec.matrix, u_spec.matrix @ haar], axis=1)
-    out = np.concatenate([ops, ops @ haar], axis=2)
+    targets, out = u_spec.matrix, ops
+    if haar.shape[1]:
+        targets = np.concatenate([targets, targets @ haar], axis=1)
+        out = np.concatenate([out, out @ haar], axis=2)
     prob, seen, fid = _branch_evidence(out, targets)
     infid = np.where(seen, 1.0 - fid, 0.0).max(axis=1)
     mass = np.where(seen, prob, 0.0).sum(axis=1) / out.shape[2]

@@ -203,15 +203,14 @@ def test_wire_ref_hash_agrees_with_eq():
 
 def test_wire_ref_round_trips_keep_hash_and_eq():
     import copy
-    import dataclasses
     import pickle
 
     w = cwire(5)
     for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
         assert twin == w and hash(twin) == hash(w) and {w: 1}[twin] == 1
-    moved = dataclasses.replace(w, id=6)
+    moved = WireRef(w.kind, 6)
     assert moved == cwire(6) and hash(moved) == hash(cwire(6))
-    flipped = dataclasses.replace(w, kind=WireKind.QUANTUM)
+    flipped = WireRef(WireKind.QUANTUM, w.id)
     assert flipped == qwire(5) and hash(flipped) == hash(qwire(5))
 
 
