@@ -25,7 +25,7 @@ from .protocol import (
     resource_census,
     validate_locality,
 )
-from .qsim import StateVector, UnitaryMatrix
+from .qsim import UnitaryMatrix
 from .verifier import EquivalenceReport, verify, verify_program
 
 __version__ = "0.1.0"
@@ -37,7 +37,6 @@ __all__ = [
     "Party",
     "Program",
     "ResourceCensus",
-    "StateVector",
     "UnitaryMatrix",
     "WireRef",
     "apply_mutation",

@@ -17,9 +17,9 @@ small, and every other function here reads that stack:
   J = sum_t vec(K_t) vec(K_t)† / d, for callers that need the matrix
   itself.  J needs no check of its own: as a Gram matrix it is Hermitian
   and positive semidefinite, and its trace sum_t |K_t|_F^2 / d is 1
-  within 1e-12 because :func:`kraus_stack` checks exactly that sum on
-  the operators it returns (Watrous, *The Theory of Quantum
-  Information*, ch. 2).
+  within the bound of :func:`_checked` because :func:`kraus_stack`
+  checks exactly that sum on the operators it returns (Watrous, *The
+  Theory of Quantum Information*, ch. 2).
 
 :func:`_run` and :func:`_apply` are the only code that evolves or
 measures a state.  Measurement is deferred (Nielsen & Chuang §4.4): a
@@ -73,11 +73,12 @@ from .protocol import (
     WireRef,
     validate_locality,
 )
-from .qsim import BRANCH_PRUNE, StateVector, UnitaryMatrix
+from .qsim import BRANCH_PRUNE, UnitaryMatrix
 
 _PAULI = {"X": qsim.X.matrix, "Z": qsim.Z.matrix}
-# Amplitudes of fresh qubits: |0>, |1>, then the Bell pair.
-_FRESH = (*(StateVector.from_bits(b).amplitudes for b in "01"), qsim.bell_pair().amplitudes)
+# Read-only amplitudes of fresh qubits: |0>, |1>, then (|00> + |11>)/sqrt(2).
+_FRESH = tuple(qsim._freeze(np.array(amps, dtype=np.complex128))
+               for amps in ([1, 0], [0, 1], np.array([1, 0, 0, 1]) / math.sqrt(2)))
 _REGISTER_DETAIL = " alive in one register (measured qubits are kept)"
 
 # Layouts by program shape (see kraus_stack), oldest first; the lock
@@ -109,8 +110,8 @@ def kraus_stack(p: Program) -> tuple[list[Transcript], np.ndarray]:
     plus every qubit it allocates must fit :func:`qsim.max_qubits`.
     Transcripts with ``|K_t|_F^2 < 1e-14`` are dropped (no unit input
     reaches them with probability 1e-14); the rest must be finite and
-    satisfy sum_t |K_t|_F^2 / d = 1 within 1e-12, which makes the channel
-    trace preserving.
+    satisfy sum_t |K_t|_F^2 / d = 1 within the bound of :func:`_checked`,
+    which makes the channel trace preserving.
 
     Validation and the layout of the pass (:func:`_layout`) depend only
     on the shape of ``p`` (:func:`_shape`), so they run once per shape and
@@ -136,7 +137,7 @@ def kraus_stack(p: Program) -> tuple[list[Transcript], np.ndarray]:
     n = p.n_external
     d = 1 << n
     batch = np.eye(d, dtype=np.complex128).reshape((2,) * n + (d,))
-    return _checked(layout.transcripts, _run(layout, p.instructions, batch))
+    return _checked(layout, _run(layout, p.instructions, batch))
 
 
 def check_register(p: Program) -> None:
@@ -176,10 +177,10 @@ def _shape(p: Program) -> tuple:
 # inverse, controlled)`` applies, on the axes ``perm`` brings to the
 # front, the gate of instruction ``source`` (an index) or the Pauli
 # ``source`` names; ``order``, which puts the measured axes first for the
-# final reshape; and ``transcripts``, every outcome of the measured bits
-# in bit order.  A collections.namedtuple, not a typing.NamedTuple, which
-# adds ~0.5 ms to every CLI start (CPython 3.11).
-_Layout = collections.namedtuple("_Layout", "width steps order transcripts")
+# final reshape; ``transcripts``, every outcome of the measured bits in
+# bit order; and ``trace_atol``, the bound of :func:`_checked`.  Not a
+# typing.NamedTuple, which adds ~0.5 ms to every CLI start (CPython 3.11).
+_Layout = collections.namedtuple("_Layout", "width steps order transcripts trace_atol")
 
 
 def _layout(p: Program) -> _Layout:
@@ -193,6 +194,7 @@ def _layout(p: Program) -> _Layout:
     ndim = p.n_external + 1  # the qubit axes, then the batch axis
     steps: list[tuple] = []
     measured: list[tuple[WireRef, int]] = []
+    defect = 0.0  # sum over gates of 2^(qubits the gate acts on) * _UNITARY_ATOL
     for i, ins in enumerate(p.instructions):
         if isinstance(ins, AllocQubit):
             axes[ins.wire] = ndim - 1
@@ -204,9 +206,11 @@ def _layout(p: Program) -> _Layout:
             steps.append((None, 2))
         elif isinstance(ins, ApplyLocal):
             steps.append((i, *_permutation(ndim, _positions(axes, ins.wires)), False))
+            defect += (1 << len(ins.wires)) * qsim._UNITARY_ATOL
         elif isinstance(ins, ApplyControlledLocal):
             targets = _positions(axes, (ins.control, *ins.targets))
             steps.append((i, *_permutation(ndim, targets), True))
+            defect += (1 << len(ins.targets)) * qsim._UNITARY_ATOL
         elif isinstance(ins, MeasureZ):
             (axis,) = _positions(axes, (ins.wire,))
             del axes[ins.wire]
@@ -228,8 +232,8 @@ def _layout(p: Program) -> _Layout:
     bits = tuple(bit for bit, _ in measured)
     bit_axes = tuple(axis for _, axis in measured)
     order = bit_axes + tuple(a for a in range(ndim) if a not in bit_axes)
-    outcomes = itertools.product((0, 1), repeat=len(bits))
-    return _Layout(ndim - 1, tuple(steps), order, tuple(tuple(zip(bits, o)) for o in outcomes))
+    transcripts = tuple(tuple(zip(bits, o)) for o in itertools.product((0, 1), repeat=len(bits)))
+    return _Layout(ndim - 1, tuple(steps), order, transcripts, 1e-12 + math.expm1(defect))
 
 
 def _run(layout: _Layout, instructions: tuple, batch: np.ndarray) -> np.ndarray:
@@ -257,20 +261,29 @@ def _run(layout: _Layout, instructions: tuple, batch: np.ndarray) -> np.ndarray:
     return psi.transpose(layout.order).reshape(len(layout.transcripts), -1, psi.shape[-1])
 
 
-def _checked(
-    transcripts: tuple[Transcript, ...], stack: np.ndarray
-) -> tuple[list[Transcript], np.ndarray]:
-    """Drop the dust rows of a :func:`_run` result and check the rest:
-    finite, with total mass equal to the batch size within 1e-12."""
+def _checked(layout: _Layout, stack: np.ndarray) -> tuple[list[Transcript], np.ndarray]:
+    """Drop the dust rows of ``layout``'s :func:`_run` result ``stack`` and
+    check the rest: finite, with total mass equal to the batch size within
+    ``layout.trace_atol``, the bound that the gates' own check admits.
+
+    A gate on m qubits is built with G†G = I + E, |E_ij| <= 1e-10
+    (``qsim._UNITARY_ATOL``), so |E|_op <= 2^m * 1e-10 =: eps; m counts
+    only the targets of a controlled gate, whose defect is diag(0, E),
+    and conditional Paulis are exact.  A gate changes the register's
+    total mass by psi†(I ⊗ E)psi, at most eps times that mass, so over
+    all gates the mass over the batch size stays within
+    prod(1 + eps_i) - 1 <= expm1(sum eps_i) of 1.  1e-12 on top covers
+    rounding.
+    """
     flat = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
     if not np.isfinite(flat).all():
         raise ExecutionError("Kraus operators must be finite")
     mass = np.einsum("ti,ti->t", flat, flat)
     keep = mass >= BRANCH_PRUNE
     total = float(mass[keep].sum()) / stack.shape[-1]
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > layout.trace_atol:
         raise ExecutionError(f"channel is not trace preserving: sum |K_t|^2 / d = {total!r}")
-    return list(itertools.compress(transcripts, keep)), stack[keep]
+    return list(itertools.compress(layout.transcripts, keep)), stack[keep]
 
 
 def _append_qubits(psi: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -356,8 +369,8 @@ def kraus_choi_distance(kraus: np.ndarray | list[np.ndarray], u: UnitaryMatrix) 
     computed directly, so nothing cancels when the channels agree, unlike
     sqrt(pᵀGp - 2pᵀo + 1) from the Gram matrix of the K_t and U.  c is
     taken from the a_t, not from trace preservation, which holds only
-    within 1e-12, and a_t divides by |U|_F^2, not d, so ``u`` need be
-    unitary only within its construction check.
+    within :func:`_checked`'s bound, and a_t divides by |U|_F^2, not d,
+    so ``u`` need be unitary only within its construction check.
     """
     ops = np.asarray(kraus)
     if ops.ndim != 3 or ops.shape[1:] != u.matrix.shape:

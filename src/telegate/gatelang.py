@@ -113,8 +113,19 @@ class Adjoint(Record):
 
 GateExpr = NamedGate | ParamGate | MatrixLiteral | Product | Tensor | Adjoint
 
-NAMED_GATES = ("I", "X", "Y", "Z", "H", "S", "T")
-PARAM_GATES = ("RX", "RY", "RZ", "PHASE")
+_NAMED_MATRICES = {
+    "I": qsim.I2,
+    "X": qsim.X,
+    "Y": qsim.Y,
+    "Z": qsim.Z,
+    "H": qsim.H,
+    "S": qsim.S,
+    "T": qsim.T,
+}
+_PARAM_BUILDERS = {"RX": qsim.rx, "RY": qsim.ry, "RZ": qsim.rz, "PHASE": qsim.phase}
+# The parser's gate names are the keys of the tables that evaluate them.
+NAMED_GATES = tuple(_NAMED_MATRICES)
+PARAM_GATES = tuple(_PARAM_BUILDERS)
 # Parsing and evaluation recurse once per parenthesis level, so deeper
 # nesting is a syntax error rather than a blown interpreter stack.
 MAX_NESTING = 100
@@ -313,17 +324,6 @@ def parse(text: str) -> GateExpr:
 
 
 # --- evaluation ---------------------------------------------------------------
-
-_NAMED_MATRICES = {
-    "I": qsim.I2,
-    "X": qsim.X,
-    "Y": qsim.Y,
-    "Z": qsim.Z,
-    "H": qsim.H,
-    "S": qsim.S,
-    "T": qsim.T,
-}
-_PARAM_BUILDERS = {"RX": qsim.rx, "RY": qsim.ry, "RZ": qsim.rz, "PHASE": qsim.phase}
 
 
 def evaluate(e: GateExpr) -> UnitaryMatrix:

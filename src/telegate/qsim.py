@@ -1,4 +1,4 @@
-"""Dense statevector and unitary value types for small qubit registers.
+"""Dense unitary value type, gate constants and the register cap.
 
 Conventions fixed here and used by the whole package:
 
@@ -14,7 +14,7 @@ The register cap (:func:`max_qubits`) is enforced in one place,
 
 All values are immutable after construction; every operation returns a
 new value, so everything here is safe to share between threads.
-Amplitudes and entries are complex128 throughout.
+Entries are complex128 throughout.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from ._record import Record, set_field
 Array = np.ndarray
 
 _DEFAULT_MAX_QUBITS = 12
-_NORM_ATOL = 1e-9
 _UNITARY_ATOL = 1e-10
 BRANCH_PRUNE = 1e-14  # branches below this probability are dropped as dust
 
@@ -61,58 +60,6 @@ def _freeze(arr: Array) -> Array:
     return arr
 
 
-def _check_pow2(size: int, what: str) -> int:
-    n = size.bit_length() - 1
-    if size <= 0 or size != 1 << n:
-        raise ValueError(f"{what} must be a power of two, got {size}")
-    return n
-
-
-class StateVector(Record):
-    """Normalized amplitude vector over ``n_qubits`` qubits.
-
-    The constructor validates the length is a power of two, all entries
-    are finite, and the norm is 1 (within 1e-9), then renormalizes to
-    machine precision and freezes the array.  Equality compares the
-    amplitudes exactly; states are unhashable.
-    """
-
-    __slots__ = _fields = ("amplitudes",)
-
-    def __init__(self, amplitudes: Array):
-        amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
-        check_qubits(_check_pow2(amps.size, "state length"), "state")
-        if not np.isfinite(amps.view(np.float64)).all():
-            raise ValueError("state amplitudes must be finite")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > _NORM_ATOL:
-            raise ValueError(f"state is not normalized: |amplitudes| = {norm}")
-        if abs(norm - 1.0) > 1e-13:  # snap drift without perturbing clean states
-            amps /= norm
-        set_field(self, "amplitudes", _freeze(amps))
-
-    @property
-    def n_qubits(self) -> int:
-        return self.amplitudes.size.bit_length() - 1
-
-    @classmethod
-    def from_bits(cls, bits: str) -> "StateVector":
-        """Computational basis state from a bit label, e.g. ``"10"`` = |10>."""
-        if not bits or any(b not in "01" for b in bits):
-            raise ValueError(f"basis label must be nonempty bits, got {bits!r}")
-        amps = np.zeros(1 << len(bits), dtype=np.complex128)
-        amps[int(bits, 2)] = 1.0
-        return cls(amps)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StateVector):
-            return NotImplemented
-        return np.array_equal(self.amplitudes, other.amplitudes)
-
-    def __repr__(self) -> str:
-        return f"StateVector(n_qubits={self.n_qubits})"
-
-
 class UnitaryMatrix(Record):
     """Dense complex unitary of power-of-two dimension.
 
@@ -128,7 +75,10 @@ class UnitaryMatrix(Record):
         m = np.asarray(matrix, dtype=np.complex128).copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"unitary must be square, got shape {m.shape}")
-        check_qubits(_check_pow2(m.shape[0], "unitary dimension"), "unitary")
+        dim = m.shape[0]
+        if dim <= 0 or dim & (dim - 1):
+            raise ValueError(f"unitary dimension must be a power of two, got {dim}")
+        check_qubits(dim.bit_length() - 1, "unitary")
         if not np.isfinite(m.view(np.float64)).all():
             raise ValueError("unitary entries must be finite")
         defect = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
@@ -186,11 +136,6 @@ def rz(theta: float) -> UnitaryMatrix:
 
 def phase(phi: float) -> UnitaryMatrix:
     return UnitaryMatrix(np.diag([1.0, np.exp(1j * phi)]))
-
-
-def bell_pair() -> StateVector:
-    """The shared entangled pair (|00> + |11>)/sqrt(2)."""
-    return StateVector(np.array([1, 0, 0, 1]) / math.sqrt(2))
 
 
 def kron(a: UnitaryMatrix, b: UnitaryMatrix) -> UnitaryMatrix:

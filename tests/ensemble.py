@@ -4,7 +4,8 @@
 one input state, and ``branch_density`` mixes them, for comparing with
 the deferred-measurement oracle; ``probe_states`` is the full probe
 matrix of which ``verify_program`` builds only the Haar block; and
-``haar_random_state`` and ``zero_state`` make input states.
+``basis``, ``haar_random_state`` and ``zero_state`` make input states,
+plain complex128 amplitude arrays, which ``unit`` checks.
 
 Not part of ``oracles.py``, which stays independent of the package's
 execution path: this reads ``kraus_stack`` and the verifier's probes.
@@ -19,7 +20,7 @@ import numpy as np
 
 from telegate.executor import Transcript, kraus_stack
 from telegate.protocol import Program
-from telegate.qsim import BRANCH_PRUNE, StateVector
+from telegate.qsim import BRANCH_PRUNE
 from telegate.verifier import _haar_probes
 
 
@@ -30,42 +31,40 @@ class Branch:
 
     transcript: Transcript
     probability: float
-    final_state: StateVector
+    final_state: np.ndarray
 
     @property
     def bits(self) -> tuple[int, ...]:
         return tuple(bit for _, bit in self.transcript)
 
 
-def run_branches(p: Program, input_state: StateVector) -> list[Branch]:
-    """Every measurement branch of ``p`` on ``input_state``, sorted by bits:
-    ``K_t @ psi`` for each Kraus operator, normalized.
+def run_branches(p: Program, amps: np.ndarray) -> list[Branch]:
+    """Every measurement branch of ``p`` on the unit input ``amps``, sorted
+    by bits: ``K_t @ psi`` for each Kraus operator, normalized.
 
     The input covers exactly the external wires, in declaration order.
     Branches below probability 1e-14 are omitted, and the rest sum to 1
     within 1e-12.
     """
-    if input_state.n_qubits != p.n_external:
-        raise ValueError(
-            f"input has {input_state.n_qubits} qubits, program declares {p.n_external}"
-        )
-    amps = input_state.amplitudes
+    if amps.size != 1 << p.n_external:
+        raise ValueError(f"input has {amps.size} amplitudes, program declares {p.n_external} qubits")
+    unit(amps)
     norm2 = float(np.vdot(amps, amps).real)
     branches = []
     for transcript, k in zip(*kraus_stack(p)):
         out = k @ amps
         prob = float(np.vdot(out, out).real) / norm2
         if prob >= BRANCH_PRUNE:
-            branches.append(Branch(transcript, prob, StateVector(out / math.sqrt(prob))))
+            branches.append(Branch(transcript, prob, unit(out / math.sqrt(prob))))
     return branches
 
 
 def branch_density(branches: list[Branch]) -> np.ndarray:
     """Mixed output state of a branch ensemble: sum of p |phi><phi|."""
-    dim = branches[0].final_state.amplitudes.size
+    dim = branches[0].final_state.size
     rho = np.zeros((dim, dim), dtype=np.complex128)
     for b in branches:
-        v = b.final_state.amplitudes
+        v = b.final_state
         rho += b.probability * np.outer(v, v.conj())
     return rho
 
@@ -78,15 +77,25 @@ def probe_states(n_qubits: int, probes: int, seed: int) -> np.ndarray:
     return np.concatenate([np.eye(haar.shape[0], dtype=np.complex128), haar], axis=1)
 
 
-def haar_random_state(n_qubits: int, rng: np.random.Generator | int | None = None) -> StateVector:
+def unit(amps: np.ndarray) -> np.ndarray:
+    """``amps``, once its entries are checked finite and its norm 1 within 1e-9."""
+    assert np.isfinite(amps).all(), amps
+    assert abs(np.linalg.norm(amps) - 1.0) <= 1e-9, np.linalg.norm(amps)
+    return amps
+
+
+def basis(bits: str) -> np.ndarray:
+    """The computational basis state with bit label ``bits``, e.g. ``"10"`` = |10>."""
+    return np.eye(1 << len(bits), dtype=np.complex128)[int(bits, 2)]
+
+
+def haar_random_state(n_qubits: int, rng: np.random.Generator | int | None = None) -> np.ndarray:
     """Uniformly random pure state on ``n_qubits`` qubits."""
     g = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     v = g.normal(size=1 << n_qubits) + 1j * g.normal(size=1 << n_qubits)
-    return StateVector(v / np.linalg.norm(v))
+    return unit(v / np.linalg.norm(v))
 
 
-def zero_state(n_qubits: int) -> StateVector:
+def zero_state(n_qubits: int) -> np.ndarray:
     """The all-|0> state on ``n_qubits`` qubits."""
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(amps)
+    return basis("0" * n_qubits)

@@ -90,7 +90,7 @@ def test_criterion_5_deferred_measurement_oracle():
         program = build_program(NonlocalCUSpec.for_gate(qsim.haar_random_unitary(2, rng)))
         state = haar_random_state(2, rng)
         rho = branch_density(run_branches(program, state))
-        rho_oracle = deferred_measurement_density(program, state.amplitudes)
+        rho_oracle = deferred_measurement_density(program, state)
         assert np.abs(rho - rho_oracle).max() <= TOL_ORACLE
 
 
@@ -179,5 +179,5 @@ def test_criterion_9_wide_targets():
             for program in (build_program(spec), mutated):
                 state = haar_random_state(k + 1, rng)
                 rho = branch_density(run_branches(program, state))
-                rho_oracle = deferred_measurement_density(program, state.amplitudes)
+                rho_oracle = deferred_measurement_density(program, state)
                 assert np.abs(rho - rho_oracle).max() <= TOL_ORACLE

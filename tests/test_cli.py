@@ -55,6 +55,32 @@ def test_trace_identity_keeps_input(capsys):
     assert out.count("|00>") >= 4
 
 
+# Unitary within the gate language's 1e-10 check, not exactly: U†U - I
+# has an entry 8e-11.
+NEARLY_UNITARY = "[[1.00000000004,0],[0,1]]"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify"], ["trace", "--input", "10"], ["choi", "--format", "json"]],
+    ids=lambda command: command[0],
+)
+def test_nearly_unitary_gate_runs_in_the_built_program(command, capsys):
+    """The Kraus pass's trace check allows what the gates' own check
+    admits, so a gate the front end accepts is not refused deep inside."""
+    assert main([*command, "--gate", NEARLY_UNITARY]) == 0
+    out = capsys.readouterr().out
+    assert command[0] != "verify" or "verdict: PASS" in out
+
+
+def test_nearly_unitary_gate_in_a_file_certifies_against_itself(tmp_path, capsys):
+    literal = "[[1,0],[0,1.00000000004]]"
+    path = tmp_path / "near.tg"
+    path.write_text(f"ext A q0\ngate A q0 : {literal}\n")
+    assert main(["verify", "--file", str(path), "--against", literal]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+
+
 def test_trace_bad_input_label(capsys):
     assert main(["trace", "--gate", "X", "--input", "012"]) == 2
     assert "input label" in capsys.readouterr().err

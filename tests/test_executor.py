@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ensemble import branch_density, haar_random_state, run_branches
+from ensemble import basis, branch_density, haar_random_state, run_branches
 from oracles import (
     choi_of_unitary,
     deferred_measurement_choi,
@@ -34,7 +34,6 @@ from telegate.protocol import (
     qwire,
     validate_locality,
 )
-from telegate.qsim import StateVector
 
 
 def two_wire_program(*instructions, phases=()) -> Program:
@@ -48,32 +47,32 @@ def test_empty_program_single_branch():
     assert len(outcomes) == 1
     assert outcomes[0].transcript == ()
     assert outcomes[0].probability == 1.0
-    assert outcomes[0].final_state == state
+    assert np.array_equal(outcomes[0].final_state, state)
 
 
 def test_identity_gate_teleportation_on_00():
     p = build_program(NonlocalCUSpec(qsim.I2, 1))
-    outcomes = run_branches(p, StateVector.from_bits("00"))
-    want = StateVector.from_bits("00").amplitudes
+    outcomes = run_branches(p, basis("00"))
+    want = basis("00")
     assert len(outcomes) == 4
     for o in outcomes:
         assert abs(o.probability - 0.25) < 1e-12
-        assert abs(abs(np.vdot(o.final_state.amplitudes, want)) - 1) < 1e-12
+        assert abs(abs(np.vdot(o.final_state, want)) - 1) < 1e-12
 
 
 def test_cnot_teleportation_on_10():
     p = build_program(NonlocalCUSpec(qsim.X, 1))
-    outcomes = run_branches(p, StateVector.from_bits("10"))
-    want = StateVector.from_bits("11").amplitudes
+    outcomes = run_branches(p, basis("10"))
+    want = basis("11")
     assert len(outcomes) == 4
     for o in outcomes:
         assert abs(o.probability - 0.25) < 1e-12
-        assert abs(abs(np.vdot(o.final_state.amplitudes, want)) - 1) < 1e-12
+        assert abs(abs(np.vdot(o.final_state, want)) - 1) < 1e-12
 
 
 def test_outcomes_sorted_by_transcript_bits():
     p = build_program(NonlocalCUSpec(qsim.H, 1))
-    outcomes = run_branches(p, StateVector.from_bits("10"))
+    outcomes = run_branches(p, basis("10"))
     assert [o.bits for o in outcomes] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert [w.name for w, _ in outcomes[0].transcript] == ["c1", "c2"]
 
@@ -94,7 +93,7 @@ def test_branch_mixture_matches_deferred_measurement_oracle(seed):
     p = build_program(NonlocalCUSpec.for_gate(qsim.haar_random_unitary(2, rng)))
     state = haar_random_state(2, rng)
     rho_branches = branch_density(run_branches(p, state))
-    rho_oracle = deferred_measurement_density(p, state.amplitudes)
+    rho_oracle = deferred_measurement_density(p, state)
     assert np.abs(rho_branches - rho_oracle).max() < 1e-10
 
 
@@ -116,11 +115,11 @@ def test_interleaved_alloc_and_measure_keeps_positions_straight():
     from telegate.protocol import parse_program
 
     program = parse_program(text)
-    outcomes = run_branches(program, StateVector.from_bits("0"))
+    outcomes = run_branches(program, basis("0"))
     # q4 was |1> so c1=1 fires the X on q0; q5 was toggled twice back to |0>
     assert len(outcomes) == 1
     assert outcomes[0].bits == (1, 0)
-    assert outcomes[0].final_state == StateVector.from_bits("1")
+    assert np.array_equal(outcomes[0].final_state, basis("1"))
 
 
 def test_verify_program_on_handwritten_local_file():
@@ -135,12 +134,12 @@ def test_verify_program_on_handwritten_local_file():
 def test_run_rejects_invalid_program():
     p = two_wire_program(MeasureZ(Party.ALICE, qwire(0), cwire(1)), DiscardBit(cwire(1)))
     with pytest.raises(ValueError, match="locality"):
-        run_branches(p, StateVector.from_bits("00"))
+        run_branches(p, basis("00"))
 
 
 def test_run_rejects_wrong_input_size():
     with pytest.raises(ValueError, match="declares"):
-        run_branches(two_wire_program(), StateVector.from_bits("0"))
+        run_branches(two_wire_program(), basis("0"))
 
 
 def test_unset_conditioning_bit_is_execution_error():

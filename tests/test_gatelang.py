@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import random_gate_expr, random_unitary_expr
-from telegate import qsim
+from telegate import gatelang, qsim
 from telegate.gatelang import (
     Adjoint,
     GateEvalError,
@@ -68,6 +68,15 @@ def test_evaluate_param_gates():
     assert evaluate(parse("RZ(0.3)")) == qsim.rz(0.3)
     assert evaluate(parse("RX(1.1)")) == qsim.rx(1.1)
     assert evaluate(parse("PHASE(2e-1)")) == qsim.phase(0.2)
+
+
+def test_every_gate_name_parses_and_evaluates():
+    """The parser's names are the evaluator's, in the order the seeded
+    expression corpus of ``tests/oracles.py`` draws them."""
+    assert gatelang.NAMED_GATES == ("I", "X", "Y", "Z", "H", "S", "T")
+    assert gatelang.PARAM_GATES == ("RX", "RY", "RZ", "PHASE")
+    for text in (*gatelang.NAMED_GATES, *(f"{name}(0.3)" for name in gatelang.PARAM_GATES)):
+        assert evaluate(parse(text)).dim == 2
 
 
 def test_evaluate_written_order():

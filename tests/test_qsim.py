@@ -4,42 +4,45 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ensemble import haar_random_state, zero_state
-from telegate import qsim
+from ensemble import basis, haar_random_state, unit, zero_state
+from telegate import executor, qsim
 from telegate.executor import ExecutionError, _apply, _checked, _layout, _permutation, _positions, _run
 from telegate.protocol import ApplyLocal, ExternalWire, MeasureZ, Party, Program, cwire, qwire
-from telegate.qsim import StateVector, UnitaryMatrix
+from telegate.qsim import UnitaryMatrix
 from telegate.verifier import _branch_evidence
 
 SQ2 = 1 / math.sqrt(2)
+BELL = np.array([SQ2, 0, 0, SQ2], dtype=np.complex128)  # (|00> + |11>)/sqrt(2)
 
 
-def apply(state: StateVector, positions, u: UnitaryMatrix, controlled=False) -> StateVector:
-    """``executor._apply`` on one state (a batch of one).  ``_apply`` may
-    rewrite its input, so it gets a copy of the read-only amplitudes."""
-    psi = state.amplitudes.reshape((2,) * state.n_qubits + (1,)).copy()
+def n_qubits(state: np.ndarray) -> int:
+    return state.size.bit_length() - 1
+
+
+def apply(state: np.ndarray, positions, u: UnitaryMatrix, controlled=False) -> np.ndarray:
+    """``executor._apply`` on one unit state (a batch of one).  ``_apply``
+    may rewrite its input, so it gets a copy."""
+    psi = unit(state).reshape((2,) * n_qubits(state) + (1,)).copy()
     perm, inverse = _permutation(psi.ndim, tuple(positions))
-    return StateVector(_apply(psi, perm, inverse, u.matrix, controlled).reshape(-1))
+    return unit(_apply(psi, perm, inverse, u.matrix, controlled).reshape(-1))
 
 
-def measure(state: StateVector, qubit: int) -> list[tuple[int, float, StateVector]]:
+def measure(state: np.ndarray, qubit: int) -> list[tuple[int, float, np.ndarray]]:
     """``executor._layout`` and ``_run`` on a single MeasureZ, with the
     dust drop and checks of ``executor._checked``: ``(outcome,
     probability, renormalized post-state)`` per branch kept, by outcome."""
-    n = state.n_qubits
+    n = n_qubits(unit(state))
     p = Program(
         tuple(ExternalWire(qwire(q), Party.ALICE) for q in range(n)),
         (MeasureZ(Party.ALICE, qwire(qubit), cwire(0)),),
     )
     layout = _layout(p)
-    transcripts, ops = _checked(
-        layout.transcripts, _run(layout, p.instructions, state.amplitudes.reshape((2,) * n + (1,)))
-    )
+    transcripts, ops = _checked(layout, _run(layout, p.instructions, state.reshape((2,) * n + (1,))))
     branches = []
     for ((_, outcome),), op in zip(transcripts, ops):
         v = op.reshape(-1)
         p = float(np.vdot(v, v).real)
-        branches.append((outcome, p, StateVector(v / math.sqrt(p))))
+        branches.append((outcome, p, unit(v / math.sqrt(p))))
     return sorted(branches, key=lambda b: b[0])
 
 
@@ -51,12 +54,12 @@ def test_kron_identity():
 
 def test_kron_qubit0_is_leftmost_factor():
     """kron(X, I) flips qubit 0: |00> -> |10>."""
-    out = qsim.kron(qsim.X, qsim.I2).matrix @ zero_state(2).amplitudes
-    assert np.array_equal(out, StateVector.from_bits("10").amplitudes)
+    out = qsim.kron(qsim.X, qsim.I2).matrix @ zero_state(2)
+    assert np.array_equal(out, basis("10"))
 
 
 def test_kron_hh_uniform():
-    out = qsim.kron(qsim.H, qsim.H).matrix @ zero_state(2).amplitudes
+    out = qsim.kron(qsim.H, qsim.H).matrix @ zero_state(2)
     assert np.allclose(out, [0.5, 0.5, 0.5, 0.5])
 
 
@@ -70,7 +73,7 @@ def test_max_qubits_env_override(monkeypatch):
     monkeypatch.setenv("TELEGATE_MAX_QUBITS", "3")
     assert qsim.max_qubits() == 3
     with pytest.raises(ValueError, match="cap"):
-        zero_state(4)
+        qsim.identity(1 << 4)
     monkeypatch.setenv("TELEGATE_MAX_QUBITS", "junk")
     with pytest.raises(ValueError, match="integer"):
         qsim.max_qubits()
@@ -126,26 +129,26 @@ def test_controlled_has_the_defect_of_its_block(n, scale):
 # executor._apply: the one kernel that evolves a state
 
 def test_apply_x_flips():
-    assert apply(zero_state(1), [0], qsim.X) == StateVector.from_bits("1")
+    assert np.array_equal(apply(zero_state(1), [0], qsim.X), basis("1"))
 
 
 def test_apply_h_plus_state():
     state = apply(zero_state(1), [0], qsim.H)
-    assert np.allclose(state.amplitudes, [SQ2, SQ2])
+    assert np.allclose(state, [SQ2, SQ2])
 
 
 def test_apply_cnot_makes_bell():
-    state = StateVector(np.array([SQ2, 0, SQ2, 0]))  # (|00> + |10>)/sqrt(2)
+    state = np.array([SQ2, 0, SQ2, 0], dtype=np.complex128)  # (|00> + |10>)/sqrt(2)
     for out in (apply(state, [0, 1], qsim.controlled(qsim.X)),
                 apply(state, [0, 1], qsim.X, controlled=True)):
-        assert np.allclose(out.amplitudes, qsim.bell_pair().amplitudes)
+        assert np.allclose(out, BELL)
 
 
 def test_apply_target_order_matters():
     """Applying controlled-X on (1, 0) controls on qubit 1."""
-    state = StateVector.from_bits("01")
-    assert apply(state, [1, 0], qsim.controlled(qsim.X)) == StateVector.from_bits("11")
-    assert apply(state, [1, 0], qsim.X, controlled=True) == StateVector.from_bits("11")
+    state = basis("01")
+    assert np.array_equal(apply(state, [1, 0], qsim.controlled(qsim.X)), basis("11"))
+    assert np.array_equal(apply(state, [1, 0], qsim.X, controlled=True), basis("11"))
 
 
 def test_apply_errors():
@@ -167,14 +170,14 @@ def test_apply_preserves_norm(seed, n, data):
     state = haar_random_state(n, rng)
     u = qsim.haar_random_unitary(1 << k, rng)
     out = apply(state, targets, u)
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
 def test_apply_identity_is_identity(seed, n):
     state = haar_random_state(n, seed)
     out = apply(state, range(n), qsim.identity(1 << n))
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+    assert np.array_equal(out, state)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.booleans(), st.data())
@@ -193,8 +196,8 @@ def test_apply_matches_index_arithmetic_embedding(seed, n, controlled, data):
         full = np.eye(1 << k, dtype=complex)
         full[u.dim:, u.dim:] = u.matrix
     got = apply(state, targets, u, controlled)
-    want = embed(full, list(targets), n) @ state.amplitudes
-    assert np.abs(got.amplitudes - want).max() < 1e-12
+    want = embed(full, list(targets), n) @ state
+    assert np.abs(got - want).max() < 1e-12
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 3), st.data())
@@ -226,16 +229,16 @@ def test_measure_zero_state():
     outcome, probability, post_state = branches[0]
     assert outcome == 0
     assert probability == 1.0
-    assert post_state.n_qubits == 0
+    assert post_state.size == 1
 
 
 def test_measure_bell_correlates():
-    branches = measure(qsim.bell_pair(), 0)
+    branches = measure(BELL, 0)
     assert [outcome for outcome, _, _ in branches] == [0, 1]
     for _, probability, _ in branches:
         assert abs(probability - 0.5) < 1e-12
-    assert branches[0][2] == StateVector.from_bits("0")
-    assert branches[1][2] == StateVector.from_bits("1")
+    assert np.array_equal(branches[0][2], basis("0"))
+    assert np.array_equal(branches[1][2], basis("1"))
 
 
 def test_measure_plus_state():
@@ -245,7 +248,7 @@ def test_measure_plus_state():
 
 
 def test_measure_prunes_impossible_branch():
-    branches = measure(StateVector.from_bits("10"), 1)
+    branches = measure(basis("10"), 1)
     assert len(branches) == 1 and branches[0][0] == 0
 
 
@@ -258,8 +261,8 @@ def test_measure_branch_completeness_1000_random_states():
         branches = measure(state, qubit)
         assert abs(sum(probability for _, probability, _ in branches) - 1.0) < 1e-12
         for _, _, post_state in branches:
-            assert abs(np.linalg.norm(post_state.amplitudes) - 1.0) < 1e-12
-            assert post_state.n_qubits == n - 1
+            assert abs(np.linalg.norm(post_state) - 1.0) < 1e-12
+            assert n_qubits(post_state) == n - 1
 
 
 # fidelity: the verifier's branch-evidence formula, on one output and one target
@@ -273,7 +276,7 @@ def fidelity(output: np.ndarray, target: np.ndarray) -> float:
 
 
 def test_fidelity_trivial_cases():
-    zero, one = StateVector.from_bits("0").amplitudes, StateVector.from_bits("1").amplitudes
+    zero, one = basis("0"), basis("1")
     assert fidelity(zero, zero) == 1.0
     assert fidelity(zero, one) == 0.0
     assert fidelity(0.5 * zero, 3 * zero) == 1.0  # both sides are normalized
@@ -281,7 +284,7 @@ def test_fidelity_trivial_cases():
 
 @given(st.integers(0, 2**32 - 1), st.floats(-10, 10))
 def test_fidelity_global_phase_invariant(seed, phi):
-    state = haar_random_state(2, seed).amplitudes
+    state = haar_random_state(2, seed)
     assert abs(fidelity(state, np.exp(1j * phi) * state) - 1.0) < 1e-12
     assert abs(fidelity(np.exp(1j * phi) * state, state) - 1.0) < 1e-12
 
@@ -291,7 +294,7 @@ def test_fidelity_is_capped_at_one():
     states, with u = v; the fidelity never is."""
     rng = np.random.default_rng(0)
     for _ in range(100):
-        state = haar_random_state(2, rng).amplitudes
+        state = haar_random_state(2, rng)
         assert 1.0 - 1e-15 <= fidelity(state, state) <= 1.0
 
 
@@ -306,19 +309,13 @@ def test_unitarity_gate_rejects_bad_matrix():
         UnitaryMatrix(np.eye(3))
 
 
-def test_state_rejects_unnormalized_and_nonfinite():
-    with pytest.raises(ValueError, match="normalized"):
-        StateVector(np.array([1.0, 1.0]))
-    with pytest.raises(ValueError, match="finite"):
-        StateVector(np.array([np.nan, 0.0]))
-    with pytest.raises(ValueError, match="power of two"):
-        StateVector(np.array([1.0, 0.0, 0.0]))
-
-
 def test_states_and_unitaries_are_frozen():
-    state = zero_state(1)
-    with pytest.raises(ValueError):
-        state.amplitudes[0] = 0.5
+    """The package's only states, the fresh-qubit amplitudes |0>, |1> and
+    the Bell pair, are read-only complex128 arrays, as gates are."""
+    for amps, want in zip(executor._FRESH, (basis("0"), basis("1"), BELL)):
+        assert amps.dtype == np.complex128 and np.array_equal(amps, want)
+        with pytest.raises(ValueError):
+            amps[0] = 0.5
     with pytest.raises(ValueError):
         qsim.X.matrix[0, 0] = 9
 

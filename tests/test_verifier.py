@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ensemble import haar_random_state, probe_states, run_branches
+from ensemble import haar_random_state, probe_states, run_branches, unit
 from oracles import choi_of_unitary, deferred_measurement_choi
 from telegate import qsim
 from telegate.builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program, build_specification
 from telegate.executor import kraus_choi_distance, kraus_stack, transcript_key
 from telegate.protocol import MakeBellPair, Program, validate_locality
-from telegate.qsim import StateVector, UnitaryMatrix
+from telegate.qsim import UnitaryMatrix
 from telegate.verifier import DEFAULT_PROBES, _haar_probes, verify, verify_program
 
 
@@ -39,10 +39,10 @@ def test_missing_z_correction_fails_and_localizes():
     assert not report.passed
 
     # the damage shows up exactly on the c2=1 branches of a superposed control
-    plus_zero = StateVector(np.array([1, 0, 1, 0]) / math.sqrt(2))
-    expected = StateVector(build_specification(spec).matrix @ plus_zero.amplitudes)
+    plus_zero = unit(np.array([1, 0, 1, 0], dtype=np.complex128) / math.sqrt(2))
+    expected = unit(build_specification(spec).matrix @ plus_zero)
     for outcome in run_branches(mutated, plus_zero):
-        fid = abs(np.vdot(outcome.final_state.amplitudes, expected.amplitudes))
+        fid = abs(np.vdot(outcome.final_state, expected))
         c2 = outcome.bits[-1]
         if c2 == 1:
             assert fid < 0.9
@@ -275,5 +275,5 @@ def test_probe_stream_matches_successive_haar_states(n, probes, seed):
     assert psi.shape == (d, max(probes, d))
     rng = np.random.default_rng(seed)
     for j in range(d, psi.shape[1]):
-        want = haar_random_state(n, rng).amplitudes
+        want = haar_random_state(n, rng)
         assert np.abs(psi[:, j] - want).max() <= 1e-15
