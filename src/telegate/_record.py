@@ -10,28 +10,30 @@ cached; ``BENCH_12.json``).
 
 A subclass lists its constructor's parameters, in order, as both its
 ``__slots__`` and its ``_fields`` (which, unlike slots, its own
-subclasses inherit).  Its ``__init__`` checks the arguments, stores each
-field with :func:`set_field` and ends with :meth:`Record._seal`, passing
-the field values equality compares (fields left out, such as source
-positions and labels, affect neither equality nor the hash).  Then:
+subclasses inherit).  Its ``__init__`` checks the arguments and ends
+with one call of ``Record.__init__(self, ...)`` on the field values in
+that order.  Equality compares the first ``_compared`` of them (all of
+them when it is ``None``); the fields it ignores, such as source
+positions and labels, come last and affect neither equality nor the
+hash.  Then:
 
 * fields cannot be assigned or deleted (``AttributeError``);
 * ``a == b`` holds when both have the same class and equal keys; the
-  key tuple is built once, and the hash is computed from it once, in
-  ``_seal``, since the executor keys dicts by whole instructions;
+  key tuple is built once, and the hash is computed from it once, at
+  construction, since the executor keys dicts by whole instructions;
 * ``repr`` prints ``Name(field=value, ...)`` over every field;
 * copies and pickles are rebuilt through the constructor, so they pass
   its checks again and never carry a stored hash into a process whose
   string hashes are salted differently.
 
-A class whose fields may hold an unhashable value (a gate matrix) keeps
-the key but not a hash: it stores ``_key`` itself and sets
-``__hash__ = None`` or computes the hash per call.
+A class whose fields may hold an unhashable value (a gate matrix) sets
+``__hash__ = None`` or computes the hash per call; it keeps the key, and
+no hash is computed for it at construction.
 """
 
 from __future__ import annotations
 
-#: Stores a field from ``__init__``, past :meth:`Record.__setattr__`.
+#: Stores a field, past :meth:`Record.__setattr__`.
 set_field = object.__setattr__
 
 
@@ -40,10 +42,16 @@ class Record:
 
     __slots__ = ("_key", "_hash")
     _fields: tuple[str, ...] = ()
+    #: How many leading fields equality compares; ``None`` compares all.
+    _compared: int | None = None
 
-    def _seal(self, *key) -> None:
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            set_field(self, name, value)
+        key = values[:self._compared]  # values itself when _compared is None
         set_field(self, "_key", key)
-        set_field(self, "_hash", hash(key))
+        if self.__class__.__hash__ is Record.__hash__:
+            set_field(self, "_hash", hash(key))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

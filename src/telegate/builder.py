@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 
 from . import qsim
-from ._record import Record, set_field
+from ._record import Record
 from .protocol import (
     AllocQubit,
     ApplyControlledLocal,
@@ -53,9 +53,7 @@ class NonlocalCUSpec(Record):
             raise ValueError(f"k must be in 1..{MAX_TARGET_QUBITS}, got {k}")
         if c.dim != 1 << k:
             raise ValueError(f"gate of dim {c.dim} does not act on {k} qubits")
-        set_field(self, "c", c)
-        set_field(self, "k", k)
-        set_field(self, "_key", (c, k))
+        Record.__init__(self, c, k)
 
     @classmethod
     def for_gate(cls, c: UnitaryMatrix) -> "NonlocalCUSpec":

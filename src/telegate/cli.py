@@ -7,7 +7,9 @@ basis input; ``choi`` dumps a program's channel as a Choi matrix;
 validates a program file.
 
 Exit codes: 0 success (verify: verdict pass), 1 verification failed or
-lint violations found, 2 usage, parse or input errors.
+lint violations found, 2 usage, parse or input errors, 141 the reader
+closed the output pipe (128 + SIGPIPE, what a shell shows for a tool
+that SIGPIPE killed; nothing is printed).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -295,7 +298,16 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        status = args.func(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()  # here, not at exit, where a closed pipe cannot be caught
+        return status
+    except BrokenPipeError:
+        # Unwritten output stays buffered; let the flush at exit drop it.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, ExecutionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

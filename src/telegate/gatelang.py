@@ -29,7 +29,7 @@ import re
 import numpy as np
 
 from . import qsim
-from ._record import Record, set_field
+from ._record import Record
 from .qsim import UnitaryMatrix
 
 
@@ -57,41 +57,34 @@ class GateEvalError(ValueError):
 
 class NamedGate(Record):
     __slots__ = _fields = ("name", "pos")
+    _compared = 1
 
     def __init__(self, name: str, pos: int = 0):
-        set_field(self, "name", name)
-        set_field(self, "pos", pos)
-        self._seal(name)
+        Record.__init__(self, name, pos)
 
 
 class ParamGate(Record):
     __slots__ = _fields = ("name", "arg", "pos", "arg_pos")
+    _compared = 2
 
     def __init__(self, name: str, arg: float, pos: int = 0, arg_pos: int = 0):
-        set_field(self, "name", name)
-        set_field(self, "arg", arg)
-        set_field(self, "pos", pos)
-        set_field(self, "arg_pos", arg_pos)
-        self._seal(name, arg)
+        Record.__init__(self, name, arg, pos, arg_pos)
 
 
 class MatrixLiteral(Record):
     __slots__ = _fields = ("rows", "pos")
+    _compared = 1
 
     def __init__(self, rows: tuple[tuple[complex, ...], ...], pos: int = 0):
-        set_field(self, "rows", rows)
-        set_field(self, "pos", pos)
-        self._seal(rows)
+        Record.__init__(self, rows, pos)
 
 
 class _BinaryOp(Record):
     __slots__ = _fields = ("left", "right", "pos")
+    _compared = 2
 
     def __init__(self, left: GateExpr, right: GateExpr, pos: int = 0):
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-        set_field(self, "pos", pos)
-        self._seal(left, right)
+        Record.__init__(self, left, right, pos)
 
 
 class Product(_BinaryOp):
@@ -104,11 +97,10 @@ class Tensor(_BinaryOp):
 
 class Adjoint(Record):
     __slots__ = _fields = ("inner", "pos")
+    _compared = 1
 
     def __init__(self, inner: GateExpr, pos: int = 0):
-        set_field(self, "inner", inner)
-        set_field(self, "pos", pos)
-        self._seal(inner)
+        Record.__init__(self, inner, pos)
 
 
 GateExpr = NamedGate | ParamGate | MatrixLiteral | Product | Tensor | Adjoint
@@ -151,12 +143,7 @@ class _Token(Record):
         value: complex = 0j,
         is_real: bool = False,
     ):
-        set_field(self, "kind", kind)
-        set_field(self, "text", text)
-        set_field(self, "pos", pos)
-        set_field(self, "value", value)
-        set_field(self, "is_real", is_real)
-        self._seal(kind, text, pos, value, is_real)
+        Record.__init__(self, kind, text, pos, value, is_real)
 
 
 def _lex(text: str) -> list[_Token]:

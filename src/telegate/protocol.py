@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import re
 from . import gatelang
-from ._record import Record, set_field
+from ._record import Record
 from .qsim import UnitaryMatrix
 
 
@@ -40,21 +40,14 @@ class WireKind(enum.Enum):
 
 
 class WireRef(Record):
-    """A wire name: kind ('q' or 'c') plus a non-negative integer id.
-
-    Wire references key every dict and set of the validator and the
-    executor, so the key holds the kind's value rather than the Enum
-    member, whose ``__hash__`` runs in Python.
-    """
+    """A wire name: kind ('q' or 'c') plus a non-negative integer id."""
 
     __slots__ = _fields = ("kind", "id")
 
     def __init__(self, kind: WireKind, id: int):
         if id < 0:
             raise ValueError(f"wire id must be non-negative, got {id}")
-        set_field(self, "kind", kind)
-        set_field(self, "id", id)
-        self._seal(kind.value, id)
+        Record.__init__(self, kind, id)
 
     @property
     def name(self) -> str:
@@ -84,10 +77,7 @@ class AllocQubit(Record):
         _require_quantum(wire)
         if basis_value not in (0, 1):
             raise ValueError(f"basis_value must be 0 or 1, got {basis_value}")
-        set_field(self, "party", party)
-        set_field(self, "wire", wire)
-        set_field(self, "basis_value", basis_value)
-        self._seal(party, wire, basis_value)
+        Record.__init__(self, party, wire, basis_value)
 
 
 class MakeBellPair(Record):
@@ -101,9 +91,7 @@ class MakeBellPair(Record):
         _require_quantum(right)
         if left == right:
             raise ValueError("bell pair halves must be distinct wires")
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-        self._seal(left, right)
+        Record.__init__(self, left, right)
 
 
 class ApplyLocal(Record):
@@ -112,6 +100,7 @@ class ApplyLocal(Record):
     instruction unhashable."""
 
     __slots__ = _fields = ("party", "wires", "gate", "label")
+    _compared = 3
     __hash__ = None
 
     def __init__(
@@ -130,11 +119,7 @@ class ApplyLocal(Record):
             raise ValueError("ApplyLocal wires must be distinct")
         if gate.dim != 1 << len(wires):
             raise ValueError(f"gate of dim {gate.dim} cannot act on {len(wires)} wires")
-        set_field(self, "party", party)
-        set_field(self, "wires", wires)
-        set_field(self, "gate", gate)
-        set_field(self, "label", label)
-        set_field(self, "_key", (party, wires, gate))
+        Record.__init__(self, party, wires, gate, label)
 
 
 class ApplyControlledLocal(Record):
@@ -142,6 +127,7 @@ class ApplyControlledLocal(Record):
     ``label`` is not compared; the gate makes the instruction unhashable."""
 
     __slots__ = _fields = ("party", "control", "targets", "gate", "label")
+    _compared = 4
     __hash__ = None
 
     def __init__(
@@ -163,12 +149,7 @@ class ApplyControlledLocal(Record):
             raise ValueError("control and targets must be distinct wires")
         if gate.dim != 1 << len(targets):
             raise ValueError(f"gate of dim {gate.dim} cannot act on {len(targets)} targets")
-        set_field(self, "party", party)
-        set_field(self, "control", control)
-        set_field(self, "targets", targets)
-        set_field(self, "gate", gate)
-        set_field(self, "label", label)
-        set_field(self, "_key", (party, control, targets, gate))
+        Record.__init__(self, party, control, targets, gate, label)
 
 
 class MeasureZ(Record):
@@ -179,10 +160,7 @@ class MeasureZ(Record):
     def __init__(self, party: Party, wire: WireRef, out: WireRef):
         _require_quantum(wire)
         _require_classical(out)
-        set_field(self, "party", party)
-        set_field(self, "wire", wire)
-        set_field(self, "out", out)
-        self._seal(party, wire, out)
+        Record.__init__(self, party, wire, out)
 
 
 class SendBit(Record):
@@ -194,10 +172,7 @@ class SendBit(Record):
         _require_classical(wire)
         if from_party is to_party:
             raise ValueError("SendBit must cross the cut")
-        set_field(self, "from_party", from_party)
-        set_field(self, "to_party", to_party)
-        set_field(self, "wire", wire)
-        self._seal(from_party, to_party, wire)
+        Record.__init__(self, from_party, to_party, wire)
 
 
 class ConditionalPauli(Record):
@@ -210,11 +185,7 @@ class ConditionalPauli(Record):
         _require_classical(condition)
         if pauli not in ("X", "Z"):
             raise ValueError(f"pauli must be 'X' or 'Z', got {pauli!r}")
-        set_field(self, "party", party)
-        set_field(self, "wire", wire)
-        set_field(self, "pauli", pauli)
-        set_field(self, "condition", condition)
-        self._seal(party, wire, pauli, condition)
+        Record.__init__(self, party, wire, pauli, condition)
 
 
 class DiscardBit(Record):
@@ -224,8 +195,7 @@ class DiscardBit(Record):
 
     def __init__(self, wire: WireRef):
         _require_classical(wire)
-        set_field(self, "wire", wire)
-        self._seal(wire)
+        Record.__init__(self, wire)
 
 
 Instruction = (
@@ -258,9 +228,7 @@ class ExternalWire(Record):
 
     def __init__(self, wire: WireRef, party: Party):
         _require_quantum(wire)
-        set_field(self, "wire", wire)
-        set_field(self, "party", party)
-        self._seal(wire, party)
+        Record.__init__(self, wire, party)
 
 
 class Program(Record):
@@ -275,6 +243,7 @@ class Program(Record):
     """
 
     __slots__ = _fields = ("externals", "instructions", "phases", "source_lines")
+    _compared = 3
 
     def __init__(
         self,
@@ -294,11 +263,7 @@ class Program(Record):
         ext_wires = [e.wire for e in externals]
         if len(set(ext_wires)) != len(ext_wires):
             raise ValueError("external wires must be distinct")
-        set_field(self, "externals", externals)
-        set_field(self, "instructions", instructions)
-        set_field(self, "phases", phases)
-        set_field(self, "source_lines", source_lines)
-        set_field(self, "_key", (externals, instructions, phases))
+        Record.__init__(self, externals, instructions, phases, source_lines)
 
     def __hash__(self) -> int:
         return hash(self._key)
@@ -319,9 +284,7 @@ class Violation(Record):
     __slots__ = _fields = ("index", "reason")
 
     def __init__(self, index: int, reason: str):
-        set_field(self, "index", index)
-        set_field(self, "reason", reason)
-        self._seal(index, reason)
+        Record.__init__(self, index, reason)
 
     def __str__(self) -> str:
         where = "end of program" if self.index < 0 else f"instruction {self.index}"
@@ -334,10 +297,7 @@ class ResourceCensus(Record):
     __slots__ = _fields = ("ebits", "bits_alice_to_bob", "bits_bob_to_alice")
 
     def __init__(self, ebits: int, bits_alice_to_bob: int, bits_bob_to_alice: int):
-        set_field(self, "ebits", ebits)
-        set_field(self, "bits_alice_to_bob", bits_alice_to_bob)
-        set_field(self, "bits_bob_to_alice", bits_bob_to_alice)
-        self._seal(ebits, bits_alice_to_bob, bits_bob_to_alice)
+        Record.__init__(self, ebits, bits_alice_to_bob, bits_bob_to_alice)
 
 
 def resource_census(p: Program) -> ResourceCensus:

@@ -24,7 +24,7 @@ import os
 
 import numpy as np
 
-from ._record import Record, set_field
+from ._record import Record
 
 Array = np.ndarray
 
@@ -84,7 +84,7 @@ class UnitaryMatrix(Record):
         defect = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
         if defect > _UNITARY_ATOL:
             raise ValueError(f"matrix is not unitary: max |U†U - I| = {defect:.3e}")
-        set_field(self, "matrix", _freeze(m))
+        Record.__init__(self, _freeze(m))
 
     @property
     def dim(self) -> int:

@@ -24,7 +24,7 @@ import json
 import numpy as np
 
 from . import qsim
-from ._record import Record, set_field
+from ._record import Record
 from .builder import NonlocalCUSpec, build_program, build_specification
 from .executor import kraus_choi_distance, kraus_stack, transcript_key
 from .protocol import Program, ResourceCensus, resource_census
@@ -42,10 +42,7 @@ class BranchReport(Record):
     __slots__ = _fields = ("transcript", "probability", "max_infidelity")
 
     def __init__(self, transcript: str, probability: float, max_infidelity: float):
-        set_field(self, "transcript", transcript)
-        set_field(self, "probability", probability)
-        set_field(self, "max_infidelity", max_infidelity)
-        self._seal(transcript, probability, max_infidelity)
+        Record.__init__(self, transcript, probability, max_infidelity)
 
 
 class EquivalenceReport(Record):
@@ -62,13 +59,7 @@ class EquivalenceReport(Record):
         choi_dist: float,
         branches: tuple[BranchReport, ...],
     ):
-        set_field(self, "verdict", verdict)
-        set_field(self, "tol_branch", tol_branch)
-        set_field(self, "tol_choi", tol_choi)
-        set_field(self, "census", census)
-        set_field(self, "choi_dist", choi_dist)
-        set_field(self, "branches", branches)
-        self._seal(verdict, tol_branch, tol_choi, census, choi_dist, branches)
+        Record.__init__(self, verdict, tol_branch, tol_choi, census, choi_dist, branches)
 
     @property
     def passed(self) -> bool:

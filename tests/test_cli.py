@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from telegate.cli import main
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 CNOT_LITERAL = "[[1,0,0,0],[0,1,0,0],[0,0,0,1],[0,0,1,0]]"
 
 
@@ -177,6 +181,50 @@ def test_lint_unparseable_file_exits_2(tmp_path, capsys):
 def test_missing_file_exits_2(capsys):
     assert main(["verify", "--file", "no/such/file.tg", "--against", "I"]) == 2
     assert capsys.readouterr().err.strip()
+
+
+def test_unreadable_file_exits_2(tmp_path, capsys):
+    assert main(["verify", "--file", str(tmp_path), "--against", "I"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "command",
+    [["choi", "--gate", "RZ(0.1) x X x H"], ["verify", "--gate", "X"]],
+    ids=["choi-541kB", "verify-small"],
+)
+def test_closed_output_pipe_exits_141_quietly(command, unbuffered):
+    """A reader that stops early (``| head -1``) is no input error: the
+    command ends with the status a shell shows for a tool killed by
+    SIGPIPE, and says nothing, also when the output fits in the buffer
+    that the interpreter flushes at exit."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "telegate.cli", *command],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr.decode()) == (141, "")
+
+
+def test_closed_stdout_descriptor_is_no_error():
+    """Started without a descriptor 1, the interpreter has no sys.stdout;
+    print() then writes nothing, and main must not fail either."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "telegate.cli",
+         "verify", "--gate", "X"],
+        stderr=subprocess.PIPE, env=env, timeout=60,
+    )
+    assert (result.returncode, result.stderr.decode()) == (0, "")
 
 
 def test_choi_csv_shape(capsys):

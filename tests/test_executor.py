@@ -179,6 +179,22 @@ def test_kraus_register_cap_counts_live_qubits_only(monkeypatch):
         kraus_stack(p)
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_cap_counts_the_register_the_pass_holds(k):
+    """lint, channel_choi and a cold kraus_stack check the cap on
+    _register_width; the pass allocates _layout's width."""
+    program = build_program(NonlocalCUSpec(qsim.identity(1 << k), k))
+    for p in (program, *(apply_mutation(program, m) for m in MUTATIONS)):
+        assert executor._register_width(p) == _layout(p).width
+
+
+def test_cap_counts_the_register_of_random_valid_programs():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        p = parse_program(random_program_text(rng))
+        assert executor._register_width(p) == _layout(p).width
+
+
 def test_kraus_pass_checks_its_operators(monkeypatch):
     """The checks run on every call, on a cold layout cache and on a warm one."""
     p = build_program(NonlocalCUSpec(qsim.X, 1))

@@ -3,9 +3,11 @@ pickles and reprs, one parametrized case per class; and the start-up
 cost they must not bring back."""
 
 import copy
+import importlib
 import inspect
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import telegate
 from telegate import builder, executor, gatelang, protocol, qsim, verifier
+from telegate._record import Record
 from telegate.protocol import Party, cwire, qwire
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -181,6 +185,43 @@ CASES = {
     ),
 }
 
+# name -> its constructor's signature: parameter names, order, defaults
+# and annotations, as callers and pickles rely on them.
+SIGNATURES = {
+    "WireRef": "(kind: 'WireKind', id: 'int')",
+    "AllocQubit": "(party: 'Party', wire: 'WireRef', basis_value: 'int')",
+    "MakeBellPair": "(left: 'WireRef', right: 'WireRef')",
+    "ApplyLocal": "(party: 'Party', wires: 'tuple[WireRef, ...]', gate: 'UnitaryMatrix',"
+    " label: 'str | None' = None)",
+    "ApplyControlledLocal": "(party: 'Party', control: 'WireRef', targets: 'tuple[WireRef, ...]',"
+    " gate: 'UnitaryMatrix', label: 'str | None' = None)",
+    "MeasureZ": "(party: 'Party', wire: 'WireRef', out: 'WireRef')",
+    "SendBit": "(from_party: 'Party', to_party: 'Party', wire: 'WireRef')",
+    "ConditionalPauli": "(party: 'Party', wire: 'WireRef', pauli: 'str', condition: 'WireRef')",
+    "DiscardBit": "(wire: 'WireRef')",
+    "ExternalWire": "(wire: 'WireRef', party: 'Party')",
+    "Program": "(externals: 'tuple[ExternalWire, ...]', instructions: 'tuple[Instruction, ...]'"
+    " = (), phases: 'tuple[int | None, ...]' = (), source_lines: 'tuple[int, ...] | None'"
+    " = None)",
+    "Violation": "(index: 'int', reason: 'str')",
+    "ResourceCensus": "(ebits: 'int', bits_alice_to_bob: 'int', bits_bob_to_alice: 'int')",
+    "NamedGate": "(name: 'str', pos: 'int' = 0)",
+    "ParamGate": "(name: 'str', arg: 'float', pos: 'int' = 0, arg_pos: 'int' = 0)",
+    "MatrixLiteral": "(rows: 'tuple[tuple[complex, ...], ...]', pos: 'int' = 0)",
+    "Product": "(left: 'GateExpr', right: 'GateExpr', pos: 'int' = 0)",
+    "Tensor": "(left: 'GateExpr', right: 'GateExpr', pos: 'int' = 0)",
+    "Adjoint": "(inner: 'GateExpr', pos: 'int' = 0)",
+    "_Token": "(kind: 'str', text: 'str', pos: 'int', value: 'complex' = 0j,"
+    " is_real: 'bool' = False)",
+    "UnitaryMatrix": "(matrix: 'Array')",
+    "BranchReport": "(transcript: 'str', probability: 'float', max_infidelity: 'float')",
+    "EquivalenceReport": "(verdict: 'str', tol_branch: 'float', tol_choi: 'float',"
+    " census: 'ResourceCensus', choi_dist: 'float', branches: 'tuple[BranchReport, ...]')",
+    "NonlocalCUSpec": "(c: 'UnitaryMatrix', k: 'int')",
+}
+# Record subclasses that are never instantiated, only subclassed.
+ABSTRACT = {"_BinaryOp"}
+
 # Holding a gate matrix, these cannot be hashed.
 UNHASHABLE = {"ApplyLocal", "ApplyControlledLocal", "NonlocalCUSpec", "UnitaryMatrix"}
 # These compare their arrays and accept subclasses as equal.
@@ -290,6 +331,24 @@ def test_pickle_copy_and_deepcopy_round_trip(name):
             assert hash(twin) == hash(a)
     if hasattr(a, "matrix"):
         assert not pickle.loads(pickle.dumps(a)).matrix.flags.writeable
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_signature_is_pinned(name):
+    assert str(inspect.signature(type(CASES[name][0]()))) == SIGNATURES[name]
+
+
+def test_every_record_class_has_a_case():
+    """A record class added later is covered by every test above."""
+    for module in pkgutil.iter_modules(telegate.__path__):
+        importlib.import_module(f"telegate.{module.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("telegate.") and cls.__name__ not in ABSTRACT:
+                found.add(cls.__name__)
+    assert found == set(CASES) == set(SIGNATURES)
 
 
 @pytest.mark.parametrize("name", CASES)
