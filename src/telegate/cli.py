@@ -34,6 +34,7 @@ from .verifier import (
     DEFAULT_TOL_BRANCH,
     DEFAULT_TOL_CHOI,
     _branch_evidence,
+    _census_fields,
     check_specification,
     verify_program,
 )
@@ -259,14 +260,11 @@ def _cmd_choi(args) -> int:
 
 def _cmd_resources(args) -> int:
     program, _, _ = _load(args, need_spec=False)
-    c = resource_census(program)
+    fields = _census_fields(resource_census(program))
     if args.format == "json":
-        print(json.dumps(
-            {"ebits": c.ebits, "a_to_b": c.bits_alice_to_bob, "b_to_a": c.bits_bob_to_alice},
-            sort_keys=True, separators=(", ", ": "),
-        ))
+        print(json.dumps(fields, sort_keys=True, separators=(", ", ": ")))
     else:
-        print(f"{{ebits: {c.ebits}, a_to_b: {c.bits_alice_to_bob}, b_to_a: {c.bits_bob_to_alice}}}")
+        print("{" + ", ".join(f"{name}: {n}" for name, n in fields.items()) + "}")
     return 0
 
 

@@ -18,7 +18,10 @@ is the tensor operator.
 ``A*B`` is the matrix product in written order -- A times B, so B is
 applied to a state first.  ``x`` binds looser than ``*``.
 
-All errors carry the byte offset of the offending input.
+Numbers are written in ASCII digits, and whitespace is space, tab, CR
+and LF.  Any other character is refused where it stands, so the text
+before it is ASCII and every error carries the byte offset of the
+offending input.
 """
 
 from __future__ import annotations
@@ -125,177 +128,134 @@ MAX_NESTING = 100
 
 # --- lexer -------------------------------------------------------------------
 
-_FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_NUMBER_RE = re.compile(rf"([+-]?{_FLOAT})(?:([+-]{_FLOAT})i|(i))?")
-_NAME_RE = re.compile(r"[A-Z]+")
-_WS_RE = re.compile(r"[ \t\r\n]+")
-_SYMBOLS = "*'()[],"
+# Digits are ASCII: ``\d`` matches the decimal digits of every script,
+# and ``float`` reads them too.
+_FLOAT = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# Whitespace, then one named group per token kind; ``lastgroup`` is the kind.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]+|(?P<SYMBOL>[*'()\[\],])|(?P<TENSOR>x)|(?P<NAME>[A-Z]+)"
+    rf"|(?P<NUMBER>(?P<re>[+-]?{_FLOAT})(?:(?P<im>[+-]{_FLOAT})i|(?P<unit>i))?)"
+)
 
 
-class _Token(Record):
-    __slots__ = _fields = ("kind", "text", "pos", "value", "is_real")
-
-    def __init__(
-        self,
-        kind: str,  # NAME, NUMBER, TENSOR, or one of the symbol characters
-        text: str,
-        pos: int,
-        value: complex = 0j,
-        is_real: bool = False,
-    ):
-        Record.__init__(self, kind, text, pos, value, is_real)
-
-
-def _lex(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ws = _WS_RE.match(text, i)
-        if ws:
-            i = ws.end()
-            continue
-        c = text[i]
-        if c in _SYMBOLS:
-            toks.append(_Token(c, c, i))
-            i += 1
-            continue
-        if c == "x":
-            toks.append(_Token("TENSOR", c, i))
-            i += 1
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            toks.append(_Token("NAME", m.group(), i))
-            i = m.end()
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            if m.group(2) is not None:
-                value = complex(float(m.group(1)), float(m.group(2)))
-                real = False
-            elif m.group(3) is not None:
-                value = complex(0.0, float(m.group(1)))
-                real = False
-            else:
-                value = complex(float(m.group(1)), 0.0)
-                real = True
-            toks.append(_Token("NUMBER", m.group(), i, value, real))
-            i = m.end()
-            continue
-        raise GateSyntaxError(f"unexpected character {c!r} at offset {i}", i)
+def _lex(text: str) -> list[tuple]:
+    """Tokens ``(kind, text, pos, value, is_real)``, ending with an END
+    token at ``len(text)``.  A symbol's kind is the symbol itself; only
+    NUMBER tokens carry a value."""
+    toks = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise GateSyntaxError(f"unexpected character {text[pos]!r} at offset {pos}", pos)
+        kind = m.lastgroup
+        if kind == "NUMBER":
+            real, imag, unit = m.group("re", "im", "unit")
+            value = complex(0.0, float(real)) if unit else complex(float(real), float(imag or 0))
+            toks.append((kind, m[0], pos, value, not (imag or unit)))
+        elif kind is not None:  # None: whitespace
+            toks.append((m[0] if kind == "SYMBOL" else kind, m[0], pos, None, False))
+        pos = m.end()
+    toks.append(("END", "", pos, None, False))
     return toks
 
 
 # --- parser ------------------------------------------------------------------
 
+# The binary operators: token kind -> (node class, printed form,
+# precedence).  Both group to the left; the higher precedence binds
+# tighter.  The postfix adjoint binds tighter than either.
+_BINARY = {"TENSOR": (Tensor, " x ", 1), "*": (Product, " * ", 2)}
+_ADJOINT_PREC = 3
+
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _lex(text)
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> _Token | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is of ``kind``."""
+        if self.toks[self.i][0] == kind:
+            self.i += 1
+            return True
+        return False
 
-    def next(self, expected: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise GateSyntaxError(
-                f"unexpected end of input at offset {len(self.text)}", len(self.text)
-            )
-        if expected is not None and tok.kind != expected:
-            raise GateSyntaxError(
-                f"expected {expected!r} but got {tok.text!r} at offset {tok.pos}", tok.pos
-            )
+    def next(self, expected: str | None = None) -> tuple:
+        tok = self.toks[self.i]
+        kind, text, pos = tok[:3]
+        if kind == "END":
+            raise GateSyntaxError(f"unexpected end of input at offset {pos}", pos)
+        if expected is not None and kind != expected:
+            raise GateSyntaxError(f"expected {expected!r} but got {text!r} at offset {pos}", pos)
         self.i += 1
         return tok
 
-    def expr(self) -> GateExpr:
-        node = self.term()
-        while (tok := self.peek()) is not None and tok.kind == "TENSOR":
-            self.next()
-            node = Tensor(node, self.term(), node.pos)
-        return node
-
-    def term(self) -> GateExpr:
+    def expr(self, min_prec: int = 1) -> GateExpr:
+        """Factors joined by the binary operators that bind at least as
+        tightly as ``min_prec``."""
         node = self.factor()
-        while (tok := self.peek()) is not None and tok.kind == "*":
-            self.next()
-            node = Product(node, self.factor(), node.pos)
+        while (op := _BINARY.get(self.toks[self.i][0])) is not None and op[2] >= min_prec:
+            cls, _, prec = op
+            self.i += 1
+            node = cls(node, self.expr(prec + 1), node.pos)
         return node
 
     def factor(self) -> GateExpr:
         node = self.atom()
-        if (tok := self.peek()) is not None and tok.kind == "'":
-            self.next()
-            node = Adjoint(node, node.pos)
-        return node
+        return Adjoint(node, node.pos) if self.accept("'") else node
 
     def atom(self) -> GateExpr:
-        tok = self.next()
-        if tok.kind == "NAME":
-            return self.gate(tok)
-        if tok.kind == "(":
+        kind, text, pos, _, _ = self.next()
+        if kind == "NAME":
+            return self.gate(text, pos)
+        if kind == "(":
             if self.depth == MAX_NESTING:
                 raise GateSyntaxError(
-                    f"parentheses nested deeper than {MAX_NESTING} at offset {tok.pos}", tok.pos
+                    f"parentheses nested deeper than {MAX_NESTING} at offset {pos}", pos
                 )
             self.depth += 1
             node = self.expr()
             self.next(")")
             self.depth -= 1
             return node
-        if tok.kind == "[":
-            return self.matrix(tok)
+        if kind == "[":
+            rows = self.items(self.row)
+            if any(len(r) != len(rows[0]) for r in rows):
+                raise GateSyntaxError(f"matrix rows must have equal length at offset {pos}", pos)
+            return MatrixLiteral(tuple(rows), pos)
         raise GateSyntaxError(
-            f"expected a gate, matrix or '(' but got {tok.text!r} at offset {tok.pos}", tok.pos
+            f"expected a gate, matrix or '(' but got {text!r} at offset {pos}", pos
         )
 
-    def gate(self, tok: _Token) -> GateExpr:
-        followed_by_paren = (nxt := self.peek()) is not None and nxt.kind == "("
-        if tok.text in PARAM_GATES:
-            if not followed_by_paren:
-                raise GateSyntaxError(
-                    f"gate {tok.text} requires a parameter at offset {tok.pos}", tok.pos
-                )
-            self.next("(")
-            num = self.next("NUMBER")
-            if not num.is_real:
-                raise GateSyntaxError(
-                    f"gate parameter must be real at offset {num.pos}", num.pos
-                )
+    def gate(self, name: str, pos: int) -> GateExpr:
+        has_arg = self.accept("(")
+        if name in PARAM_GATES:
+            if not has_arg:
+                raise GateSyntaxError(f"gate {name} requires a parameter at offset {pos}", pos)
+            _, _, arg_pos, value, is_real = self.next("NUMBER")
+            if not is_real:
+                raise GateSyntaxError(f"gate parameter must be real at offset {arg_pos}", arg_pos)
             self.next(")")
-            return ParamGate(tok.text, num.value.real, tok.pos, num.pos)
-        if tok.text in NAMED_GATES:
-            if followed_by_paren:
-                raise GateSyntaxError(
-                    f"gate {tok.text} takes no parameter at offset {tok.pos}", tok.pos
-                )
-            return NamedGate(tok.text, tok.pos)
-        raise GateSyntaxError(f"unknown gate name {tok.text!r} at offset {tok.pos}", tok.pos)
+            return ParamGate(name, value.real, pos, arg_pos)
+        if name in NAMED_GATES:
+            if has_arg:
+                raise GateSyntaxError(f"gate {name} takes no parameter at offset {pos}", pos)
+            return NamedGate(name, pos)
+        raise GateSyntaxError(f"unknown gate name {name!r} at offset {pos}", pos)
 
-    def matrix(self, opening: _Token) -> MatrixLiteral:
-        rows = [self.row()]
-        while (tok := self.peek()) is not None and tok.kind == ",":
-            self.next()
-            rows.append(self.row())
+    def items(self, item) -> list:
+        """``item (',' item)* ']'``: the rest of a list whose '[' is read."""
+        found = [item()]
+        while self.accept(","):
+            found.append(item())
         self.next("]")
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise GateSyntaxError(
-                f"matrix rows must have equal length at offset {opening.pos}", opening.pos
-            )
-        return MatrixLiteral(tuple(rows), opening.pos)
+        return found
 
     def row(self) -> tuple[complex, ...]:
         self.next("[")
-        entries = [self.next("NUMBER").value]
-        while (tok := self.peek()) is not None and tok.kind == ",":
-            self.next()
-            entries.append(self.next("NUMBER").value)
-        self.next("]")
-        return tuple(entries)
+        return tuple(self.items(lambda: self.next("NUMBER")[3]))
 
 
 def parse(text: str) -> GateExpr:
@@ -303,10 +263,9 @@ def parse(text: str) -> GateExpr:
     byte offset on any lexical or grammatical problem."""
     p = _Parser(text)
     node = p.expr()
-    if (tok := p.peek()) is not None:
-        raise GateSyntaxError(
-            f"unexpected token {tok.text!r} at offset {tok.pos}", tok.pos
-        )
+    kind, found, pos = p.toks[p.i][:3]
+    if kind != "END":
+        raise GateSyntaxError(f"unexpected token {found!r} at offset {pos}", pos)
     return node
 
 
@@ -389,9 +348,6 @@ def format_matrix(u: UnitaryMatrix) -> str:
     return _fmt_rows(u.matrix)
 
 
-_PREC = {Tensor: 1, Product: 2, Adjoint: 3}
-
-
 def format_expr(e: GateExpr) -> str:
     """Pretty-print with minimal parentheses; ``parse(format_expr(e))``
     returns a tree equal to ``e``.
@@ -417,15 +373,15 @@ def format_expr(e: GateExpr) -> str:
         if isinstance(node, MatrixLiteral):
             out.append(_fmt_rows(node.rows))
             continue
-        if isinstance(node, Tensor):
-            parts = [(node.left, 1), " x ", (node.right, 2)]
-        elif isinstance(node, Product):
-            parts = [(node.left, 2), " * ", (node.right, 3)]
-        elif isinstance(node, Adjoint):
-            parts = [(node.inner, 4), "'"]
+        for cls, form, prec in _BINARY.values():
+            if isinstance(node, cls):
+                parts = [(node.left, prec), form, (node.right, prec + 1)]
+                break
         else:
-            raise TypeError(f"unknown expression node {node!r}")
-        if _PREC[type(node)] < min_prec:
+            if not isinstance(node, Adjoint):
+                raise TypeError(f"unknown expression node {node!r}")
+            prec, parts = _ADJOINT_PREC, [(node.inner, _ADJOINT_PREC + 1), "'"]
+        if prec < min_prec:
             parts = ["(", *parts, ")"]
         todo.extend(reversed(parts))
     return "".join(out)

@@ -74,11 +74,7 @@ class EquivalenceReport(Record):
         doc = {
             "verdict": self.verdict,
             "tolerances": {"branch": self.tol_branch, "choi": self.tol_choi},
-            "census": {
-                "ebits": self.census.ebits,
-                "a_to_b": self.census.bits_alice_to_bob,
-                "b_to_a": self.census.bits_bob_to_alice,
-            },
+            "census": _census_fields(self.census),
             "choi_distance": self.choi_dist,
             "branches": [
                 {
@@ -90,6 +86,11 @@ class EquivalenceReport(Record):
             ],
         }
         return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
+
+
+def _census_fields(c: ResourceCensus) -> dict[str, int]:
+    """The census under the names reports and ``telegate resources`` give it."""
+    return {"ebits": c.ebits, "a_to_b": c.bits_alice_to_bob, "b_to_a": c.bits_bob_to_alice}
 
 
 def _haar_probes(n_qubits: int, probes: int, seed: int) -> np.ndarray:

@@ -29,6 +29,11 @@ def test_verify_parse_error_exits_2(capsys):
     assert "offset 3" in err
 
 
+def test_non_ascii_digit_is_a_parse_error(capsys):
+    assert main(["verify", "--gate", "RZ(٣)"]) == 2
+    assert capsys.readouterr().err == "error: unexpected character '٣' at offset 3\n"
+
+
 @pytest.mark.parametrize(
     "mutation", ["drop-bell", "drop-x-correction", "drop-z-correction", "drop-cgate"]
 )

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from oracles import random_gate_expr, random_unitary_expr
 from telegate import gatelang, qsim
 from telegate.gatelang import (
+    MAX_NESTING,
     Adjoint,
     GateEvalError,
     GateSyntaxError,
@@ -161,9 +162,102 @@ def test_long_product_chain_round_trips():
     assert format_expr(parse(text)) == text
     nested = "X x (" * 98 + "X x X" + ")" * 98
     assert format_expr(parse(nested)) == nested
+    # the most parser frames per level: both operators before each '('
+    mixed = "X x X * (" * MAX_NESTING + "X x X" + ")" * MAX_NESTING
+    assert format_expr(parse(mixed)) == mixed
 
 
 def test_pretty_print_examples():
     assert format_expr(parse("RZ(0.3)' * H")) == "RZ(0.3)' * H"
     assert format_expr(Tensor(NamedGate("H"), Tensor(NamedGate("X"), NamedGate("Y")))) == "H x (X x Y)"
     assert format_expr(Adjoint(Product(NamedGate("X"), NamedGate("Y")))) == "(X * Y)'"
+
+
+# Every refusal of the gate language: input, error class, message and
+# offset, and the register cap when the case needs one.  Each message
+# names its offset in bytes, and the exception carries the same number.
+REFUSALS = [
+    ("H @ X", GateSyntaxError, "unexpected character '@' at offset 2", 2, None),
+    ("H'?", GateSyntaxError, "unexpected character '?' at offset 2", 2, None),
+    ("H\r\n\t@", GateSyntaxError, "unexpected character '@' at offset 4", 4, None),
+    ("H \x0c", GateSyntaxError, "unexpected character '\\x0c' at offset 2", 2, None),
+    # digits of other scripts are not numbers, as they are not in wire ids
+    ("RZ(٣)", GateSyntaxError, "unexpected character '٣' at offset 3", 3, None),
+    ("[[١,٠],[٠,١]]", GateSyntaxError, "unexpected character '١' at offset 2", 2, None),
+    ("RZ(0.٣) * Q", GateSyntaxError, "unexpected character '٣' at offset 5", 5, None),
+    ("RZ(", GateSyntaxError, "unexpected end of input at offset 3", 3, None),
+    ("", GateSyntaxError, "unexpected end of input at offset 0", 0, None),
+    ("(H", GateSyntaxError, "unexpected end of input at offset 2", 2, None),
+    ("[[1,0],[0,1]", GateSyntaxError, "unexpected end of input at offset 12", 12, None),
+    ("RZ(X)", GateSyntaxError, "expected 'NUMBER' but got 'X' at offset 3", 3, None),
+    ("RZ(0.1 X", GateSyntaxError, "expected ')' but got 'X' at offset 7", 7, None),
+    ("(H X", GateSyntaxError, "expected ')' but got 'X' at offset 3", 3, None),
+    ("[H]", GateSyntaxError, "expected '[' but got 'H' at offset 1", 1, None),
+    ("[[1,X]]", GateSyntaxError, "expected 'NUMBER' but got 'X' at offset 4", 4, None),
+    ("[[1 0]]", GateSyntaxError, "expected ']' but got '0' at offset 4", 4, None),
+    ("[[1],[0] [1]]", GateSyntaxError, "expected ']' but got '[' at offset 9", 9, None),
+    (
+        "(" * 101 + "X" + ")" * 101,
+        GateSyntaxError, "parentheses nested deeper than 100 at offset 100", 100, None,
+    ),
+    ("H * * X", GateSyntaxError, "expected a gate, matrix or '(' but got '*' at offset 4", 4, None),
+    ("x H", GateSyntaxError, "expected a gate, matrix or '(' but got 'x' at offset 0", 0, None),
+    ("0.5", GateSyntaxError, "expected a gate, matrix or '(' but got '0.5' at offset 0", 0, None),
+    ("RZ", GateSyntaxError, "gate RZ requires a parameter at offset 0", 0, None),
+    ("H x PHASE", GateSyntaxError, "gate PHASE requires a parameter at offset 4", 4, None),
+    ("RZ(1+2i)", GateSyntaxError, "gate parameter must be real at offset 3", 3, None),
+    ("RX(0.5i)", GateSyntaxError, "gate parameter must be real at offset 3", 3, None),
+    ("H(0.3)", GateSyntaxError, "gate H takes no parameter at offset 0", 0, None),
+    ("FOO", GateSyntaxError, "unknown gate name 'FOO' at offset 0", 0, None),
+    ("X * HX", GateSyntaxError, "unknown gate name 'HX' at offset 4", 4, None),
+    ("[[1,0],[0,1],[0]]", GateSyntaxError, "matrix rows must have equal length at offset 0", 0, None),
+    ("H X", GateSyntaxError, "unexpected token 'X' at offset 2", 2, None),
+    ("H)", GateSyntaxError, "unexpected token ')' at offset 1", 1, None),
+    ("H * RX(1e400)", GateEvalError, "gate parameter inf is not finite at offset 7", 7, None),
+    ("RZ(-1e400)", GateEvalError, "gate parameter -inf is not finite at offset 3", 3, None),
+    (
+        "H * [[1,1],[1,1]]",
+        GateEvalError, "matrix is not unitary: max |U†U - I| = 2.000e+00 at offset 4", 4, None,
+    ),
+    ("[[1,0]]", GateEvalError, "unitary must be square, got shape (1, 2) at offset 0", 0, None),
+    (
+        "[[1,0,0],[0,1,0],[0,0,1]]",
+        GateEvalError, "unitary dimension must be a power of two, got 3 at offset 0", 0, None,
+    ),
+    ("[[1e400,0],[0,1]]", GateEvalError, "unitary entries must be finite at offset 0", 0, None),
+    (
+        "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]",
+        GateEvalError, "unitary needs 2 qubits, exceeding the 1-qubit cap at offset 0", 0, 1,
+    ),
+    (
+        "X * (H x H)",
+        GateEvalError, "dimension mismatch in product: 2 vs 4 at offset 0", 0, None,
+    ),
+    (
+        "X x (H * (H x H))",
+        GateEvalError, "dimension mismatch in product: 2 vs 4 at offset 5", 5, None,
+    ),
+    (
+        "H x H x H",
+        GateEvalError, "kron result needs 3 qubits, exceeding the 2-qubit cap at offset 0", 0, 2,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, cls, message, offset, cap", REFUSALS, ids=[case[0][:30] for case in REFUSALS]
+)
+def test_every_refusal_is_pinned(text, cls, message, offset, cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setenv("TELEGATE_MAX_QUBITS", str(cap))
+    with pytest.raises((GateSyntaxError, GateEvalError)) as exc:
+        evaluate(parse(text))
+    assert type(exc.value) is cls
+    assert str(exc.value) == message
+    assert exc.value.offset == offset == len(text[:offset].encode())
+
+
+def test_imaginary_entries_print_without_a_real_part():
+    text = format_matrix(qsim.Y)
+    assert text == "[[0.0,-1.0i],[1.0i,0.0]]"
+    assert np.array_equal(evaluate(parse(text)).matrix, qsim.Y.matrix)

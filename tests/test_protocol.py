@@ -192,6 +192,64 @@ def test_instruction_constructors_reject_malformed():
         WireRef(WireKind.QUANTUM, -1)
 
 
+A, B = Party.ALICE, Party.BOB
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ApplyLocal(A, (), qsim.X), "ApplyLocal needs at least one wire"),
+        (
+            lambda: ApplyControlledLocal(A, qwire(0), (), qsim.X),
+            "ApplyControlledLocal needs at least one target",
+        ),
+        (
+            lambda: ApplyControlledLocal(A, qwire(0), (qwire(0),), qsim.X),
+            "control and targets must be distinct wires",
+        ),
+        (
+            lambda: ApplyControlledLocal(A, qwire(0), (qwire(1),), qsim.controlled(qsim.X)),
+            "gate of dim 4 cannot act on 1 targets",
+        ),
+        (
+            lambda: Program((), (AllocQubit(A, qwire(1), 0),), (1, 2)),
+            "phases must align with instructions",
+        ),
+        (
+            lambda: Program((), (AllocQubit(A, qwire(1), 0),), (4,)),
+            "phase tag must be 1, 2, 3 or None, got 4",
+        ),
+        (
+            lambda: Program((ExternalWire(qwire(0), A), ExternalWire(qwire(0), B))),
+            "external wires must be distinct",
+        ),
+    ],
+)
+def test_ir_constructor_refusals(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_double_allocation_and_double_discard_are_flagged():
+    program = Program(
+        (),
+        (
+            AllocQubit(A, qwire(1), 0),
+            MakeBellPair(qwire(1), qwire(2)),
+            MeasureZ(A, qwire(1), cwire(1)),
+            MeasureZ(B, qwire(2), cwire(2)),
+            DiscardBit(cwire(1)),
+            DiscardBit(cwire(1)),
+            DiscardBit(cwire(2)),
+        ),
+    )
+    assert [(v.index, v.reason) for v in validate_locality(program)] == [
+        (1, "quantum wire q1 allocated twice"),
+        (5, "classical wire c1 discarded twice"),
+    ]
+
+
 def test_wire_ref_hash_agrees_with_eq():
     wires = [qwire(0), qwire(1), cwire(0), cwire(1), WireRef(WireKind.QUANTUM, 0)]
     for a in wires:
@@ -299,6 +357,34 @@ def test_parse_errors_carry_line_numbers():
             parse_program(text)
         assert exc.value.line == line
         assert str(exc.value).startswith(f"line {line}: ")
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("ext A q0\nalloc A q1 = 0\next B q2\n", 3, "ext lines must precede instructions"),
+        ("phase 4\n", 1, "phase must be 1, 2 or 3, got '4'"),
+        ("bell q1 q2@B\n", 1, "bell wire needs @party, got 'q1'"),
+        ("bell q1@A q2@A\n", 1, "bell needs one wire per party"),
+        ("ext A q0\nsend A-B c1\n", 2, "expected A->B or B->A, got 'A-B'"),
+        ("ext A q0\ngate A q0 :\n", 2, "missing gate expression after ':'"),
+        ("ext A q0\n\ngate A q0 : RZ(X)\n", 3,
+         "bad gate expression: expected 'NUMBER' but got 'X' at offset 3"),
+        ("alloc A q1 0\n", 1, "usage: alloc <party> <qwire> = <0|1>"),
+        ("alloc A q1 = 2\n", 1, "usage: alloc <party> <qwire> = <0|1>"),
+        ("ext A q0\ngate A q0\n", 2, "usage: gate <party> <qwire...> : <expr>"),
+        ("ext A q0\ncgate A q0 q1 : X\n", 2, "usage: cgate <party> <qwire> -> <qwire...> : <expr>"),
+        ("ext A q0\nmeasz A q0 c1\n", 2, "usage: measz <party> <qwire> -> <cwire>"),
+        ("ext A q0\nmeasz A q0 => c1\n", 2, "usage: measz <party> <qwire> -> <cwire>"),
+        ("ext A q0\ncpauli A q0 X when c1\n", 2, "usage: cpauli <party> <qwire> <X|Z> if <cwire>"),
+        ("ext A q0\ncpauli A q0 X\n", 2, "usage: cpauli <party> <qwire> <X|Z> if <cwire>"),
+    ],
+)
+def test_program_refusals_name_their_line(text, line, message):
+    with pytest.raises(ProgramParseError) as exc:
+        parse_program(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
 
 
 def test_source_lines_count_newlines_only():

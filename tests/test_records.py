@@ -152,11 +152,6 @@ CASES = {
         "Adjoint(inner=NamedGate(name='S', pos=0), pos=1)",
         {"pos": 3},
     ),
-    "_Token": (
-        lambda: gatelang._Token("NUMBER", "0.5i", 7, 0.5j, False),
-        "_Token(kind='NUMBER', text='0.5i', pos=7, value=0.5j, is_real=False)",
-        {},
-    ),
     "UnitaryMatrix": (
         lambda: qsim.UnitaryMatrix(np.eye(4)),
         "UnitaryMatrix(dim=4)",
@@ -211,8 +206,6 @@ SIGNATURES = {
     "Product": "(left: 'GateExpr', right: 'GateExpr', pos: 'int' = 0)",
     "Tensor": "(left: 'GateExpr', right: 'GateExpr', pos: 'int' = 0)",
     "Adjoint": "(inner: 'GateExpr', pos: 'int' = 0)",
-    "_Token": "(kind: 'str', text: 'str', pos: 'int', value: 'complex' = 0j,"
-    " is_real: 'bool' = False)",
     "UnitaryMatrix": "(matrix: 'Array')",
     "BranchReport": "(transcript: 'str', probability: 'float', max_infidelity: 'float')",
     "EquivalenceReport": "(verdict: 'str', tol_branch: 'float', tol_choi: 'float',"
