@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gatelang
 from .builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program, build_specification
-from .executor import ExecutionError, channel_choi, check_register, kraus_stack, transcript_key
+from .executor import ExecutionError, channel_choi, check_register, dense, kraus_form, transcript_key
 from .protocol import Program, parse_program, resource_census, validate_locality
 from .qsim import UnitaryMatrix
 from .verifier import (
@@ -33,8 +33,8 @@ from .verifier import (
     DEFAULT_SEED,
     DEFAULT_TOL_BRANCH,
     DEFAULT_TOL_CHOI,
-    _branch_evidence,
     _census_fields,
+    basis_evidence,
     check_specification,
     verify_program,
 )
@@ -213,12 +213,13 @@ def _cmd_trace(args) -> int:
     # verify computes it: numpy sums a one-column block in another order,
     # which can move the last bits.
     j = int(label or "0", 2)
-    transcripts, ops = kraus_stack(program)
-    prob, seen, fid = _branch_evidence(ops, u_spec.matrix)
+    form = kraus_form(program)
+    prob, seen, fid = basis_evidence(form, u_spec)
+    ops = dense(form)
     rows = [
         (transcript_key(transcript), float(prob[t, j]), float(fid[t, j]),
          ops[t, :, j] / math.sqrt(prob[t, j]))
-        for t, transcript in enumerate(transcripts)
+        for t, transcript in enumerate(form.transcripts)
         if seen[t, j]
     ]
     if args.format == "json":

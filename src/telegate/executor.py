@@ -1,25 +1,40 @@
 """Exact execution of protocol programs.
 
-:func:`kraus_stack` is the one execution primitive.  It runs a program
+:func:`kraus_form` is the one execution primitive.  It runs a program
 once, in one straight-line pass that covers every classical transcript,
-on the d×d identity (d = 2^n for n external wires), so that each
-transcript t ends as the Kraus operator K_t of the channel the program
-implements: the branch output for input psi is ``K_t @ psi``
-(unnormalized) and its probability is ``|K_t psi|^2``; for a basis input
-e_j that output is column j of K_t, so no product is needed.  A program built
-by the builder has at most four transcripts, so everything downstream is
-small, and every other function here reads that stack:
+and returns the Kraus operator K_t of each transcript t of the channel
+the program implements on its n external wires (d = 2^n): the branch
+output for input psi is ``K_t @ psi`` (unnormalized) and its probability
+is ``|K_t psi|^2``.  A program built by the builder has at most four
+transcripts, so everything downstream is small.  The operators come
+factored over a basis of at most two operators on the last wires,
 
-* :func:`kraus_choi_distance` compares the channel with a unitary U from
-  the projections a_t = tr(U†K_t)/|U|_F^2 and the T×T Gram matrix of the
-  residuals K_t - a_t U, in O(T^2 d^2) and with no factorization;
-* :func:`channel_choi` assembles the dense Choi matrix
-  J = sum_t vec(K_t) vec(K_t)† / d, for callers that need the matrix
-  itself.  J needs no check of its own: as a Gram matrix it is Hermitian
-  and positive semidefinite, and its trace sum_t |K_t|_F^2 / d is 1
-  within the bound of :func:`_checked` because :func:`kraus_stack`
-  checks exactly that sum on the operators it returns (Watrous, *The
-  Theory of Quantum Information*, ch. 2).
+    K_t = sum_b C_tb ⊗ M_b,
+
+and every consumer reads that form:
+
+* :func:`kraus_stack` assembles the dense (T, d, d) stack, for
+  :func:`channel_choi`, the amplitudes of ``telegate trace`` and tests;
+* :func:`choi_residual` compares the channel with a unitary written over
+  a basis of its own, from projections and the Gram matrix of the
+  residuals (see :func:`kraus_choi_distance`, its dense form);
+* the verifier reads branch evidence off the same coefficients.
+
+The slot.  A program's *slot* is an ``ApplyControlledLocal`` whose targets
+are the trailing external wires, in order, and which no other
+instruction touches: Bob's controlled-U in every program the builder
+makes (Eisert, Jacobs, Papadopoulos & Plenio, PRA 62, 052317).  All else
+acts on the other externals and the internal qubits, so by linearity
+K_t = X_t ⊗ I + Y_t ⊗ V, with V the slot's gate and X_t, Y_t the
+operators the program implements on the other 2^r-dimensional externals
+when the slot is replaced by the projector of its control on |0> and on
+|1>.  :func:`_run` computes both in one pass that leaves the k target
+wires out: its batch holds the 2^r identity columns twice, and where the
+slot stands a *selector* step zeroes the control's |1> half in the first
+copy and its |0> half in the second.  The basis is then {I, V}, with
+C_t0 = X_t and C_t1 = Y_t, and X_t and Y_t depend on neither V nor k.  A
+program without a slot runs on every external wire, with the trivial
+basis {1} and C_t0 = K_t.
 
 :func:`_run` and :func:`_apply` are the only code that evolves or
 measures a state.  Measurement is deferred (Nielsen & Chuang §4.4): a
@@ -27,22 +42,48 @@ measured qubit stays in the register as the record of its outcome, a
 conditional Pauli becomes a Pauli controlled on that record, and at the
 end the records index the transcripts.  The register therefore holds
 the external wires plus every qubit the program allocates, and that is
-what the qubit cap counts; branch outputs cover exactly the external
-wires.
+what the qubit cap counts, whether or not the pass leaves a slot's
+targets out, so that a refusal does not depend on the factoring.
 
 The pass is split in two.  :func:`_layout` works out everything that
 depends only on the program's *shape* (:func:`_shape`: its externals,
 and each instruction with its gate matrix and label left out): the
-register width, each step's axis permutation, the final axis order and
-every transcript.  :func:`_run` then applies the numbers, reading each
-gate matrix from the program by index.  Every program the builder makes
-for one k has one shape, so :func:`kraus_stack` validates and lays out
-a shape once and keeps the layout in a cache of at most
-:data:`LAYOUT_CACHE_SIZE` shapes, oldest out first.  The cache holds no
-arrays, and an invalid program never enters it.  The qubit cap is
-checked on every call, since ``TELEGATE_MAX_QUBITS`` may change between
-calls.  A one-shot CLI call runs one program per process, so its layout
-is always new and it gains nothing from the cache.
+slot, the register width, each step's axis permutation, the final axis
+order and every transcript.  :func:`_run` then applies the numbers,
+reading each gate matrix from the program by index.  Every program the
+builder makes for one k has one shape, so :func:`kraus_form` validates
+and lays out a shape once and keeps the layout in a cache of at most
+:data:`LAYOUT_CACHE_SIZE` shapes, oldest out first.  An invalid program
+never enters it.  The qubit cap is checked on every call, since
+``TELEGATE_MAX_QUBITS`` may change between calls.
+
+A cache entry also keeps the coefficients C_tb of the last pass run for
+its shape, with the gate objects that pass read (every gate but the
+slot's).  A call reuses them only when each of its own non-slot gates
+*is* the object the entry holds: no matrix is hashed or compared, and
+the held reference keeps an object's id from being reused.  The builder
+shares its non-slot gates between every program of one k, so a sweep
+over gates of one k runs the pass once per shape, and a warm call runs
+no pass at all.  Coefficients are kept only when they and their
+:func:`_pairs` hold at most :data:`BLOCK_CACHE_ENTRIES` complex entries
+(64 KiB), so the cache holds at most ``LAYOUT_CACHE_SIZE`` × 64 KiB =
+4 MiB of arrays; the coefficients of a call are read-only exactly when
+they are the cached ones.  They are
+read-only, and an entry is replaced, never changed, under a lock, so a
+thread reading an entry that another evicts or refills keeps a
+consistent one.  A one-shot CLI call runs one program per process, so
+its layout is always new and it gains nothing from the cache.
+
+The operators are checked on the factored form: coefficients are
+finite when a pass computes them, and on every call transcripts with
+``|K_t|_F^2 < 1e-14`` are dropped as dust and the rest must sum to 1
+within the bound of :func:`_checked`, with
+|K_t|_F^2 = sum_bc <C_tb, C_tc> <M_b, M_c>; the <C_tb, C_tc> do not
+depend on V and are cached with the coefficients.  The Choi matrix
+J = sum_t vec(K_t) vec(K_t)† / d of :func:`channel_choi` needs no check
+of its own: as a Gram matrix it is Hermitian and positive semidefinite,
+and its trace is that checked sum (Watrous, *The Theory of Quantum
+Information*, ch. 2).
 
 Choi matrices here are normalized to trace 1.  No sampling is involved:
 the branch ensemble is complete, so tests tolerate only floating-point
@@ -79,15 +120,27 @@ _PAULI = {"X": qsim.X.matrix, "Z": qsim.Z.matrix}
 # Read-only amplitudes of fresh qubits: |0>, |1>, then (|00> + |11>)/sqrt(2).
 _FRESH = tuple(qsim._freeze(np.array(amps, dtype=np.complex128))
                for amps in ([1, 0], [0, 1], np.array([1, 0, 0, 1]) / math.sqrt(2)))
+# The basis {1} of a program without a slot: C_t0 is K_t itself.
+TRIVIAL_BASIS = qsim._freeze(np.ones((1, 1, 1), dtype=np.complex128))
+# Marks the slot's step in a layout (see _layout).
+_SELECT = "select"
 _REGISTER_DETAIL = " alive in one register (measured qubits are kept)"
 
-# Layouts by program shape (see kraus_stack), oldest first; the lock
+# Layouts by program shape (see kraus_form), oldest first; the lock
 # keeps two threads from evicting at once.
 LAYOUT_CACHE_SIZE = 64
+# The most complex entries of cached coefficients and pairs per layout
+# (64 KiB).
+BLOCK_CACHE_ENTRIES = 1 << 12
 _LAYOUTS: dict[tuple, "_Layout"] = {}
 _LAYOUTS_LOCK = threading.Lock()
 
 Transcript = tuple[tuple[WireRef, int], ...]
+
+# A channel's Kraus operators K_t = sum_b coeffs[t, b] ⊗ basis[b], for
+# ``transcripts`` sorted by bits: coeffs is (T, B, r, r) and basis
+# (B, m, m), with r * m = d.
+KrausForm = collections.namedtuple("KrausForm", "transcripts coeffs basis")
 
 
 class ExecutionError(RuntimeError):
@@ -102,9 +155,10 @@ def transcript_key(transcript: Transcript) -> str:
     return ",".join(f"{wire}={bit}" for wire, bit in transcript) or "-"
 
 
-def kraus_stack(p: Program) -> tuple[list[Transcript], np.ndarray]:
+def kraus_form(p: Program) -> KrausForm:
     """The transcripts of ``p``, sorted by bits, and their Kraus operators
-    as one (T, d, d) array, row t for transcript t.
+    in factored form: over {I, V} if ``p`` has a slot with gate V, else
+    over {1} (see the module docstring).
 
     The program must pass :func:`validate_locality`, and its externals
     plus every qubit it allocates must fit :func:`qsim.max_qubits`.
@@ -114,10 +168,10 @@ def kraus_stack(p: Program) -> tuple[list[Transcript], np.ndarray]:
     which makes the channel trace preserving.
 
     Validation and the layout of the pass (:func:`_layout`) depend only
-    on the shape of ``p`` (:func:`_shape`), so they run once per shape and
-    the layout is kept in a cache of at most :data:`LAYOUT_CACHE_SIZE`
-    entries; the register cap, which can change between calls, is checked
-    on every call.
+    on the shape of ``p`` (:func:`_shape`), so they run once per shape,
+    and the pass itself runs only when the cached entry holds no
+    coefficients for ``p``'s non-slot gates; the register cap, which can
+    change between calls, is checked on every call.
     """
     key = _shape(p)
     layout = _LAYOUTS.get(key)
@@ -128,27 +182,59 @@ def kraus_stack(p: Program) -> tuple[list[Transcript], np.ndarray]:
             raise ValueError(f"program fails locality validation: {summary}")
         check_register(p)
         layout = _layout(p)
-        with _LAYOUTS_LOCK:
-            if len(_LAYOUTS) >= LAYOUT_CACHE_SIZE:
-                del _LAYOUTS[next(iter(_LAYOUTS))]  # the oldest
-            _LAYOUTS[key] = layout
+        _store(key, layout)
     else:
         qsim.check_qubits(layout.width, "program", _REGISTER_DETAIL)
-    n = p.n_external
-    d = 1 << n
-    batch = np.eye(d, dtype=np.complex128).reshape((2,) * n + (d,))
-    return _checked(layout, _run(layout, p.instructions, batch))
+    instructions = p.instructions
+    gates = tuple([instructions[i].gate for i in layout.gate_at])
+    coeffs, pairs = layout.coeffs, layout.pairs
+    fresh = coeffs is None or any(g is not h for g, h in zip(gates, layout.gates))
+    if fresh:
+        coeffs = _coefficients(layout, instructions, p.n_external)
+        pairs = _pairs(coeffs)
+    if layout.slot is None:
+        basis = TRIVIAL_BASIS
+    else:
+        v = instructions[layout.slot].gate.matrix
+        basis = np.empty((2,) + v.shape, dtype=np.complex128)
+        basis[0], basis[1] = _identity(len(v)), v
+    transcripts, kept = _checked(layout, coeffs, pairs, basis)
+    if fresh and coeffs.size + pairs.size <= BLOCK_CACHE_ENTRIES:
+        frozen = qsim._freeze(coeffs), qsim._freeze(pairs)
+        _store(key, layout._replace(gates=gates, coeffs=frozen[0], pairs=frozen[1]))
+    return KrausForm(transcripts, kept, basis)
+
+
+def kraus_stack(p: Program) -> tuple[list[Transcript], np.ndarray]:
+    """The transcripts of ``p``, sorted by bits, and their Kraus operators
+    as one dense (T, d, d) array, row t for transcript t: the
+    :func:`kraus_form` of ``p``, assembled (see :func:`dense`)."""
+    form = kraus_form(p)
+    return form.transcripts, dense(form)
+
+
+def dense(form: KrausForm) -> np.ndarray:
+    """The (T, d, d) stack of the operators sum_b C_tb ⊗ M_b of ``form``."""
+    coeffs, basis = form.coeffs, form.basis
+    t, _, r, _ = coeffs.shape
+    m = basis.shape[-1]
+    return np.einsum("tbij,bxy->tixjy", coeffs, basis).reshape(t, r * m, r * m)
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(m: int) -> np.ndarray:
+    return qsim._freeze(np.eye(m, dtype=np.complex128))
 
 
 def check_register(p: Program) -> None:
     """Refuse ``p`` if its externals plus every qubit it allocates exceed
-    :func:`qsim.max_qubits`: the register :func:`kraus_stack` would hold."""
+    :func:`qsim.max_qubits`: the register the unfactored pass holds."""
     qsim.check_qubits(_register_width(p), "program", _REGISTER_DETAIL)
 
 
 def _register_width(p: Program) -> int:
-    """Qubits the pass holds: the externals plus every allocated qubit,
-    since a measured qubit stays as its transcript axis."""
+    """Qubits the unfactored pass holds: the externals plus every
+    allocated qubit, since a measured qubit stays as its transcript axis."""
     width = p.n_external
     for ins in p.instructions:
         if isinstance(ins, AllocQubit):
@@ -171,16 +257,61 @@ def _shape(p: Program) -> tuple:
     ])
 
 
+def _store(key: tuple, layout: "_Layout") -> None:
+    """Put ``layout`` in the cache under ``key``, evicting the oldest entry
+    if ``key`` is new and the cache is full."""
+    with _LAYOUTS_LOCK:
+        if key not in _LAYOUTS and len(_LAYOUTS) >= LAYOUT_CACHE_SIZE:
+            del _LAYOUTS[next(iter(_LAYOUTS))]  # the oldest
+        _LAYOUTS[key] = layout
+
+
 # The structure of one pass over a program, without its numbers: the
-# register ``width``; ``steps`` in program order, where ``(None, j)``
-# tensors ``_FRESH[j]`` after the live qubits and ``(source, perm,
-# inverse, controlled)`` applies, on the axes ``perm`` brings to the
-# front, the gate of instruction ``source`` (an index) or the Pauli
-# ``source`` names; ``order``, which puts the measured axes first for the
-# final reshape; ``transcripts``, every outcome of the measured bits in
-# bit order; and ``trace_atol``, the bound of :func:`_checked`.  Not a
+# unfactored register ``width`` that the cap counts; ``steps`` in program
+# order, where ``(None, j)`` tensors ``_FRESH[j]`` after the live qubits,
+# ``(_SELECT, perm)`` is the slot's selector on the axis ``perm`` brings
+# to the front, and ``(source, perm, inverse, controlled)`` applies, on
+# the axes ``perm`` brings to the front, the gate of instruction
+# ``source`` (an index) or the Pauli ``source`` names; ``order``, which
+# puts the measured axes first for the final reshape; ``transcripts``,
+# every outcome of the measured bits in bit order; ``trace_atol``, the
+# bound of :func:`_checked`; ``slot``, the slot's index or None;
+# ``gate_at``, the indices of the gates the pass reads; and ``gates``,
+# ``coeffs`` and ``pairs``, those gates, the read-only coefficients a
+# pass over them gave and their :func:`_pairs`, or None.  Not a
 # typing.NamedTuple, which adds ~0.5 ms to every CLI start (CPython 3.11).
-_Layout = collections.namedtuple("_Layout", "width steps order transcripts trace_atol")
+_Layout = collections.namedtuple(
+    "_Layout", "width steps order transcripts trace_atol slot gate_at gates coeffs pairs"
+)
+
+
+def _slot(p: Program) -> int | None:
+    """The index of ``p``'s slot: the one ``ApplyControlledLocal`` whose
+    targets are the trailing external wires, in order, if no other
+    instruction names any of them; else None."""
+    ext = p.external_wires
+    found = [
+        i for i, ins in enumerate(p.instructions)
+        if isinstance(ins, ApplyControlledLocal)
+        and ins.targets == ext[len(ext) - len(ins.targets):]
+    ]
+    if len(found) != 1:
+        return None
+    targets = set(p.instructions[found[0]].targets)
+    for i, ins in enumerate(p.instructions):
+        if i != found[0] and not targets.isdisjoint(_wires(ins)):
+            return None
+    return found[0]
+
+
+def _wires(ins) -> list[WireRef]:
+    """Every wire that instruction ``ins`` names, in any field."""
+    out = []
+    for name in ins._fields:
+        value = getattr(ins, name)
+        out.extend(w for w in (value if isinstance(value, tuple) else (value,))
+                   if isinstance(w, WireRef))
+    return out
 
 
 def _layout(p: Program) -> _Layout:
@@ -188,10 +319,13 @@ def _layout(p: Program) -> _Layout:
 
     Measurement is deferred: a measured qubit keeps its axis as the
     record of its outcome, and a conditional Pauli is controlled on that
-    axis.  Reads only what :func:`_shape` keeps of ``p``.
+    axis.  A slot's targets get no axis, and its gate becomes a selector.
+    Reads only what :func:`_shape` keeps of ``p``.
     """
-    axes = {w: a for a, w in enumerate(p.external_wires)}  # quantum wire or readable bit -> axis
-    ndim = p.n_external + 1  # the qubit axes, then the batch axis
+    slot = _slot(p)
+    kept = p.n_external - (0 if slot is None else len(p.instructions[slot].targets))
+    axes = {w: a for a, w in enumerate(p.external_wires[:kept])}  # quantum wire or readable bit -> axis
+    ndim = kept + 1  # the qubit axes, then the batch axis
     steps: list[tuple] = []
     measured: list[tuple[WireRef, int]] = []
     defect = 0.0  # sum over gates of 2^(qubits the gate acts on) * _UNITARY_ATOL
@@ -208,8 +342,11 @@ def _layout(p: Program) -> _Layout:
             steps.append((i, *_permutation(ndim, _positions(axes, ins.wires)), False))
             defect += (1 << len(ins.wires)) * qsim._UNITARY_ATOL
         elif isinstance(ins, ApplyControlledLocal):
-            targets = _positions(axes, (ins.control, *ins.targets))
-            steps.append((i, *_permutation(ndim, targets), True))
+            if i == slot:
+                steps.append((_SELECT, _permutation(ndim, _positions(axes, (ins.control,)))[0]))
+            else:
+                targets = _positions(axes, (ins.control, *ins.targets))
+                steps.append((i, *_permutation(ndim, targets), True))
             defect += (1 << len(ins.targets)) * qsim._UNITARY_ATOL
         elif isinstance(ins, MeasureZ):
             (axis,) = _positions(axes, (ins.wire,))
@@ -233,57 +370,108 @@ def _layout(p: Program) -> _Layout:
     bit_axes = tuple(axis for _, axis in measured)
     order = bit_axes + tuple(a for a in range(ndim) if a not in bit_axes)
     transcripts = tuple(tuple(zip(bits, o)) for o in itertools.product((0, 1), repeat=len(bits)))
-    return _Layout(ndim - 1, tuple(steps), order, transcripts, 1e-12 + math.expm1(defect))
+    gate_at = tuple(step[0] for step in steps if type(step[0]) is int)
+    width = ndim - 1 + p.n_external - kept
+    return _Layout(width, tuple(steps), order, transcripts, 1e-12 + math.expm1(defect),
+                   slot, gate_at, None, None, None)
+
+
+def _coefficients(layout: _Layout, instructions: tuple, n_external: int) -> np.ndarray:
+    """The (T, B, r, r) coefficients that :func:`_run`'s pass gives for
+    every transcript of ``layout``, dust included.  With a slot, the batch
+    holds the identity on the kept externals twice, and the two halves of
+    each output are X_t and Y_t."""
+    kept = n_external - (0 if layout.slot is None else len(instructions[layout.slot].targets))
+    r = 1 << kept
+    columns = np.eye(r, dtype=np.complex128)
+    if layout.slot is None:
+        return _run(layout, instructions, columns.reshape((2,) * kept + (r,)))[:, None]
+    batch = np.concatenate((columns, columns), axis=1).reshape((2,) * kept + (2 * r,))
+    halves = _run(layout, instructions, batch).reshape(-1, r, 2, r)
+    return np.ascontiguousarray(halves.transpose(0, 2, 1, 3))
 
 
 def _run(layout: _Layout, instructions: tuple, batch: np.ndarray) -> np.ndarray:
     """Run the pass ``layout`` over every transcript at the same time,
     reading each gate matrix from ``instructions``.
 
-    ``batch`` has one axis of size 2 per external wire, in order, then one
-    batch axis.  Returns a (2^m, rest, batch) array for the m measured
-    bits: row t holds the unnormalized output of transcript t of
+    ``batch`` has one axis of size 2 per external wire the pass keeps
+    (every one but a slot's targets), in order, then one batch axis.
+    Returns a (2^m, rest, batch) array for the m measured bits: row t
+    holds the unnormalized output of transcript t of
     ``layout.transcripts``, over the unmeasured qubits in axis order.
 
-    Controlled gates and conditional Paulis rewrite the register in
-    place (see :func:`_apply`), so ``batch`` must be an array the caller
-    hands over: :func:`kraus_stack` passes a fresh one.
+    The selector, controlled gates and conditional Paulis rewrite the
+    register in place (see :func:`_select` and :func:`_apply`), so
+    ``batch`` must be an array the caller hands over.
     """
     psi = batch
     for step in layout.steps:
         source = step[0]
         if source is None:
             psi = _append_qubits(psi, _FRESH[step[1]])
-            continue
-        _, perm, inverse, controlled = step
-        u = _PAULI[source] if source in _PAULI else instructions[source].gate.matrix
-        psi = _apply(psi, perm, inverse, u, controlled)
+        elif source is _SELECT:
+            _select(psi, step[1])
+        else:
+            _, perm, inverse, controlled = step
+            u = _PAULI[source] if source in _PAULI else instructions[source].gate.matrix
+            psi = _apply(psi, perm, inverse, u, controlled)
     return psi.transpose(layout.order).reshape(len(layout.transcripts), -1, psi.shape[-1])
 
 
-def _checked(layout: _Layout, stack: np.ndarray) -> tuple[list[Transcript], np.ndarray]:
-    """Drop the dust rows of ``layout``'s :func:`_run` result ``stack`` and
-    check the rest: finite, with total mass equal to the batch size within
-    ``layout.trace_atol``, the bound that the gates' own check admits.
+def _select(psi: np.ndarray, perm: tuple[int, ...]) -> None:
+    """The slot's selector, in place: on the control axis that ``perm``
+    brings to the front, zero the |1> half of the first half of the batch
+    and the |0> half of the second."""
+    front = psi.transpose(perm)
+    half = psi.shape[-1] // 2
+    front[0, ..., half:] = 0
+    front[1, ..., :half] = 0
+
+
+def _pairs(coeffs: np.ndarray) -> np.ndarray:
+    """The (T, B, B) inner products <C_tb, C_tc> of the coefficients of
+    each transcript, which must be finite."""
+    t, b = coeffs.shape[:2]
+    flat = np.ascontiguousarray(coeffs).reshape(t, b, -1)
+    if not np.isfinite(flat.view(np.float64)).all():
+        raise ExecutionError("Kraus operators must be finite")
+    return flat.conj() @ flat.transpose(0, 2, 1)
+
+
+def _checked(
+    layout: _Layout, coeffs: np.ndarray, pairs: np.ndarray, basis: np.ndarray
+) -> tuple[list[Transcript], np.ndarray]:
+    """Drop the dust rows of the coefficients ``coeffs`` over ``basis``
+    (one row per transcript of ``layout``; ``pairs`` are their
+    :func:`_pairs`, which checked them finite) and check the rest: total
+    mass sum_t |K_t|_F^2 equal to d within ``layout.trace_atol``, the
+    bound that the gates' own check admits, with
+    |K_t|_F^2 = sum_bc <C_tb, C_tc> <M_b, M_c>.
 
     A gate on m qubits is built with G†G = I + E, |E_ij| <= 1e-10
     (``qsim._UNITARY_ATOL``), so |E|_op <= 2^m * 1e-10 =: eps; m counts
     only the targets of a controlled gate, whose defect is diag(0, E),
     and conditional Paulis are exact.  A gate changes the register's
     total mass by psi†(I ⊗ E)psi, at most eps times that mass, so over
-    all gates the mass over the batch size stays within
-    prod(1 + eps_i) - 1 <= expm1(sum eps_i) of 1.  1e-12 on top covers
-    rounding.
+    all gates the mass over d stays within prod(1 + eps_i) - 1 <=
+    expm1(sum eps_i) of 1.  1e-12 on top covers rounding.
     """
-    flat = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
-    if not np.isfinite(flat).all():
-        raise ExecutionError("Kraus operators must be finite")
-    mass = np.einsum("ti,ti->t", flat, flat)
-    keep = mass >= BRANCH_PRUNE
-    total = float(mass[keep].sum()) / stack.shape[-1]
+    b = len(basis)
+    mass = (pairs.reshape(-1, b * b) @ _metric(basis).reshape(b * b)).real
+    keep = None if mass.min() >= BRANCH_PRUNE else mass >= BRANCH_PRUNE  # None: no dust
+    total = float((mass if keep is None else mass[keep]).sum()) / (coeffs.shape[-1] * basis.shape[-1])
     if abs(total - 1.0) > layout.trace_atol:
         raise ExecutionError(f"channel is not trace preserving: sum |K_t|^2 / d = {total!r}")
-    return list(itertools.compress(layout.transcripts, keep)), stack[keep]
+    if keep is None:
+        return list(layout.transcripts), coeffs
+    return list(itertools.compress(layout.transcripts, keep)), coeffs[keep]
+
+
+def _metric(basis: np.ndarray) -> np.ndarray:
+    """The B×B matrix of the inner products <M_b, M_c> = tr(M_b† M_c)."""
+    flat = basis.reshape(len(basis), -1)
+    return flat.conj() @ flat.T
 
 
 def _append_qubits(psi: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -356,35 +544,54 @@ def channel_choi(p: Program) -> np.ndarray:
 def kraus_choi_distance(kraus: np.ndarray | list[np.ndarray], u: UnitaryMatrix) -> float:
     """Frobenius distance between the Choi matrices of the channel with
     Kraus operators ``kraus`` (a (T, d, d) stack, or a list of d×d arrays)
-    and of ``u``, without forming either matrix.
+    and of ``u``, without forming either matrix: :func:`choi_residual`
+    over the trivial basis."""
+    ops = np.asarray(kraus)
+    if ops.ndim != 3 or ops.shape[1:] != u.matrix.shape:
+        raise ValueError(f"Kraus operators do not match the dimension {u.dim} of the unitary")
+    z = np.concatenate((u.matrix[None], ops))[:, None]
+    flat = z.reshape(len(z), -1)
+    return choi_residual(z, TRIVIAL_BASIS, _metric(TRIVIAL_BASIS), flat.conj()[0] @ flat.T)
+
+
+def choi_residual(z: np.ndarray, basis: np.ndarray, metric: np.ndarray, onto: np.ndarray) -> float:
+    """Frobenius distance between the Choi matrices of a unitary U and of
+    the channel with Kraus operators K_t, all written over ``basis``: row
+    0 of the (1 + T, B, r, r) array ``z`` holds the coefficients of U and
+    row 1 + t those of K_t, so that K_t = sum_b z[1 + t, b] ⊗ basis[b];
+    ``metric`` is the B×B matrix <M_b, M_c> of the basis
+    (:func:`_metric`), and ``onto`` the inner products <U, Z_u> of U with
+    every row, itself first.
 
     Each K_t splits into its projection on U and a residual orthogonal to
-    it: K_t = a_t U + E_t with a_t = tr(U†K_t)/|U|_F^2.  With n = |U|_F^2/d,
-    c = sum_t |a_t|^2 - 1, w = sum_t conj(a_t) vec(E_t) and G the T×T Gram
-    matrix of the vec(E_t), the difference of the Choi matrices has
+    it: K_t = a_t U + E_t with a_t = <U, K_t>/|U|_F^2.  With n = |U|_F^2/d,
+    c = sum_t |a_t|^2 - 1, w = sum_t conj(a_t) E_t and G the T×T Gram
+    matrix of the E_t, the difference of the Choi matrices has
 
         |ΔJ|_F^2 = c^2 n^2 + 2 n |w|^2 / d + |G|_F^2 / d^2
 
     (the three parts are orthogonal).  Every term is a small quantity
     computed directly, so nothing cancels when the channels agree, unlike
-    sqrt(pᵀGp - 2pᵀo + 1) from the Gram matrix of the K_t and U.  c is
+    sqrt(pᵀGp - 2pᵀo + 1) from the Gram matrix of the K_t and U: the
+    coefficients of E_t are differences of coefficients, G reads them
+    through the metric, G_ts = sum_bc <e_tb, e_sc> <M_b, M_c>, and w, the
+    one part linear in the E_t, is assembled on the wires and normed
+    there, so that coefficients that cancel across a nearly dependent
+    basis cannot leave a floor of sqrt(1e-16) under the distance.  c is
     taken from the a_t, not from trace preservation, which holds only
     within :func:`_checked`'s bound, and a_t divides by |U|_F^2, not d,
-    so ``u`` need be unitary only within its construction check.
+    so U need be unitary only within its construction check.
     """
-    ops = np.asarray(kraus)
-    if ops.ndim != 3 or ops.shape[1:] != u.matrix.shape:
-        raise ValueError(f"Kraus operators do not match the dimension {u.dim} of the unitary")
-    d = u.dim
-    vec_u = u.matrix.reshape(-1)
-    norm2 = float(np.vdot(vec_u, vec_u).real)
-    flat = ops.reshape(len(ops), -1)
-    a = (flat @ vec_u.conj()) / norm2
-    resid = flat - a[:, None] * vec_u
+    u, b = z.shape[:2]
+    d = z.shape[-1] * basis.shape[-1]
+    norm2 = float(onto[0].real)
+    a = onto[1:] / norm2
+    flat = z.reshape(u, b, -1)
+    resid = flat[1:] - a[:, None, None] * flat[0]
+    gram = resid.conj().reshape(u - 1, -1) @ (metric @ resid).reshape(u - 1, -1).T
+    w = (a.conj() @ resid.reshape(u - 1, -1)).reshape(b, -1).T @ basis.reshape(b, -1)
     c = float(np.vdot(a, a).real) - 1.0
     n = norm2 / d
-    w = a.conj() @ resid
-    gram = resid.conj() @ resid.T
     cross = float(np.vdot(w, w).real)
     residual = float(np.vdot(gram, gram).real)
     return math.sqrt((c * n) ** 2 + 2.0 * n * cross / d + residual / d**2)

@@ -11,7 +11,10 @@ Two independent kinds of evidence go into a verdict:
   channel-equality claim.
 
 Both come from one execution of the program: its Kraus operators K_t,
-one per transcript (see :func:`telegate.executor.kraus_stack`).
+one per transcript, in the factored form of
+:func:`telegate.executor.kraus_form`, which the specification joins
+over one basis (:func:`_spec_form`); no dense operator is formed unless
+the program has no slot or the specification does not split.
 
 Reports are deterministic functions of (inputs, seed) and serialize to
 a stable JSON document (see ``docs/report-schema.md``).
@@ -20,13 +23,23 @@ a stable JSON document (see ``docs/report-schema.md``).
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 
 from . import qsim
 from ._record import Record
 from .builder import NonlocalCUSpec, build_program, build_specification
-from .executor import kraus_choi_distance, kraus_stack, transcript_key
+from .executor import (
+    BLOCK_CACHE_ENTRIES,
+    LAYOUT_CACHE_SIZE,
+    TRIVIAL_BASIS,
+    KrausForm,
+    choi_residual,
+    dense,
+    kraus_form,
+    transcript_key,
+)
 from .protocol import Program, ResourceCensus, resource_census
 from .qsim import BRANCH_PRUNE, UnitaryMatrix
 
@@ -100,9 +113,10 @@ def _haar_probes(n_qubits: int, probes: int, seed: int) -> np.ndarray:
 
     The columns come from one ``default_rng(seed).normal(size=(m - d, 2,
     d))`` draw (real parts, then imaginary parts, probe by probe), each
-    divided by its norm.  Every column is a valid state: finite, with
-    norm 1 within 1e-9.  When m = d the block is empty and no generator
-    is seeded.
+    divided by its norm.  Every column is a valid state: its entries are
+    normal deviates, far from overflow, so a column that is finite after
+    the division (checked; a zero norm leaves NaNs) has norm 1 within
+    rounding.  When m = d the block is empty and no generator is seeded.
 
     The probe index counts as a register of ceil(log2 m) qubits, which
     covers the n_qubits rows too (m >= d): it is refused, before anything
@@ -119,31 +133,139 @@ def _haar_probes(n_qubits: int, probes: int, seed: int) -> np.ndarray:
     haar /= np.linalg.norm(haar, axis=1, keepdims=True)
     if not np.isfinite(haar.view(np.float64)).all():
         raise ValueError("probe amplitudes must be finite")
-    if np.abs(np.linalg.norm(haar, axis=1) - 1.0).max() > 1e-9:
-        raise ValueError("probe states must be normalized")
     return np.ascontiguousarray(haar.T)
 
 
-def _branch_evidence(
-    out: np.ndarray, targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The evidence of every branch on every probe: (T, m) arrays of the
-    probability p = |K_t ψ_j|^2, of ``seen`` = p >= 1e-14 and of the
-    fidelity min(1, |<U ψ_j, K_t ψ_j>| / sqrt(p)), which is
-    phase-insensitive and meaningful only where seen.
+# The spec's coefficients over {A, B, I - A, V - B}: P0 = |0><0| on A,
+# P1 = |1><1| on B (see _spec_form).
+_CONTROL_HALVES = qsim._freeze(
+    np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+             dtype=np.complex128)
+)
 
-    ``out`` is the (T, d, m) array of unnormalized branch outputs K_t ψ_j
-    (transcript, output index, probe) and ``targets`` the d×m array of
-    the U ψ_j, which is divided by its column norms here.  For the
-    computational basis these are the Kraus stack itself and U.  This is
-    the one formula behind :func:`verify_program`'s branch evidence and
-    the fidelity column of ``telegate trace``.
+# For each coefficient array that kraus_form keeps in its cache (those
+# are read-only), what _spec_form derives from it alone: the rows over
+# {A, B, I - A, V - B} and their column pairs.  Keyed by the array's
+# identity; an entry holds the array, so its id is not reused while the
+# entry lives.  At most LAYOUT_CACHE_SIZE entries of at most
+# BLOCK_CACHE_ENTRIES complex entries each, oldest out first.
+_ROWS: dict[int, tuple] = {}
+_ROWS_LOCK = threading.Lock()
+
+
+def _spec_form(
+    form: KrausForm, u_spec: UnitaryMatrix
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The specification S and the channel's K_t over one basis: their
+    (1 + T, B, r, r) coefficients Z_u, S first; the column pairs of those
+    (:func:`_column_pairs`); the (B, m, m) basis; and its column Grams, a
+    (m, B, B) array whose [q, b, c] is <M_b e_q, M_c e_q>.
+
+    If the program has a slot with gate V and one more external wire,
+    and S = P0 ⊗ A + P1 ⊗ B (its off-diagonal blocks are exactly zero),
+    the basis is {A, B, I - A, V - B}: S has coefficients (P0, P1, 0, 0)
+    and K_t = X_t ⊗ I + Y_t ⊗ V has (X_t, Y_t, X_t, Y_t).  When the
+    program implements S, X_t - a P0 and Y_t - a P1 are small and the
+    rest multiplies I - A and V - B, which are then zero or small, so the
+    residual of :func:`choi_residual` is a sum of small terms.  The rows
+    depend on the coefficients alone, so they are kept with the
+    coefficient arrays that :func:`kraus_form` caches.  Otherwise the
+    basis is {1}, over the dense stack (:func:`dense`).
     """
-    expected = targets / np.linalg.norm(targets, axis=0)
-    prob = np.einsum("tij,tij->tj", out.conj(), out).real
+    coeffs, basis = form.coeffs, form.basis
+    s = u_spec.matrix
+    m = basis.shape[-1]
+    if len(basis) == 2 and coeffs.shape[-1] == 2 and not (
+        np.count_nonzero(s[:m, m:]) or np.count_nonzero(s[m:, :m])
+    ):
+        entry = _ROWS.get(id(coeffs))
+        if entry is not None and entry[0] is coeffs:
+            _, z, pairs = entry
+        else:
+            z = np.empty((1 + len(coeffs), 4, 2, 2), dtype=np.complex128)
+            z[0] = _CONTROL_HALVES
+            z[1:, :2] = z[1:, 2:] = coeffs
+            pairs = _column_pairs(z)
+            if not coeffs.flags.writeable and z.size + pairs.size <= BLOCK_CACHE_ENTRIES:
+                with _ROWS_LOCK:
+                    if len(_ROWS) >= LAYOUT_CACHE_SIZE:
+                        del _ROWS[next(iter(_ROWS))]  # the oldest
+                    _ROWS[id(coeffs)] = (coeffs, qsim._freeze(z), qsim._freeze(pairs))
+        four = np.empty((4, m, m), dtype=np.complex128)
+        four[0], four[1] = s[:m, :m], s[m:, m:]
+        np.subtract(basis, four[:2], out=four[2:])
+        basis = four
+    else:
+        z = np.concatenate((s[None], dense(form)))[:, None]
+        pairs = _column_pairs(z)
+        basis = TRIVIAL_BASIS
+    columns = basis.transpose(2, 1, 0)  # [q, x, b] = M_b[x, q]
+    return z, pairs, basis, columns.conj().transpose(0, 2, 1) @ columns
+
+
+def _column_pairs(z: np.ndarray) -> np.ndarray:
+    """The (2, r, 1 + T, B^2) inner products of the columns of the
+    coefficients Z_u: [0, r, u] holds <Z_ub e_r, Z_uc e_r> and [1, r, u]
+    holds <Z_0b e_r, Z_uc e_r>, for every b, c."""
+    u, b, r, _ = z.shape
+    columns = z.transpose(3, 0, 2, 1)  # [r, u, i, b]
+    left = columns.conj().transpose(0, 1, 3, 2)
+    pairs = np.stack((left, np.broadcast_to(left[:, :1], left.shape))) @ columns
+    return pairs.reshape(2, r, u, b * b)
+
+
+def _basis_terms(pairs: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    """The (d, 2, 1 + T) terms of the images of every basis input e_j,
+    j = r * m + q, under S and the K_t (the rows Z_u of
+    :func:`_spec_form`): [j, 0, u] = |Z_u e_j|^2 and
+    [j, 1, u] = <Z_0 e_j, Z_u e_j>, from the column pairs of the
+    coefficients (column r) and the column Grams of the basis (column q)."""
+    _, r, u, bb = pairs.shape
+    m = len(grams)
+    terms = pairs.reshape(-1, bb) @ grams.reshape(m, bb).T  # [(2, r, u), q]
+    return terms.reshape(2, r, u, m).transpose(1, 3, 0, 2).reshape(r * m, 2, u)
+
+
+def _probe_terms(z: np.ndarray, basis: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """:func:`_basis_terms` for the d×k matrix of ``probes``, one state per
+    column.  A probe psi splits into r parts psi_i on the basis's wires;
+    the basis is applied to each, and the images sum_bi Z_ub[:, i] ⊗
+    M_b psi_i are assembled from those."""
+    u, b, r, _ = z.shape
+    m = basis.shape[-1]
+    k = probes.shape[1]
+    applied = (basis[:, None] @ probes.reshape(1, r, m, k)).reshape(b * r, m * k)
+    images = (z.transpose(0, 2, 1, 3).reshape(u * r, b * r) @ applied).reshape(u, r * m, k)
+    left = images.conj()
+    terms = np.empty((k, 2, u), dtype=np.complex128)
+    np.einsum("uij,uij->ju", left, images, out=terms[:, 0])
+    np.einsum("ij,uij->ju", left[0], images, out=terms[:, 1])
+    return terms
+
+
+def _branch_evidence(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The evidence of every branch on every probe psi_j, from the (n, 2,
+    1 + T) terms of its images U psi_j and K_t psi_j (see
+    :func:`_basis_terms`): (T, n) arrays of the probability
+    p = |K_t psi_j|^2, of ``seen`` = p >= 1e-14 and of the fidelity
+    min(1, |<U psi_j, K_t psi_j>| / (|U psi_j| sqrt(p))), which is
+    phase-insensitive and meaningful only where seen.  This is the one
+    formula behind :func:`verify_program`'s branch evidence and the
+    fidelity column of ``telegate trace``."""
+    prob = terms[:, 0, 1:].T.real
     seen = prob >= BRANCH_PRUNE
-    overlap = np.abs(np.einsum("ij,tij->tj", expected.conj(), out))
-    return prob, seen, np.minimum(1.0, overlap / np.sqrt(np.where(seen, prob, 1.0)))
+    norm2 = terms[:, 0, 0].real * np.where(seen, prob, 1.0)
+    return prob, seen, np.minimum(1.0, np.abs(terms[:, 1, 1:].T) / np.sqrt(norm2))
+
+
+def basis_evidence(
+    form: KrausForm, u_spec: UnitaryMatrix
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (T, d) probabilities, ``seen`` and fidelities of every branch of
+    ``form`` on every basis input, against ``u_spec``: what
+    :func:`verify_program` computes for its basis probes."""
+    _, pairs, _, grams = _spec_form(form, u_spec)
+    return _branch_evidence(_basis_terms(pairs, grams))
 
 
 def check_specification(p: Program, u_spec: UnitaryMatrix) -> None:
@@ -168,32 +290,33 @@ def verify_program(
     ``u_spec`` applied to that input; branch evidence is aggregated per
     transcript (probability averaged over probes, infidelity maximized),
     skipping probes that reach a transcript with probability below 1e-14.
-    The basis probes need no product: their branch outputs are the
-    columns of the Kraus operators and their targets the columns of
-    ``u_spec``.  Only the Haar probes are drawn and multiplied, and none
-    are when ``probes`` is at most the dimension.  The Choi distance
-    compares the whole channels (:func:`kraus_choi_distance`).
+    Everything is read off the factored Kraus operators
+    (:func:`telegate.executor.kraus_form`), written with ``u_spec`` over
+    one basis (:func:`_spec_form`): the basis probes from the column
+    Grams of the basis, the Haar probes from the basis applied to their
+    halves, none of which are drawn when ``probes`` is at most the
+    dimension, and the Choi distance, which compares the whole channels,
+    from the basis's metric (:func:`choi_residual`).
     """
     check_specification(p, u_spec)
     haar = _haar_probes(p.n_external, probes, seed)
-    transcripts, ops = kraus_stack(p)
-
-    # Basis probe j's outputs are column j of K_t and of U.
-    targets, out = u_spec.matrix, ops
+    form = kraus_form(p)
+    z, pairs, basis, grams = _spec_form(form, u_spec)
+    terms = on_basis = _basis_terms(pairs, grams)
     if haar.shape[1]:
-        targets = np.concatenate([targets, targets @ haar], axis=1)
-        out = np.concatenate([out, out @ haar], axis=2)
-    prob, seen, fid = _branch_evidence(out, targets)
-    infid = np.where(seen, 1.0 - fid, 0.0).max(axis=1)
-    mass = np.where(seen, prob, 0.0).sum(axis=1) / out.shape[2]
-    # kraus_stack lists transcripts in bit order over one wire list, which
+        terms = np.concatenate((on_basis, _probe_terms(z, basis, haar)))
+    prob, seen, fid = _branch_evidence(terms)
+    infid = np.where(seen, 1.0 - fid, 0.0).max(axis=1).tolist()
+    mass = (np.where(seen, prob, 0.0).sum(axis=1) / prob.shape[1]).tolist()
+    # kraus_form lists transcripts in bit order over one wire list, which
     # is also the order of their keys: the report needs no sort.
     branches = tuple(
-        BranchReport(transcript_key(transcript), float(mass[t]), float(infid[t]))
-        for t, transcript in enumerate(transcripts)
-        if seen[t].any()
+        BranchReport(transcript_key(transcript), mass[t], infid[t])
+        for t, (transcript, hit) in enumerate(zip(form.transcripts, seen.any(axis=1).tolist()))
+        if hit
     )
-    dist = kraus_choi_distance(ops, u_spec)
+    # Summed over the basis inputs, the overlaps are the <S, Z_u>.
+    dist = choi_residual(z, basis, grams.sum(axis=0), on_basis[:, 1].sum(axis=0))
     max_infid = max((b.max_infidelity for b in branches), default=0.0)
     verdict = "pass" if (max_infid <= tol_branch and dist <= tol_choi) else "fail"
     return EquivalenceReport(

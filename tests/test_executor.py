@@ -217,19 +217,20 @@ def test_kraus_pass_checks_its_operators(monkeypatch):
 
 
 def test_straight_line_pass_applies_each_gate_once(monkeypatch):
-    """One ``_apply`` per gate or conditional instruction of a built k=1
-    program (2 controlled gates, H, 2 conditional Paulis), not one per
-    branch prefix as a depth-first walk makes (8), on a cold layout cache
-    and on a warm one."""
+    """On a cold layout cache, one ``_apply`` per gate or conditional
+    instruction of a built k=1 program outside its slot (Alice's CNOT, H,
+    2 conditional Paulis; the slot is a selector step), not one per
+    branch prefix as a depth-first walk makes; on a warm one none, since
+    the entry holds the coefficients, also for another gate in the slot."""
     calls = []
     apply = executor._apply
     monkeypatch.setattr(executor, "_apply", lambda *a, **kw: calls.append(a) or apply(*a, **kw))
     p = build_program(NonlocalCUSpec(qsim.X, 1))
     executor._LAYOUTS.clear()
-    for _ in ("cold", "warm"):
+    for program, want in ((p, 4), (p, 0), (build_program(NonlocalCUSpec(qsim.H, 1)), 0)):
         calls.clear()
-        kraus_stack(p)
-        assert len(calls) == 5
+        kraus_stack(program)
+        assert len(calls) == want
     assert len(executor._LAYOUTS) == 1
 
 

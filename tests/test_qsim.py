@@ -37,7 +37,8 @@ def measure(state: np.ndarray, qubit: int) -> list[tuple[int, float, np.ndarray]
         (MeasureZ(Party.ALICE, qwire(qubit), cwire(0)),),
     )
     layout = _layout(p)
-    transcripts, ops = _checked(layout, _run(layout, p.instructions, state.reshape((2,) * n + (1,))))
+    out = _run(layout, p.instructions, state.reshape((2,) * n + (1,)))[:, None]
+    transcripts, ops = _checked(layout, out, executor._pairs(out), executor.TRIVIAL_BASIS)
     branches = []
     for ((_, outcome),), op in zip(transcripts, ops):
         v = op.reshape(-1)
@@ -269,8 +270,11 @@ def test_measure_branch_completeness_1000_random_states():
 
 def fidelity(output: np.ndarray, target: np.ndarray) -> float:
     """The evidence fidelity of branch output ``output`` (unnormalized)
-    against target ``target``, as one transcript on one probe."""
-    _, seen, fid = _branch_evidence(output.reshape(1, -1, 1), target.reshape(-1, 1))
+    against target ``target``, as one transcript on one probe: the
+    formula read on the inner products of the two."""
+    images = np.stack((target, output))
+    terms = np.stack((np.einsum("ui,ui->u", images.conj(), images), images.conj()[0] @ images.T))
+    _, seen, fid = _branch_evidence(terms[None])
     assert seen[0, 0]
     return float(fid[0, 0])
 
