@@ -200,8 +200,9 @@ def kraus_form(p: Program) -> KrausForm:
         basis[0], basis[1] = _identity(len(v)), v
     transcripts, kept = _checked(layout, coeffs, pairs, basis)
     if fresh and coeffs.size + pairs.size <= BLOCK_CACHE_ENTRIES:
-        frozen = qsim._freeze(coeffs), qsim._freeze(pairs)
-        _store(key, layout._replace(gates=gates, coeffs=frozen[0], pairs=frozen[1]))
+        qsim._freeze(coeffs)  # read-only exactly when cached (see the module docstring)
+        qsim._freeze(pairs)
+        _store(key, layout._replace(gates=gates, coeffs=coeffs, pairs=pairs))
     return KrausForm(transcripts, kept, basis)
 
 
@@ -214,8 +215,11 @@ def kraus_stack(p: Program) -> tuple[list[Transcript], np.ndarray]:
 
 
 def dense(form: KrausForm) -> np.ndarray:
-    """The (T, d, d) stack of the operators sum_b C_tb ⊗ M_b of ``form``."""
+    """The (T, d, d) stack of the operators sum_b C_tb ⊗ M_b of ``form``
+    (over the trivial basis, a view of the coefficients)."""
     coeffs, basis = form.coeffs, form.basis
+    if basis is TRIVIAL_BASIS:
+        return coeffs[:, 0]
     t, _, r, _ = coeffs.shape
     m = basis.shape[-1]
     return np.einsum("tbij,bxy->tixjy", coeffs, basis).reshape(t, r * m, r * m)

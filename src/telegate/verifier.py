@@ -208,9 +208,8 @@ def _column_pairs(z: np.ndarray) -> np.ndarray:
     coefficients Z_u: [0, r, u] holds <Z_ub e_r, Z_uc e_r> and [1, r, u]
     holds <Z_0b e_r, Z_uc e_r>, for every b, c."""
     u, b, r, _ = z.shape
-    columns = z.transpose(3, 0, 2, 1)  # [r, u, i, b]
-    left = columns.conj().transpose(0, 1, 3, 2)
-    pairs = np.stack((left, np.broadcast_to(left[:, :1], left.shape))) @ columns
+    left = z.conj()
+    pairs = np.stack((np.einsum("ubir,ucir->rubc", left, z), np.einsum("bir,ucir->rubc", left[0], z)))
     return pairs.reshape(2, r, u, b * b)
 
 
