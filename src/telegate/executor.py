@@ -26,12 +26,12 @@ instruction touches: Bob's controlled-U in every program the builder
 makes (Eisert, Jacobs, Papadopoulos & Plenio, PRA 62, 052317).  All else
 acts on the other externals and the internal qubits, so by linearity
 K_t = X_t ⊗ I + Y_t ⊗ V, with V the slot's gate and X_t, Y_t the
-operators the program implements on the other 2^r-dimensional externals
-when the slot is replaced by the projector of its control on |0> and on
-|1>.  :func:`_run` computes both in one pass that leaves the k target
-wires out: its batch holds the 2^r identity columns twice, and where the
-slot stands a *selector* step zeroes the control's |1> half in the first
-copy and its |0> half in the second.  The basis is then {I, V}, with
+operators the program implements on the other externals (dimension
+r = d / 2^k) when the slot is replaced by the projector of its control
+on |0> and on |1>.  :func:`_run` computes both in one pass that leaves
+the k target wires out: its batch holds the r identity columns twice,
+and where the slot stands a *selector* step zeroes the control's |1>
+half in the first copy and its |0> half in the second.  The basis is then {I, V}, with
 C_t0 = X_t and C_t1 = Y_t, and X_t and Y_t depend on neither V nor k.  A
 program without a slot runs on every external wire, with the trivial
 basis {1} and C_t0 = K_t.
@@ -67,12 +67,12 @@ over gates of one k runs the pass once per shape, and a warm call runs
 no pass at all.  Coefficients are kept only when they and their
 :func:`_pairs` hold at most :data:`BLOCK_CACHE_ENTRIES` complex entries
 (64 KiB), so the cache holds at most ``LAYOUT_CACHE_SIZE`` × 64 KiB =
-4 MiB of arrays; the coefficients of a call are read-only exactly when
-they are the cached ones.  They are
-read-only, and an entry is replaced, never changed, under a lock, so a
-thread reading an entry that another evicts or refills keeps a
-consistent one.  A one-shot CLI call runs one program per process, so
-its layout is always new and it gains nothing from the cache.
+4 MiB of arrays.  Cached arrays are read-only (the coefficients a call
+returns are read-only exactly when they are cached ones), and an entry
+is replaced, never changed, under a lock, so a thread reading an entry
+that another evicts or refills keeps a consistent one.  A one-shot CLI
+call runs one program per process, so its layout is always new and it
+gains nothing from the cache.
 
 The operators are checked on the factored form: coefficients are
 finite when a pass computes them, and on every call transcripts with
@@ -464,7 +464,8 @@ def _checked(
     b = len(basis)
     mass = (pairs.reshape(-1, b * b) @ _metric(basis).reshape(b * b)).real
     keep = None if mass.min() >= BRANCH_PRUNE else mass >= BRANCH_PRUNE  # None: no dust
-    total = float((mass if keep is None else mass[keep]).sum()) / (coeffs.shape[-1] * basis.shape[-1])
+    d = coeffs.shape[-1] * basis.shape[-1]
+    total = float((mass if keep is None else mass[keep]).sum()) / d
     if abs(total - 1.0) > layout.trace_atol:
         raise ExecutionError(f"channel is not trace preserving: sum |K_t|^2 / d = {total!r}")
     if keep is None:

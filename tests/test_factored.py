@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 
 from telegate import executor, gatelang, qsim, verifier
-from telegate.builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program, build_specification
+from telegate.builder import (
+    MUTATIONS,
+    NonlocalCUSpec,
+    apply_mutation,
+    build_program,
+    build_specification,
+)
 from telegate.executor import kraus_form, kraus_stack
 from telegate.protocol import (
     AllocQubit,
