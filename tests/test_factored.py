@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import random_program_text
 
 from telegate import executor, gatelang, qsim, verifier
 from telegate.builder import (
@@ -165,6 +166,39 @@ def test_spec_rows_are_kept_with_cached_coefficients_only():
     report = verify_program(wide, qsim.identity(4))
     assert len(report.branches) == 1024 and executor._LAYOUTS[executor._shape(wide)].coeffs is None
     assert len(verifier._ROWS) == 1
+
+
+def test_random_slotted_programs_verify_as_unfactored(monkeypatch):
+    """Random valid file programs that have a slot (the control may be
+    an external wire or an internal one): against the identity and a
+    controlled Haar gate, the report equals the unfactored pass's within
+    1e-14, through the basis {A, B, I - A, V - B} where the spec splits
+    and the trivial one where it does not."""
+    rng = np.random.default_rng(6)
+    bases = set()
+    slotted = [p for p in (parse_program(random_program_text(rng)) for _ in range(600))
+               if executor._slot(p) is not None]
+    assert len(slotted) >= 20
+    for p in slotted:
+        d = 1 << p.n_external
+        for spec in (qsim.identity(d), qsim.controlled(qsim.haar_random_unitary(max(1, d // 2), rng))):
+            if spec.dim != d:
+                continue
+            executor._LAYOUTS.clear()
+            bases.add(len(_spec_form(kraus_form(p), spec)[2]))
+            got = verify_program(p, spec, probes=d + 3, seed=1)
+            with monkeypatch.context() as patch:
+                patch.setattr(executor, "_slot", lambda p: None)
+                executor._LAYOUTS.clear()
+                want = verify_program(p, spec, probes=d + 3, seed=1)
+            executor._LAYOUTS.clear()
+            assert (got.verdict, got.census) == (want.verdict, want.census)
+            assert [b.transcript for b in got.branches] == [b.transcript for b in want.branches]
+            assert abs(got.choi_dist - want.choi_dist) <= 1e-14
+            for g, w in zip(got.branches, want.branches):
+                assert abs(g.probability - w.probability) <= 1e-14
+                assert abs(g.max_infidelity - w.max_infidelity) <= 1e-14
+    assert bases == {1, 4}
 
 
 def test_the_trivial_basis_takes_a_spec_that_does_not_split(monkeypatch):
