@@ -592,7 +592,8 @@ def choi_residual(z: np.ndarray, basis: np.ndarray, metric: np.ndarray, onto: np
     norm2 = float(onto[0].real)
     a = onto[1:] / norm2
     flat = z.reshape(u, b, -1)
-    resid = flat[1:] - a[:, None, None] * flat[0]
+    resid = a[:, None, None] * flat[0]
+    np.subtract(flat[1:], resid, out=resid)  # E_t, without a second temporary
     gram = resid.conj().reshape(u - 1, -1) @ (metric @ resid).reshape(u - 1, -1).T
     w = (a.conj() @ resid.reshape(u - 1, -1)).reshape(b, -1).T @ basis.reshape(b, -1)
     c = float(np.vdot(a, a).real) - 1.0
