@@ -110,8 +110,8 @@ from .protocol import (
     MakeBellPair,
     MeasureZ,
     Program,
-    SendBit,
     WireRef,
+    _wires_at,
     validate_locality,
 )
 from .qsim import BRANCH_PRUNE, UnitaryMatrix
@@ -237,26 +237,21 @@ def check_register(p: Program) -> None:
 
 
 def _register_width(p: Program) -> int:
-    """Qubits the unfactored pass holds: the externals plus every
-    allocated qubit, since a measured qubit stays as its transcript axis."""
-    width = p.n_external
-    for ins in p.instructions:
-        if isinstance(ins, AllocQubit):
-            width += 1
-        elif isinstance(ins, MakeBellPair):
-            width += 2
-    return width
+    """Qubits the unfactored pass holds: the externals plus every qubit an
+    instruction creates, since a measured qubit stays as its transcript axis."""
+    return p.n_external + sum(
+        role == "create" for ins in p.instructions for role, _, _ in ins._effects
+    )
 
 
 def _shape(p: Program) -> tuple:
     """What :func:`_layout` reads of ``p``, as a dict key: the externals,
-    and each instruction with its gate matrix and label left out (the
-    instructions that carry neither are taken whole)."""
+    and each instruction with its gate matrix and label left out.  An
+    instruction without a gate is hashable and taken whole; one with a
+    gate, which makes it unhashable, is taken as its class and its
+    compared fields but the last, the gate (the label is not compared)."""
     return p.externals, tuple([
-        (ApplyLocal, ins.party, ins.wires) if isinstance(ins, ApplyLocal)
-        else (ApplyControlledLocal, ins.party, ins.control, ins.targets)
-        if isinstance(ins, ApplyControlledLocal)
-        else ins
+        ins if type(ins).__hash__ else (type(ins), *ins._key[:-1])
         for ins in p.instructions
     ])
 
@@ -290,32 +285,17 @@ _Layout = collections.namedtuple(
 
 
 def _slot(p: Program) -> int | None:
-    """The index of ``p``'s slot: the one ``ApplyControlledLocal`` whose
+    """The index of ``p``'s slot: the ``ApplyControlledLocal`` whose
     targets are the trailing external wires, in order, if no other
-    instruction names any of them; else None."""
+    instruction names any of them (so there is at most one); else None."""
     ext = p.external_wires
-    found = [
-        i for i, ins in enumerate(p.instructions)
-        if isinstance(ins, ApplyControlledLocal)
-        and ins.targets == ext[len(ext) - len(ins.targets):]
-    ]
-    if len(found) != 1:
-        return None
-    targets = set(p.instructions[found[0]].targets)
     for i, ins in enumerate(p.instructions):
-        if i != found[0] and not targets.isdisjoint(_wires(ins)):
-            return None
-    return found[0]
-
-
-def _wires(ins) -> list[WireRef]:
-    """Every wire that instruction ``ins`` names, in any field."""
-    out = []
-    for name in ins._fields:
-        value = getattr(ins, name)
-        out.extend(w for w in (value if isinstance(value, tuple) else (value,))
-                   if isinstance(w, WireRef))
-    return out
+        if isinstance(ins, ApplyControlledLocal) and ins.targets == ext[len(ext) - len(ins.targets):]:
+            targets = set(ins.targets)
+            if all(j == i or targets.isdisjoint(_wires_at(other, field))
+                   for j, other in enumerate(p.instructions) for _, field, _ in other._effects):
+                return i
+    return None
 
 
 def _layout(p: Program) -> _Layout:
@@ -366,10 +346,7 @@ def _layout(p: Program) -> _Layout:
             steps.append((ins.pauli, *_permutation(ndim, positions), True))
         elif isinstance(ins, DiscardBit):
             axes.pop(ins.wire, None)  # the axis stays in the transcript
-        elif isinstance(ins, SendBit):
-            pass  # classical routing only; no effect on the state
-        else:  # pragma: no cover - union is closed
-            raise TypeError(f"unknown instruction {ins!r}")
+        # a SendBit routes a bit between parties only: no effect on the state
     bits = tuple(bit for bit, _ in measured)
     bit_axes = tuple(axis for _, axis in measured)
     order = bit_axes + tuple(a for a in range(ndim) if a not in bit_axes)

@@ -6,14 +6,26 @@ their whole lifetime and never cross the Alice/Bob cut; classical wires
 (``c1``, ``c2``, ...) are written exactly once by a measurement and may
 cross the cut only through an explicit ``SendBit``.
 
-:func:`validate_locality` checks those rules in one pass and returns a
-list of violations (empty = valid) instead of raising, so a linter can
-report everything it finds.  :func:`resource_census` counts the
-entanglement and classical communication a program consumes.
+Each instruction class states two things once, as private class
+attributes, which the consumers read instead of dispatching on the class:
 
-Programs also have a line-oriented text form (see :func:`parse_program`
-and :func:`format_program`); the grammar is documented in
-``docs/program-format.md``.
+* ``_syntax``, its line in the text form (``docs/program-format.md``),
+  exactly as its usage message shows it: the keyword, then literals and
+  placeholders (``_PLACEHOLDERS``) that fill its fields in order.
+  :func:`parse_program` reads and :func:`format_instruction` writes by it.
+* ``_effects``, what it does to wires, in check order: ``(role, field,
+  party)``, the field naming a wire or a tuple of them, the party a field
+  naming the acting party, a fixed :class:`Party`, or None.  The roles
+  are ``create``, ``touch`` and ``measure`` for qubits and ``write``,
+  ``read``, ``send`` and ``discard`` for bits.  :func:`validate_locality`
+  runs one rule per role and returns every violation, never raising, so
+  a linter can report all it finds; :func:`resource_census` counts the
+  pairs created across the cut and the bits sent each way; the executor
+  counts the qubits created and finds the wires each instruction names.
+
+Only the executor, for the effect on the state, which differs by class,
+and to find its slot, and the builder's scripted mutations dispatch on
+the class.
 """
 
 from __future__ import annotations
@@ -72,6 +84,8 @@ class AllocQubit(Record):
     """Allocate a fresh local qubit in a computational basis state."""
 
     __slots__ = _fields = ("party", "wire", "basis_value")
+    _syntax = "alloc <party> <qwire> = <0|1>"
+    _effects = (("create", "wire", "party"),)
 
     def __init__(self, party: Party, wire: WireRef, basis_value: int):
         _require_quantum(wire)
@@ -85,6 +99,8 @@ class MakeBellPair(Record):
     right half at Bob.  The one primitive that spans the cut."""
 
     __slots__ = _fields = ("left", "right")
+    _syntax = "bell <qwire>@A <qwire>@B"
+    _effects = (("create", "left", Party.ALICE), ("create", "right", Party.BOB))
 
     def __init__(self, left: WireRef, right: WireRef):
         _require_quantum(left)
@@ -101,6 +117,8 @@ class ApplyLocal(Record):
 
     __slots__ = _fields = ("party", "wires", "gate", "label")
     _compared = 3
+    _syntax = "gate <party> <qwire...> : <expr>"
+    _effects = (("touch", "wires", "party"),)
     __hash__ = None
 
     def __init__(
@@ -128,6 +146,8 @@ class ApplyControlledLocal(Record):
 
     __slots__ = _fields = ("party", "control", "targets", "gate", "label")
     _compared = 4
+    _syntax = "cgate <party> <qwire> -> <qwire...> : <expr>"
+    _effects = (("touch", "control", "party"), ("touch", "targets", "party"))
     __hash__ = None
 
     def __init__(
@@ -156,6 +176,8 @@ class MeasureZ(Record):
     """Z-measure a local qubit, consuming it and writing a classical bit."""
 
     __slots__ = _fields = ("party", "wire", "out")
+    _syntax = "measz <party> <qwire> -> <cwire>"
+    _effects = (("touch", "wire", "party"), ("measure", "wire", "party"), ("write", "out", "party"))
 
     def __init__(self, party: Party, wire: WireRef, out: WireRef):
         _require_quantum(wire)
@@ -167,6 +189,8 @@ class SendBit(Record):
     """Transmit a written classical bit across the cut."""
 
     __slots__ = _fields = ("from_party", "to_party", "wire")
+    _syntax = "send <A->B|B->A> <cwire>"
+    _effects = (("read", "wire", "from_party"), ("send", "wire", "to_party"))
 
     def __init__(self, from_party: Party, to_party: Party, wire: WireRef):
         _require_classical(wire)
@@ -179,6 +203,8 @@ class ConditionalPauli(Record):
     """Apply X or Z to a local qubit iff a readable classical bit is 1."""
 
     __slots__ = _fields = ("party", "wire", "pauli", "condition")
+    _syntax = "cpauli <party> <qwire> <X|Z> if <cwire>"
+    _effects = (("touch", "wire", "party"), ("read", "condition", "party"))
 
     def __init__(self, party: Party, wire: WireRef, pauli: str, condition: WireRef):
         _require_quantum(wire)
@@ -192,6 +218,8 @@ class DiscardBit(Record):
     """Forget a classical bit (trace it out of the protocol)."""
 
     __slots__ = _fields = ("wire",)
+    _syntax = "discard <cwire>"
+    _effects = (("discard", "wire", None),)
 
     def __init__(self, wire: WireRef):
         _require_classical(wire)
@@ -208,6 +236,18 @@ Instruction = (
     | ConditionalPauli
     | DiscardBit
 )
+_INSTRUCTIONS = frozenset(Instruction.__args__)
+# What resource_census counts, from the effects: the pairs an instruction
+# creates across the cut, and the fields naming whom the bits it sends reach.
+for _cls in _INSTRUCTIONS:
+    _cls._ebits = int({p for role, _, p in _cls._effects if role == "create"} == set(Party))
+    _cls._sends = tuple(p for role, _, p in _cls._effects if role == "send")
+
+
+def _wires_at(ins: Instruction, field: str) -> tuple[WireRef, ...]:
+    """The wires that field ``field`` of ``ins`` names: one, or a tuple."""
+    value = getattr(ins, field)
+    return value if value.__class__ is tuple else (value,)
 
 
 def _require_quantum(w: WireRef) -> None:
@@ -233,6 +273,7 @@ class ExternalWire(Record):
 
 class Program(Record):
     """An immutable instruction list with per-instruction phase tags.
+    Anything that is not an instance of an instruction class is refused.
 
     ``phases[i]`` is 1, 2, or 3 for instructions under one of the three
     protocol phases, or None for unphased instructions (e.g. parsed from
@@ -254,6 +295,10 @@ class Program(Record):
     ):
         externals = tuple(externals)
         instructions = tuple(instructions)
+        if not _INSTRUCTIONS.issuperset(map(type, instructions)):
+            for ins in instructions:
+                if not isinstance(ins, Instruction):
+                    raise ValueError(f"not an instruction: {ins!r}")
         phases = tuple(phases) if phases else (None,) * len(instructions)
         if len(phases) != len(instructions):
             raise ValueError("phases must align with instructions")
@@ -301,13 +346,12 @@ class ResourceCensus(Record):
 
 
 def resource_census(p: Program) -> ResourceCensus:
-    """Count MakeBellPair and directional SendBit instructions."""
+    """Count the pairs created across the cut and the bits sent each way."""
     ebits = a2b = b2a = 0
     for ins in p.instructions:
-        if isinstance(ins, MakeBellPair):
-            ebits += 1
-        elif isinstance(ins, SendBit):
-            if ins.from_party is Party.ALICE:
+        ebits += ins._ebits
+        for field in ins._sends:
+            if getattr(ins, field) is Party.BOB:
                 a2b += 1
             else:
                 b2a += 1
@@ -329,81 +373,68 @@ def validate_locality(p: Program) -> list[Violation]:
       the cut only via SendBit, and are never used after DiscardBit.
     """
     out: list[Violation] = []
-    owner: dict[WireRef, Party] = {}
-    alive: set[WireRef] = set()
-    external = set(p.external_wires)
+    owner: dict[WireRef, Party] = {e.wire: e.party for e in p.externals}
+    alive: set[WireRef] = set(owner)
+    external = set(owner)
     readers: dict[WireRef, set[Party]] = {}
     discarded: set[WireRef] = set()
 
-    for e in p.externals:
-        owner[e.wire] = e.party
-        alive.add(e.wire)
-
-    def bad(i: int, reason: str) -> None:
-        out.append(Violation(i, reason))
-
-    def check_touch(i: int, party: Party, w: WireRef) -> None:
-        if w not in owner:
-            bad(i, f"unknown quantum wire {w}")
-        elif w not in alive:
-            bad(i, f"quantum wire {w} was already measured")
-        elif owner[w] is not party:
-            bad(i, f"cross-party quantum touch: {w} is owned by {owner[w].name.title()}")
-
-    def check_read(i: int, party: Party, c: WireRef) -> None:
-        if c not in readers:
-            bad(i, f"classical wire {c} read before write")
-            return
-        if c in discarded:
-            bad(i, f"classical wire {c} used after discard")
-        elif party not in readers[c]:
-            bad(i, f"{party.name.title()} cannot read {c} (never sent across the cut)")
-
-    def register(i: int, w: WireRef, party: Party) -> None:
+    # One rule per role of an effect (see the module docstring): each
+    # returns the reason of a violation, or None.
+    def create(w: WireRef, party: Party) -> str | None:
         if w in owner:
-            bad(i, f"quantum wire {w} allocated twice")
-        else:
-            owner[w] = party
-            alive.add(w)
+            return f"quantum wire {w} allocated twice"
+        owner[w] = party
+        alive.add(w)
 
+    def touch(w: WireRef, party: Party) -> str | None:
+        if w not in owner:
+            return f"unknown quantum wire {w}"
+        if w not in alive:
+            return f"quantum wire {w} was already measured"
+        if owner[w] is not party:
+            return f"cross-party quantum touch: {w} is owned by {owner[w].name.title()}"
+
+    def measure(w: WireRef, party: Party) -> str | None:
+        alive.discard(w)
+        if w in external:
+            return f"external wire {w} must not be measured"
+
+    def write(c: WireRef, party: Party) -> str | None:
+        if c in readers:
+            return f"classical wire {c} written twice"
+        readers[c] = {party}
+
+    def read(c: WireRef, party: Party) -> str | None:
+        if c not in readers:
+            return f"classical wire {c} read before write"
+        if c in discarded:
+            return f"classical wire {c} used after discard"
+        if party not in readers[c]:
+            return f"{party.name.title()} cannot read {c} (never sent across the cut)"
+
+    def send(c: WireRef, party: Party) -> None:
+        if c in readers:
+            readers[c].add(party)
+
+    def discard(c: WireRef, party: None) -> str | None:
+        if c not in readers:
+            return f"classical wire {c} discarded before write"
+        if c in discarded:
+            return f"classical wire {c} discarded twice"
+        discarded.add(c)
+
+    rules = {"create": create, "touch": touch, "measure": measure, "write": write,
+             "read": read, "send": send, "discard": discard}
     for i, ins in enumerate(p.instructions):
-        if isinstance(ins, AllocQubit):
-            register(i, ins.wire, ins.party)
-        elif isinstance(ins, MakeBellPair):
-            register(i, ins.left, Party.ALICE)
-            register(i, ins.right, Party.BOB)
-        elif isinstance(ins, ApplyLocal):
-            for w in ins.wires:
-                check_touch(i, ins.party, w)
-        elif isinstance(ins, ApplyControlledLocal):
-            check_touch(i, ins.party, ins.control)
-            for w in ins.targets:
-                check_touch(i, ins.party, w)
-        elif isinstance(ins, MeasureZ):
-            check_touch(i, ins.party, ins.wire)
-            if ins.wire in external:
-                bad(i, f"external wire {ins.wire} must not be measured")
-            alive.discard(ins.wire)
-            if ins.out in readers:
-                bad(i, f"classical wire {ins.out} written twice")
-            else:
-                readers[ins.out] = {ins.party}
-        elif isinstance(ins, SendBit):
-            check_read(i, ins.from_party, ins.wire)
-            if ins.wire in readers:
-                readers[ins.wire].add(ins.to_party)
-        elif isinstance(ins, ConditionalPauli):
-            check_touch(i, ins.party, ins.wire)
-            check_read(i, ins.party, ins.condition)
-        elif isinstance(ins, DiscardBit):
-            if ins.wire not in readers:
-                bad(i, f"classical wire {ins.wire} discarded before write")
-            elif ins.wire in discarded:
-                bad(i, f"classical wire {ins.wire} discarded twice")
-            else:
-                discarded.add(ins.wire)
-        else:  # pragma: no cover - union is closed
-            raise TypeError(f"unknown instruction {ins!r}")
+        for role, field, party in ins._effects:
+            rule = rules[role]
+            if party.__class__ is str:
+                party = getattr(ins, party)
+            for w in _wires_at(ins, field):
+                reason = rule(w, party)
+                if reason:
+                    out.append(Violation(i, reason))
 
     for w in sorted(alive - external, key=lambda w: w.id):
         out.append(Violation(-1, f"internal quantum wire {w} never measured"))
@@ -451,6 +482,72 @@ def _parse_gate_expr(text: str) -> tuple[UnitaryMatrix, str]:
         raise ValueError(f"bad gate expression: {exc}") from exc
 
 
+def _parse_route(tok: str) -> tuple[Party, Party]:
+    m = _SEND_RE.match(tok)
+    if not m:
+        raise ValueError(f"expected A->B or B->A, got {tok!r}")
+    return _PARTIES[m.group(1).lower()], _PARTIES[m.group(2).lower()]
+
+
+# How the text form reads and writes each placeholder of a syntax: the
+# number n of fields it fills, in field order; a reader from its token (a
+# variadic placeholder's tokens) to their value, or to a tuple of n
+# values; and a writer from them back to text.  The halves of a pair and
+# the expression after ':' are read by _read_instruction itself.
+_PLACEHOLDERS = {
+    "<party>": (1, _parse_party, lambda party: party.short),
+    "<qwire>": (1, _parse_wire, str),
+    "<cwire>": (1, _parse_wire, str),
+    "<qwire...>": (1, lambda toks: tuple(map(_parse_wire, toks)), lambda ws: " ".join(map(str, ws))),
+    "<0|1>": (1, int, str),
+    "<X|Z>": (1, str.upper, str),
+    "<A->B|B->A>": (2, _parse_route, lambda a, b: f"{a.short}->{b.short}"),
+    "<qwire>@A": (1, None, lambda wire: f"{wire}@A"),
+    "<qwire>@B": (1, None, lambda wire: f"{wire}@B"),
+    "<expr>": (2, None, lambda gate, label: gatelang.format_matrix(gate) if label is None else label),
+}
+# The instruction classes by keyword, and the keywords that take ': <expr>'.
+_KEYWORDS = {cls._syntax.split()[0]: cls for cls in Instruction.__args__}
+_GATED = tuple(kw for kw, cls in _KEYWORDS.items() if cls._syntax.endswith(": <expr>"))
+
+
+def _read_instruction(cls: type, args: list[str], expr: str | None) -> Instruction:
+    """Read an instruction of class ``cls`` by its syntax, from the tokens
+    after its keyword and the text after its ':' (None if there is none).
+    A line of the wrong shape (token count, ':', a literal in any case,
+    or <0|1>) is refused with the syntax as its usage; then the
+    expression is read, then each token in order."""
+    keyword, *words = cls._syntax.split()
+    gated = words[-1] == "<expr>"
+    head = words[:-2] if gated else words  # the words before ': <expr>'
+    variadic = head[-1].endswith("...>")
+    if (len(args) < len(head) if variadic else len(args) != len(head)) or (gated and expr is None) \
+            or any(tok.lower() != word if word[0] != "<" else word == "<0|1>" and tok not in ("0", "1")
+                   for word, tok in zip(head, args)):
+        raise ValueError(f"usage: {cls._syntax}")
+    tail = () if expr is None else _parse_gate_expr(expr)
+    values: list = []
+    halves: dict[str, WireRef] = {}  # a pair's wires by party: either may come first
+    for i, word in enumerate(head):
+        if word[0] != "<":
+            continue
+        if "@" in word:
+            wire, at, party = args[i].partition("@")
+            if not at:
+                raise ValueError(f"{keyword} wire needs @party, got {args[i]!r}")
+            side = _parse_party(party).short
+            halves[side] = _parse_wire(wire)
+        else:
+            n, read, _ = _PLACEHOLDERS[word]
+            value = read(args[i:] if word.endswith("...>") else args[i])
+            values += value if n > 1 else (value,)
+    if halves:
+        if len(halves) != 2:
+            raise ValueError(f"{keyword} needs one wire per party")
+        values = [halves[word[-1]] for word in head]
+    return cls(*values, *tail)
+
+
 def parse_program(text: str) -> Program:
     """Parse the line-oriented program format.
 
@@ -473,139 +570,63 @@ def parse_program(text: str) -> Program:
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
-        head, sep, expr_part = stripped.partition(":")
+        head, sep, expr = stripped.partition(":")
         toks = head.split()
-
-        def args(n: int, usage: str) -> list[str]:
-            if len(toks) - 1 != n:
-                raise ValueError(f"usage: {usage}")
-            return toks[1:]
-
         try:
             if not toks:
                 raise ValueError("missing keyword before ':'")
             kw = toks[0].lower()
-            if sep and kw not in ("gate", "cgate"):
-                raise ValueError(f"unexpected ':' in {toks[0]!r} line (only gate and cgate take one)")
-            ins: Instruction | None = None
+            if sep and kw not in _GATED:
+                raise ValueError(f"unexpected ':' in {toks[0]!r} line"
+                                 f" (only {' and '.join(_GATED)} take one)")
             if kw == "ext":
-                a = args(2, "ext <party> <qwire>")
+                if len(toks) != 3:
+                    raise ValueError("usage: ext <party> <qwire>")
                 if instructions:
                     raise ValueError("ext lines must precede instructions")
-                ext = ExternalWire(_parse_wire(a[1]), _parse_party(a[0]))
+                ext = ExternalWire(_parse_wire(toks[2]), _parse_party(toks[1]))
                 if any(e.wire == ext.wire for e in externals):
                     raise ValueError(f"external wire {ext.wire} declared twice")
                 externals.append(ext)
             elif kw == "phase":
-                a = args(1, "phase <1|2|3>")
-                if a[0] not in ("1", "2", "3"):
-                    raise ValueError(f"phase must be 1, 2 or 3, got {a[0]!r}")
-                current_phase = int(a[0])
-            elif kw == "alloc":
-                a = args(4, "alloc <party> <qwire> = <0|1>")
-                if a[2] != "=" or a[3] not in ("0", "1"):
-                    raise ValueError("usage: alloc <party> <qwire> = <0|1>")
-                ins = AllocQubit(_parse_party(a[0]), _parse_wire(a[1]), int(a[3]))
-            elif kw == "bell":
-                a = args(2, "bell <qwire>@A <qwire>@B")
-                halves = {}
-                for tok in a:
-                    wire_tok, at, party_tok = tok.partition("@")
-                    if not at:
-                        raise ValueError(f"bell wire needs @party, got {tok!r}")
-                    party = _parse_party(party_tok)
-                    halves[party] = _parse_wire(wire_tok)
-                if len(halves) != 2:
-                    raise ValueError("bell needs one wire per party")
-                ins = MakeBellPair(halves[Party.ALICE], halves[Party.BOB])
-            elif kw == "gate":
-                if len(toks) < 3 or not sep:
-                    raise ValueError("usage: gate <party> <qwire...> : <expr>")
-                gate, label = _parse_gate_expr(expr_part)
-                ins = ApplyLocal(
-                    _parse_party(toks[1]), tuple(_parse_wire(t) for t in toks[2:]), gate, label
-                )
-            elif kw == "cgate":
-                if len(toks) < 5 or toks[3] != "->" or not sep:
-                    raise ValueError("usage: cgate <party> <qwire> -> <qwire...> : <expr>")
-                gate, label = _parse_gate_expr(expr_part)
-                ins = ApplyControlledLocal(
-                    _parse_party(toks[1]),
-                    _parse_wire(toks[2]),
-                    tuple(_parse_wire(t) for t in toks[4:]),
-                    gate,
-                    label,
-                )
-            elif kw == "measz":
-                a = args(4, "measz <party> <qwire> -> <cwire>")
-                if a[2] != "->":
-                    raise ValueError("usage: measz <party> <qwire> -> <cwire>")
-                ins = MeasureZ(_parse_party(a[0]), _parse_wire(a[1]), _parse_wire(a[3]))
-            elif kw == "send":
-                a = args(2, "send <A->B|B->A> <cwire>")
-                m = _SEND_RE.match(a[0])
-                if not m:
-                    raise ValueError(f"expected A->B or B->A, got {a[0]!r}")
-                src, dst = _PARTIES[m.group(1).lower()], _PARTIES[m.group(2).lower()]
-                ins = SendBit(src, dst, _parse_wire(a[1]))
-            elif kw == "cpauli":
-                a = args(5, "cpauli <party> <qwire> <X|Z> if <cwire>")
-                if a[3].lower() != "if":
-                    raise ValueError("usage: cpauli <party> <qwire> <X|Z> if <cwire>")
-                ins = ConditionalPauli(
-                    _parse_party(a[0]), _parse_wire(a[1]), a[2].upper(), _parse_wire(a[4])
-                )
-            elif kw == "discard":
-                a = args(1, "discard <cwire>")
-                ins = DiscardBit(_parse_wire(a[0]))
+                if len(toks) != 2:
+                    raise ValueError("usage: phase <1|2|3>")
+                if toks[1] not in ("1", "2", "3"):
+                    raise ValueError(f"phase must be 1, 2 or 3, got {toks[1]!r}")
+                current_phase = int(toks[1])
+            elif kw in _KEYWORDS:
+                ins = _read_instruction(_KEYWORDS[kw], toks[1:], expr if sep else None)
+                instructions.append(ins)
+                phases.append(current_phase)
+                lines.append(lineno)
             else:
                 raise ValueError(f"unknown instruction {toks[0]!r}")
         except ValueError as exc:
             raise ProgramParseError(lineno, str(exc)) from exc
 
-        if ins is not None:
-            instructions.append(ins)
-            phases.append(current_phase)
-            lines.append(lineno)
-
     return Program(tuple(externals), tuple(instructions), tuple(phases), tuple(lines))
 
 
-def _format_gate(gate: UnitaryMatrix, label: str | None) -> str:
-    if label is not None:
-        return label
-    return gatelang.format_matrix(gate)
-
-
 def format_instruction(ins: Instruction) -> str:
-    """Render one instruction in the text format."""
-    if isinstance(ins, AllocQubit):
-        return f"alloc {ins.party.short} {ins.wire} = {ins.basis_value}"
-    if isinstance(ins, MakeBellPair):
-        return f"bell {ins.left}@A {ins.right}@B"
-    if isinstance(ins, ApplyLocal):
-        wires = " ".join(str(w) for w in ins.wires)
-        return f"gate {ins.party.short} {wires} : {_format_gate(ins.gate, ins.label)}"
-    if isinstance(ins, ApplyControlledLocal):
-        targets = " ".join(str(w) for w in ins.targets)
-        return f"cgate {ins.party.short} {ins.control} -> {targets} : {_format_gate(ins.gate, ins.label)}"
-    if isinstance(ins, MeasureZ):
-        return f"measz {ins.party.short} {ins.wire} -> {ins.out}"
-    if isinstance(ins, SendBit):
-        return f"send {ins.from_party.short}->{ins.to_party.short} {ins.wire}"
-    if isinstance(ins, ConditionalPauli):
-        return f"cpauli {ins.party.short} {ins.wire} {ins.pauli} if {ins.condition}"
-    if isinstance(ins, DiscardBit):
-        return f"discard {ins.wire}"
-    raise TypeError(f"unknown instruction {ins!r}")
+    """Render one instruction in the text format, by its class's syntax."""
+    values = [getattr(ins, name) for name in ins._fields]
+    out = []
+    for word in ins._syntax.split():
+        if word in _PLACEHOLDERS:
+            n, _, write = _PLACEHOLDERS[word]
+            out.append(write(*values[:n]))
+            del values[:n]
+        else:
+            out.append(word)
+    return " ".join(out)
 
 
 def format_program(p: Program) -> str:
-    """Render a program in the text format; round-trips through
-    :func:`parse_program` (phase tags included, comments not)."""
-    out = []
-    for e in p.externals:
-        out.append(f"ext {e.party.short} {e.wire}")
+    """Render a program in the text format, which :func:`parse_program`
+    reads back to an equal program, comments aside, unless an unphased
+    instruction follows a phased one: the format has no directive that
+    ends a phase, so that instruction reads back under the phase before."""
+    out = [f"ext {e.party.short} {e.wire}" for e in p.externals]
     current_phase: int | None = None
     for ins, tag in zip(p.instructions, p.phases):
         if tag is not None and tag != current_phase:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,7 @@ from telegate.protocol import (
     ConditionalPauli,
     DiscardBit,
     ExternalWire,
+    Instruction,
     MakeBellPair,
     MeasureZ,
     Party,
@@ -21,6 +24,7 @@ from telegate.protocol import (
     WireKind,
     WireRef,
     cwire,
+    format_instruction,
     format_program,
     parse_program,
     qwire,
@@ -223,6 +227,10 @@ A, B = Party.ALICE, Party.BOB
             lambda: Program((ExternalWire(qwire(0), A), ExternalWire(qwire(0), B))),
             "external wires must be distinct",
         ),
+        (
+            lambda: Program((ExternalWire(qwire(0), A),), ("gate A q0 : X",)),
+            "not an instruction: 'gate A q0 : X'",
+        ),
     ],
 )
 def test_ir_constructor_refusals(build, message):
@@ -248,6 +256,89 @@ def test_double_allocation_and_double_discard_are_flagged():
         (1, "quantum wire q1 allocated twice"),
         (5, "classical wire c1 discarded twice"),
     ]
+
+
+def _measured(party: Party, q: int, c: int) -> tuple:
+    """Allocate internal qubit q at ``party`` and measure it into bit c."""
+    return AllocQubit(party, qwire(q), 0), MeasureZ(party, qwire(q), cwire(c))
+
+
+# Each lint reason of validate_locality, pinned exactly, and the order of
+# several reasons on one instruction.  Externals: q0 at Alice, q1 at Bob.
+LINT_CASES = {
+    "unknown wire": ((ApplyLocal(A, (qwire(5),), qsim.X),), [(0, "unknown quantum wire q5")]),
+    "already measured": (
+        (*_measured(A, 2, 1), ApplyLocal(A, (qwire(2),), qsim.X)),
+        [(2, "quantum wire q2 was already measured")],
+    ),
+    "cross-party touch": (
+        (ApplyLocal(B, (qwire(0),), qsim.X),),
+        [(0, "cross-party quantum touch: q0 is owned by Alice")],
+    ),
+    "read before write": (
+        (ConditionalPauli(A, qwire(0), "Z", cwire(1)),),
+        [(0, "classical wire c1 read before write")],
+    ),
+    "used after discard": (
+        (*_measured(A, 2, 1), DiscardBit(cwire(1)), ConditionalPauli(A, qwire(0), "Z", cwire(1))),
+        [(3, "classical wire c1 used after discard")],
+    ),
+    "never sent": (
+        (*_measured(A, 2, 1), ConditionalPauli(B, qwire(1), "X", cwire(1))),
+        [(2, "Bob cannot read c1 (never sent across the cut)")],
+    ),
+    "allocated twice": (
+        (AllocQubit(A, qwire(2), 0), AllocQubit(B, qwire(2), 1), MeasureZ(A, qwire(2), cwire(1))),
+        [(1, "quantum wire q2 allocated twice")],
+    ),
+    "external measured": (
+        (MeasureZ(A, qwire(0), cwire(1)),),
+        [(0, "external wire q0 must not be measured")],
+    ),
+    "written twice": (
+        (*_measured(A, 2, 1), *_measured(A, 3, 1)),
+        [(3, "classical wire c1 written twice")],
+    ),
+    "discarded before write": (
+        (DiscardBit(cwire(1)),),
+        [(0, "classical wire c1 discarded before write")],
+    ),
+    "discarded twice": (
+        (*_measured(A, 2, 1), DiscardBit(cwire(1)), DiscardBit(cwire(1))),
+        [(3, "classical wire c1 discarded twice")],
+    ),
+    "never measured": ((AllocQubit(B, qwire(2), 0),), [(-1, "internal quantum wire q2 never measured")]),
+    # several on one instruction: checks run in field order
+    "measz of the other party's external": (
+        (MeasureZ(B, qwire(0), cwire(1)),),
+        [
+            (0, "cross-party quantum touch: q0 is owned by Alice"),
+            (0, "external wire q0 must not be measured"),
+        ],
+    ),
+    "send of a discarded bit": (  # the discard is named, not the unsent bit
+        (*_measured(A, 2, 1), DiscardBit(cwire(1)), SendBit(B, A, cwire(1))),
+        [(3, "classical wire c1 used after discard")],
+    ),
+    "control, then targets": (
+        (ApplyControlledLocal(B, qwire(0), (qwire(5),), qsim.X),),
+        [(0, "cross-party quantum touch: q0 is owned by Alice"), (0, "unknown quantum wire q5")],
+    ),
+    "touch, then read": (
+        (ConditionalPauli(B, qwire(0), "X", cwire(1)),),
+        [
+            (0, "cross-party quantum touch: q0 is owned by Alice"),
+            (0, "classical wire c1 read before write"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LINT_CASES)
+def test_every_lint_reason_is_pinned(name):
+    instructions, expected = LINT_CASES[name]
+    program = Program(two_party_externals(), instructions)
+    assert [(v.index, v.reason) for v in validate_locality(program)] == expected
 
 
 def test_wire_ref_hash_agrees_with_eq():
@@ -444,3 +535,79 @@ def test_phase_directive_round_trip():
 def test_builder_phases_are_three_contiguous_runs():
     p = nonlocal_cnot()
     assert p.phases == (1,) + (2,) * 5 + (3,) * 6
+
+
+def test_an_unphased_instruction_after_a_phased_one_reads_back_phased():
+    """The text format has no directive that ends a phase, so phases
+    (1, None) format and read back as (1, 1): an unequal program."""
+    x, h = ApplyLocal(A, (qwire(0),), qsim.X, "X"), ApplyLocal(A, (qwire(0),), qsim.H, "H")
+    p = Program((ExternalWire(qwire(0), A),), (x, h), (1, None))
+    text = format_program(p)
+    assert text == "ext A q0\nphase 1\ngate A q0 : X\ngate A q0 : H\n"
+    again = parse_program(text)
+    assert again.phases == (1, 1) and again != p
+
+
+# the instruction table: each class's _syntax and _effects
+
+INSTRUCTION_CLASSES = Instruction.__args__
+ROLES = {"create", "touch", "measure", "write", "read", "send", "discard"}
+# One instance of each class, over externals q0 at Alice and q1 at Bob.
+EXAMPLES = (
+    AllocQubit(A, qwire(2), 1),
+    MakeBellPair(qwire(2), qwire(3)),
+    ApplyLocal(A, (qwire(0), qwire(2)), qsim.haar_random_unitary(4, 11)),  # unlabelled
+    ApplyControlledLocal(B, qwire(1), (qwire(3),), qsim.H, "H"),
+    MeasureZ(B, qwire(3), cwire(2)),
+    SendBit(B, A, cwire(2)),
+    ConditionalPauli(A, qwire(0), "Z", cwire(2)),
+    DiscardBit(cwire(2)),
+)
+
+
+@pytest.mark.parametrize("cls", INSTRUCTION_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_instruction_class_has_a_table_entry(cls):
+    assert isinstance(vars(cls)["_syntax"], str)
+    example = next(ins for ins in EXAMPLES if type(ins) is cls)
+    named = set()
+    for role, field, party in vars(cls)["_effects"]:
+        assert role in ROLES and field in cls._fields
+        assert party is None or isinstance(party, Party) or party in cls._fields
+        named.add(field)
+    values = {name: getattr(example, name) for name in cls._fields}
+    wire_fields = {
+        name for name, value in values.items()
+        if isinstance(value, WireRef) or isinstance(value, tuple) and isinstance(value[0], WireRef)
+    }
+    assert named == wire_fields  # the effects name every wire of the instruction
+    keywords = [c._syntax.split()[0] for c in INSTRUCTION_CLASSES]
+    assert len(set(keywords)) == len(keywords)
+
+
+@pytest.mark.parametrize("cls", INSTRUCTION_CLASSES, ids=lambda cls: cls.__name__)
+def test_a_wrong_arity_line_is_refused_with_the_syntax(cls):
+    keyword = cls._syntax.split()[0]
+    with pytest.raises(ProgramParseError) as exc:
+        parse_program(f"ext A q0\n{keyword}\n")
+    assert str(exc.value) == "line 2: usage: " + cls._syntax
+
+
+def test_every_syntax_is_in_the_documented_instructions():
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "program-format.md").read_text()
+    block = doc.split("## Instructions", 1)[1].split("```")[1]
+    documented = [line.split("  ")[0] for line in block.strip().splitlines()]
+    assert documented == [cls._syntax for cls in INSTRUCTION_CLASSES]
+
+
+@pytest.mark.parametrize("ins", EXAMPLES, ids=lambda ins: type(ins).__name__)
+def test_each_instruction_survives_format_and_parse(ins):
+    text = format_instruction(ins)
+    again = parse_program(f"ext A q0\next B q1\n{text}\n").instructions
+    assert again == (ins,)
+    assert format_instruction(again[0]) == text
+
+
+def test_an_unlabelled_gate_formats_as_a_matrix_literal():
+    (gate,) = (ins for ins in EXAMPLES if type(ins) is ApplyLocal)
+    assert gate.label is None
+    assert format_instruction(gate).startswith("gate A q0 q2 : [[")
