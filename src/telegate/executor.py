@@ -18,7 +18,12 @@ and every consumer reads that form:
 * :func:`choi_residual` compares the channel with a unitary written over
   a basis of its own, from projections and the Gram matrix of the
   residuals (see :func:`kraus_choi_distance`, its dense form);
-* the verifier reads branch evidence off the same coefficients.
+* the verifier reads branch evidence and the Choi distance off the
+  dense stack for small registers (at most 2^12 complex entries in the
+  stack of the specification and the K_t: built programs up to k = 3),
+  for programs without a slot and for specifications that do not split
+  across the slot's control, and off the coefficients otherwise (see
+  :mod:`telegate.verifier`).
 
 The slot.  A program's *slot* is an ``ApplyControlledLocal`` whose targets
 are the trailing external wires, in order, and which no other
@@ -533,17 +538,20 @@ def kraus_choi_distance(kraus: np.ndarray | list[np.ndarray], u: UnitaryMatrix) 
         raise ValueError(f"Kraus operators do not match the dimension {u.dim} of the unitary")
     z = np.concatenate((u.matrix[None], ops))[:, None]
     flat = z.reshape(len(z), -1)
-    return choi_residual(z, TRIVIAL_BASIS, _metric(TRIVIAL_BASIS), flat.conj()[0] @ flat.T)
+    return choi_residual(z, TRIVIAL_BASIS, None, flat[0].conj() @ flat.T)
 
 
-def choi_residual(z: np.ndarray, basis: np.ndarray, metric: np.ndarray, onto: np.ndarray) -> float:
+def choi_residual(
+    z: np.ndarray, basis: np.ndarray, metric: np.ndarray | None, onto: np.ndarray
+) -> float:
     """Frobenius distance between the Choi matrices of a unitary U and of
     the channel with Kraus operators K_t, all written over ``basis``: row
     0 of the (1 + T, B, r, r) array ``z`` holds the coefficients of U and
     row 1 + t those of K_t, so that K_t = sum_b z[1 + t, b] ⊗ basis[b];
     ``metric`` is the B×B matrix <M_b, M_c> of the basis
-    (:func:`_metric`), and ``onto`` the inner products <U, Z_u> of U with
-    every row, itself first.
+    (:func:`_metric`; unread over the trivial basis {1}, where it is 1 and
+    the coefficients are the operators themselves), and ``onto`` the inner
+    products <U, Z_u> of U with every row, itself first.
 
     Each K_t splits into its projection on U and a residual orthogonal to
     it: K_t = a_t U + E_t with a_t = <U, K_t>/|U|_F^2.  With n = |U|_F^2/d,
@@ -571,8 +579,13 @@ def choi_residual(z: np.ndarray, basis: np.ndarray, metric: np.ndarray, onto: np
     flat = z.reshape(u, b, -1)
     resid = a[:, None, None] * flat[0]
     np.subtract(flat[1:], resid, out=resid)  # E_t, without a second temporary
-    gram = resid.conj().reshape(u - 1, -1) @ (metric @ resid).reshape(u - 1, -1).T
-    w = (a.conj() @ resid.reshape(u - 1, -1)).reshape(b, -1).T @ basis.reshape(b, -1)
+    rows = resid.reshape(u - 1, -1)
+    w = a.conj() @ rows
+    if basis is TRIVIAL_BASIS:  # the metric is 1 and the wires are the coefficients
+        gram = rows.conj() @ rows.T
+    else:
+        gram = rows.conj() @ (metric @ resid).reshape(u - 1, -1).T
+        w = w.reshape(b, -1).T @ basis.reshape(b, -1)
     c = float(np.vdot(a, a).real) - 1.0
     n = norm2 / d
     cross = float(np.vdot(w, w).real)

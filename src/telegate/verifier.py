@@ -12,9 +12,29 @@ Two independent kinds of evidence go into a verdict:
 
 Both come from one execution of the program: its Kraus operators K_t,
 one per transcript, in the factored form of
-:func:`telegate.executor.kraus_form`, which the specification joins
-over one basis (:func:`_spec_form`); no dense operator is formed unless
-the program has no slot or the specification does not split.
+:func:`telegate.executor.kraus_form`, which the specification S joins
+over one basis (:func:`_spec_form`) on one of two routes.  One rule,
+:func:`_factored`, picks the route for :func:`verify_program` and for
+``telegate trace`` (through :func:`basis_evidence`), so the two agree
+bit for bit:
+
+* the dense route evaluates the stack Z = [S; K_t] directly: the images
+  of the basis inputs are Z's own columns, those of the Haar probes one
+  batched product, and the Choi distance is :func:`choi_residual` over
+  the trivial basis {1};
+* the factored route works over {A, B, I - A, V - B} (V the slot's gate,
+  S = P0 ⊗ A + P1 ⊗ B), less its exactly zero elements, without a d×d
+  operator.
+
+The factored route runs when the program has a slot, the specification
+splits, and the dense stack would hold more than ``BLOCK_CACHE_ENTRIES``
+(2^12) complex entries; the dense one otherwise, so at every size for a
+program without a slot.  For built programs that puts the boundary
+between k = 3 (1280 entries) and k = 4 (5120).  Timed on 2 vCPUs (numpy
+2.4, warm, interleaved), a verify on the dense route against the
+factored one took ~184 against ~219 µs at k = 1, about the same at
+k = 3 (~112 against ~109 µs), ~0.2 against ~0.15 ms at k = 4 and
+~51 against ~5.6 ms at k = 8.
 
 Reports are deterministic functions of (inputs, seed) and serialize to
 a stable JSON document (see ``docs/report-schema.md``).
@@ -113,7 +133,8 @@ def _haar_probes(n_qubits: int, probes: int, seed: int) -> np.ndarray:
 
     The columns come from one ``default_rng(seed).normal(size=(m - d, 2,
     d))`` draw (real parts, then imaginary parts, probe by probe), each
-    divided by its norm.  Every column is a valid state: its entries are
+    divided by its norm, and are copied once into a C-contiguous array
+    viewed as complex.  Every column is a valid state: its entries are
     normal deviates, far from overflow, so a column that is finite after
     the division (checked; a zero norm leaves NaNs) has norm 1 within
     rounding.  When m = d the block is empty and no generator is seeded.
@@ -128,12 +149,13 @@ def _haar_probes(n_qubits: int, probes: int, seed: int) -> np.ndarray:
     qsim.check_qubits((m - 1).bit_length(), "probe matrix", f" to index its {m} columns")
     if m == d:
         return np.empty((d, 0), dtype=np.complex128)
-    z = np.random.default_rng(seed).normal(size=(m - d, 2, d))
-    haar = z[:, 0] + 1j * z[:, 1]
-    haar /= np.linalg.norm(haar, axis=1, keepdims=True)
-    if not np.isfinite(haar.view(np.float64)).all():
+    draw = np.random.default_rng(seed).normal(size=(m - d, 2, d))
+    draw /= np.sqrt(np.einsum("jri,jri->j", draw, draw))[:, None, None]
+    if not np.isfinite(draw).all():
         raise ValueError("probe amplitudes must be finite")
-    return np.ascontiguousarray(haar.T)
+    haar = np.empty((d, m - d, 2))
+    haar[...] = draw.transpose(2, 0, 1)
+    return haar.view(np.complex128).reshape(d, m - d)
 
 
 # The spec's coefficients over {A, B, I - A, V - B}: P0 = |0><0| on A,
@@ -145,62 +167,89 @@ _CONTROL_HALVES = qsim._freeze(
 
 # For each coefficient array that kraus_form keeps in its cache (those
 # are read-only), what _spec_form derives from it alone: the rows over
-# {A, B, I - A, V - B} and their column pairs.  Keyed by the array's
-# identity; an entry holds the array, so its id is not reused while the
+# {A, B, I - A, V - B}, less the elements it leaves out, and their column
+# pairs.  Keyed by the array's identity and the indices of the elements
+# kept; an entry holds the array, so its id is not reused while the
 # entry lives.  At most LAYOUT_CACHE_SIZE entries of at most
 # BLOCK_CACHE_ENTRIES complex entries each, oldest out first.
 _ROWS: dict[int, tuple] = {}
 _ROWS_LOCK = threading.Lock()
 
 
+def _splits(form: KrausForm, s: np.ndarray) -> bool:
+    """Whether the spec ``s`` and the channel ``form`` can be written over
+    {A, B, I - A, V - B}: the program has a slot with gate V and one more
+    external wire, and s = P0 ⊗ A + P1 ⊗ B (its off-diagonal blocks are
+    exactly zero)."""
+    m = form.basis.shape[-1]
+    return len(form.basis) == 2 and form.coeffs.shape[-1] == 2 and not (
+        np.count_nonzero(s[:m, m:]) or np.count_nonzero(s[m:, :m])
+    )
+
+
+def _factored(form: KrausForm, s: np.ndarray) -> bool:
+    """The route rule, which :func:`verify_program` and ``telegate trace``
+    (through :func:`basis_evidence`) both read: the factored basis when
+    the spec splits (:func:`_splits`) and the dense stack [S; K_t] would
+    hold more than ``BLOCK_CACHE_ENTRIES`` (2^12) complex entries, else
+    the dense stack.  For built programs (4 transcripts, d = 2^(k+1))
+    that is k >= 4 (5120 entries; 1280 at k = 3), where the factored
+    basis is the faster (see the module docstring)."""
+    return (1 + len(form.coeffs)) * s.size > BLOCK_CACHE_ENTRIES and _splits(form, s)
+
+
 def _spec_form(
     form: KrausForm, u_spec: UnitaryMatrix
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The specification S and the channel's K_t over one basis: their
-    (1 + T, B, r, r) coefficients Z_u, S first; the column pairs of those
-    (:func:`_column_pairs`); the (B, m, m) basis; and its column Grams, a
-    (m, B, B) array whose [q, b, c] is <M_b e_q, M_c e_q>.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """The specification S and the channel's K_t over one basis, on the
+    route :func:`_factored` picks: their (1 + T, B, r, r) coefficients
+    Z_u, S first; their column pairs (:func:`_column_pairs`); the
+    (B, m, m) basis; and its column Grams, a (m, B, B) array whose
+    [q, b, c] is <M_b e_q, M_c e_q>.
 
-    If the program has a slot with gate V and one more external wire,
-    and S = P0 ⊗ A + P1 ⊗ B (its off-diagonal blocks are exactly zero),
-    the basis is {A, B, I - A, V - B}: S has coefficients (P0, P1, 0, 0)
-    and K_t = X_t ⊗ I + Y_t ⊗ V has (X_t, Y_t, X_t, Y_t).  When the
-    program implements S, X_t - a P0 and Y_t - a P1 are small and the
-    rest multiplies I - A and V - B, which are then zero or small, so the
-    residual of :func:`choi_residual` is a sum of small terms.  The rows
-    depend on the coefficients alone, so they are kept with the
-    coefficient arrays that :func:`kraus_form` caches.  Otherwise the
-    basis is {1}, over the dense stack (:func:`dense`).
+    The dense route has the basis {1}, Z_u the dense stack [S; K_t]
+    (:func:`dense`), and no pairs or Grams (None).
+
+    The factored route writes S = P0 ⊗ A + P1 ⊗ B over {A, B, I - A,
+    V - B}, with V the slot's gate: S has coefficients (P0, P1, 0, 0) and
+    K_t = X_t ⊗ I + Y_t ⊗ V has (X_t, Y_t, X_t, Y_t).  When the program
+    implements S, X_t - a P0 and Y_t - a P1 are small and the rest
+    multiplies I - A and V - B, which are then zero or small, so the
+    residual of :func:`choi_residual` is a sum of small terms.  A basis
+    element that is exactly zero (I - A when A = I, V - B when B = V, as
+    for every built specification) is left out with its coefficients.
+    The rows depend on the coefficients alone, so they are kept with the
+    coefficient arrays that :func:`kraus_form` caches.
     """
-    coeffs, basis = form.coeffs, form.basis
     s = u_spec.matrix
+    if not _factored(form, s):
+        return np.concatenate((s[None], dense(form)))[:, None], None, TRIVIAL_BASIS, None
+    coeffs, basis = form.coeffs, form.basis
     m = basis.shape[-1]
-    if len(basis) == 2 and coeffs.shape[-1] == 2 and not (
-        np.count_nonzero(s[:m, m:]) or np.count_nonzero(s[m:, :m])
-    ):
-        entry = _ROWS.get(id(coeffs))
-        if entry is not None and entry[0] is coeffs:
-            _, z, pairs = entry
-        else:
-            z = np.empty((1 + len(coeffs), 4, 2, 2), dtype=np.complex128)
-            z[0] = _CONTROL_HALVES
-            z[1:, :2] = z[1:, 2:] = coeffs
-            pairs = _column_pairs(z)
-            if not coeffs.flags.writeable and z.size + pairs.size <= BLOCK_CACHE_ENTRIES:
-                with _ROWS_LOCK:
-                    if len(_ROWS) >= LAYOUT_CACHE_SIZE:
-                        del _ROWS[next(iter(_ROWS))]  # the oldest
-                    _ROWS[id(coeffs)] = (coeffs, qsim._freeze(z), qsim._freeze(pairs))
-        four = np.empty((4, m, m), dtype=np.complex128)
-        four[0], four[1] = s[:m, :m], s[m:, m:]
-        np.subtract(basis, four[:2], out=four[2:])
-        basis = four
+    four = np.empty((4, m, m), dtype=np.complex128)
+    four[0], four[1] = s[:m, :m], s[m:, m:]
+    np.subtract(basis, four[:2], out=four[2:])
+    kept = (0, 1)  # and I - A, V - B unless exactly zero
+    if four[2:].any():
+        kept += tuple([b for b in (2, 3) if four[b].any()])
+    pick = slice(len(kept)) if kept[-1] < len(kept) else list(kept)
+    four = four[pick]
+    entry = _ROWS.get((id(coeffs), kept))
+    if entry is not None and entry[0] is coeffs:
+        _, z, pairs = entry
     else:
-        z = np.concatenate((s[None], dense(form)))[:, None]
+        z = np.empty((1 + len(coeffs), 4, 2, 2), dtype=np.complex128)
+        z[0] = _CONTROL_HALVES
+        z[1:, :2] = z[1:, 2:] = coeffs
+        z = z[:, pick]
         pairs = _column_pairs(z)
-        basis = TRIVIAL_BASIS
-    columns = basis.transpose(2, 1, 0)  # [q, x, b] = M_b[x, q]
-    return z, pairs, basis, columns.conj().transpose(0, 2, 1) @ columns
+        if not coeffs.flags.writeable and z.size + pairs.size <= BLOCK_CACHE_ENTRIES:
+            with _ROWS_LOCK:
+                if len(_ROWS) >= LAYOUT_CACHE_SIZE:
+                    del _ROWS[next(iter(_ROWS))]  # the oldest
+                _ROWS[id(coeffs), kept] = (coeffs, qsim._freeze(z), qsim._freeze(pairs))
+    columns = four.transpose(2, 1, 0)  # [q, x, b] = M_b[x, q]
+    return z, pairs, four, columns.conj().transpose(0, 2, 1) @ columns
 
 
 def _column_pairs(z: np.ndarray) -> np.ndarray:
@@ -213,48 +262,62 @@ def _column_pairs(z: np.ndarray) -> np.ndarray:
     return pairs.reshape(2, r, u, b * b)
 
 
-def _basis_terms(pairs: np.ndarray, grams: np.ndarray) -> np.ndarray:
-    """The (d, 2, 1 + T) terms of the images of every basis input e_j,
-    j = r * m + q, under S and the K_t (the rows Z_u of
-    :func:`_spec_form`): [j, 0, u] = |Z_u e_j|^2 and
-    [j, 1, u] = <Z_0 e_j, Z_u e_j>, from the column pairs of the
-    coefficients (column r) and the column Grams of the basis (column q)."""
+def _terms(
+    z: np.ndarray, pairs: np.ndarray | None, basis: np.ndarray, grams: np.ndarray | None,
+    probes: np.ndarray,
+) -> np.ndarray:
+    """The (2, 1 + T, d + k) terms of the images of the d basis inputs
+    e_j, then of the k columns psi_j of the d×k ``probes``, under S and
+    the K_t (the rows Z_u of :func:`_spec_form`): [0, u, j] = |Z_u psi_j|^2
+    and [1, u, j] = <Z_0 psi_j, Z_u psi_j>.
+
+    On the dense route the images of e_j are the stack's own columns and
+    those of the probes one batched product with it.  On the factored
+    route the basis terms, j = r * m + q, come from the column pairs of
+    the coefficients (column r) and the column Grams of the basis
+    (column q); a probe psi splits into r parts psi_i on the basis's
+    wires, the basis is applied to each, and its images
+    sum_bi Z_ub[:, i] ⊗ M_b psi_i are assembled from those."""
+    k = probes.shape[1]
+    if grams is None:
+        stack = z[:, 0]
+        return _image_terms(np.concatenate((stack, stack @ probes), axis=2) if k else stack)
     _, r, u, bb = pairs.shape
     m = len(grams)
     terms = pairs.reshape(-1, bb) @ grams.reshape(m, bb).T  # [(2, r, u), q]
-    return terms.reshape(2, r, u, m).transpose(1, 3, 0, 2).reshape(r * m, 2, u)
-
-
-def _probe_terms(z: np.ndarray, basis: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """:func:`_basis_terms` for the d×k matrix of ``probes``, one state per
-    column.  A probe psi splits into r parts psi_i on the basis's wires;
-    the basis is applied to each, and the images sum_bi Z_ub[:, i] ⊗
-    M_b psi_i are assembled from those."""
-    u, b, r, _ = z.shape
-    m = basis.shape[-1]
-    k = probes.shape[1]
+    terms = terms.reshape(2, r, u, m).transpose(0, 2, 1, 3).reshape(2, u, r * m)
+    if not k:
+        return terms
+    b = len(basis)
     applied = (basis[:, None] @ probes.reshape(1, r, m, k)).reshape(b * r, m * k)
     images = (z.transpose(0, 2, 1, 3).reshape(u * r, b * r) @ applied).reshape(u, r * m, k)
+    return np.concatenate((terms, _image_terms(images)), axis=2)
+
+
+def _image_terms(images: np.ndarray) -> np.ndarray:
+    """The (2, 1 + T, n) squared norms |images[u, :, j]|^2 and overlaps
+    <images[0, :, j], images[u, :, j]> of the columns of the
+    (1 + T, d, n) ``images``."""
     left = images.conj()
-    terms = np.empty((k, 2, u), dtype=np.complex128)
-    np.einsum("uij,uij->ju", left, images, out=terms[:, 0])
-    np.einsum("ij,uij->ju", left[0], images, out=terms[:, 1])
+    terms = np.empty((2, len(images), images.shape[2]), dtype=np.complex128)
+    np.einsum("uij,uij->uj", left, images, out=terms[0])
+    np.einsum("ij,uij->uj", left[0], images, out=terms[1])
     return terms
 
 
 def _branch_evidence(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The evidence of every branch on every probe psi_j, from the (n, 2,
-    1 + T) terms of its images U psi_j and K_t psi_j (see
-    :func:`_basis_terms`): (T, n) arrays of the probability
-    p = |K_t psi_j|^2, of ``seen`` = p >= 1e-14 and of the fidelity
+    """The evidence of every branch on every probe psi_j, from the (2,
+    1 + T, n) terms of its images U psi_j and K_t psi_j (see
+    :func:`_terms`): (T, n) arrays of the probability p = |K_t psi_j|^2,
+    of ``seen`` = p >= 1e-14 and of the fidelity
     min(1, |<U psi_j, K_t psi_j>| / (|U psi_j| sqrt(p))), which is
     phase-insensitive and meaningful only where seen.  This is the one
     formula behind :func:`verify_program`'s branch evidence and the
     fidelity column of ``telegate trace``."""
-    prob = terms[:, 0, 1:].T.real
+    prob = terms[0, 1:].real
     seen = prob >= BRANCH_PRUNE
-    norm2 = terms[:, 0, 0].real * np.where(seen, prob, 1.0)
-    return prob, seen, np.minimum(1.0, np.abs(terms[:, 1, 1:].T) / np.sqrt(norm2))
+    norm2 = terms[0, 0].real * np.where(seen, prob, 1.0)
+    return prob, seen, np.minimum(1.0, np.abs(terms[1, 1:]) / np.sqrt(norm2))
 
 
 def basis_evidence(
@@ -262,9 +325,10 @@ def basis_evidence(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (T, d) probabilities, ``seen`` and fidelities of every branch of
     ``form`` on every basis input, against ``u_spec``: what
-    :func:`verify_program` computes for its basis probes."""
-    _, pairs, _, grams = _spec_form(form, u_spec)
-    return _branch_evidence(_basis_terms(pairs, grams))
+    :func:`verify_program` computes for its basis probes, on the same
+    route."""
+    no_probes = np.empty((u_spec.dim, 0), dtype=np.complex128)
+    return _branch_evidence(_terms(*_spec_form(form, u_spec), no_probes))
 
 
 def check_specification(p: Program, u_spec: UnitaryMatrix) -> None:
@@ -289,33 +353,35 @@ def verify_program(
     ``u_spec`` applied to that input; branch evidence is aggregated per
     transcript (probability averaged over probes, infidelity maximized),
     skipping probes that reach a transcript with probability below 1e-14.
-    Everything is read off the factored Kraus operators
+    Everything is read off the Kraus operators
     (:func:`telegate.executor.kraus_form`), written with ``u_spec`` over
-    one basis (:func:`_spec_form`): the basis probes from the column
-    Grams of the basis, the Haar probes from the basis applied to their
-    halves, none of which are drawn when ``probes`` is at most the
-    dimension, and the Choi distance, which compares the whole channels,
-    from the basis's metric (:func:`choi_residual`).
+    one basis on the route of :func:`_factored` (:func:`_spec_form`): the
+    basis probes, the Haar probes, none of which are drawn when
+    ``probes`` is at most the dimension, and the Choi distance, which
+    compares the whole channels (:func:`choi_residual`).
     """
     check_specification(p, u_spec)
     haar = _haar_probes(p.n_external, probes, seed)
     form = kraus_form(p)
     z, pairs, basis, grams = _spec_form(form, u_spec)
-    terms = on_basis = _basis_terms(pairs, grams)
-    if haar.shape[1]:
-        terms = np.concatenate((on_basis, _probe_terms(z, basis, haar)))
+    terms = _terms(z, pairs, basis, grams, haar)
     prob, seen, fid = _branch_evidence(terms)
-    infid = np.where(seen, 1.0 - fid, 0.0).max(axis=1).tolist()
+    # Both count only the probes that reach each transcript (the mass
+    # zeroes the rest first, so that its sum keeps numpy's pairwise
+    # order); a transcript is hit exactly when its mass is positive,
+    # since a seen p is at least 1e-14.
     mass = (np.where(seen, prob, 0.0).sum(axis=1) / prob.shape[1]).tolist()
+    infid = (1.0 - fid).max(axis=1, where=seen, initial=0.0).tolist()
     # kraus_form lists transcripts in bit order over one wire list, which
     # is also the order of their keys: the report needs no sort.
     branches = tuple(
         BranchReport(transcript_key(transcript), mass[t], infid[t])
-        for t, (transcript, hit) in enumerate(zip(form.transcripts, seen.any(axis=1).tolist()))
-        if hit
+        for t, transcript in enumerate(form.transcripts)
+        if mass[t] > 0.0
     )
     # Summed over the basis inputs, the overlaps are the <S, Z_u>.
-    dist = choi_residual(z, basis, grams.sum(axis=0), on_basis[:, 1].sum(axis=0))
+    metric = None if grams is None else grams.sum(axis=0)
+    dist = choi_residual(z, basis, metric, terms[1, :, : u_spec.dim].sum(axis=1))
     max_infid = max((b.max_infidelity for b in branches), default=0.0)
     verdict = "pass" if (max_infid <= tol_branch and dist <= tol_choi) else "fail"
     return EquivalenceReport(

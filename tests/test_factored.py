@@ -146,10 +146,13 @@ def test_cached_coefficients_are_read_only_and_bounded():
             assert not (layout.coeffs.flags.writeable or layout.pairs.flags.writeable)
 
 
-def test_spec_rows_are_kept_with_cached_coefficients_only():
+def test_spec_rows_are_kept_with_cached_coefficients_only(monkeypatch):
     """The verifier keeps the rows it derives from coefficients alone for
     the arrays the executor caches, and for no other: here a program with
-    1024 transcripts, whose coefficients are too large to cache."""
+    1024 transcripts, whose coefficients are too large to cache.  At k=2
+    the route rule picks the dense stack, so the factored route is
+    forced."""
+    monkeypatch.setattr(verifier, "_factored", verifier._splits)
     executor._LAYOUTS.clear()
     verifier._ROWS.clear()
     (_, program, spec), *_ = programs(2, 500)
@@ -168,12 +171,71 @@ def test_spec_rows_are_kept_with_cached_coefficients_only():
     assert len(verifier._ROWS) == 1
 
 
+def on_route(patch, route):
+    """Send verify_program and basis_evidence down one route: the dense
+    stack everywhere, or the factored basis wherever the spec splits."""
+    patch.setattr(verifier, "_factored", verifier._splits if route == "factored" else lambda form, s: False)
+
+
+def report_by_route(monkeypatch, route, p, spec, **kwargs):
+    with monkeypatch.context() as patch:
+        on_route(patch, route)
+        return verify_program(p, spec, **kwargs)
+
+
+def assert_same_report(got, want, atol=1e-14):
+    """Verdict, census and transcripts equal, every float within ``atol``."""
+    assert (got.verdict, got.census) == (want.verdict, want.census)
+    assert [b.transcript for b in got.branches] == [b.transcript for b in want.branches]
+    assert abs(got.choi_dist - want.choi_dist) <= atol
+    for g, w in zip(got.branches, want.branches):
+        assert abs(g.probability - w.probability) <= atol
+        assert abs(g.max_infidelity - w.max_infidelity) <= atol
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_routes_agree_on_built_programs(monkeypatch, k):
+    """Both routes give one report within 1e-14, intact and under every
+    mutation, with Haar probes; the route rule picks the factored basis
+    {I, V} exactly for built programs with a slot from k = 4 on."""
+    for mutation, program, spec in programs(k, 600 + k):
+        form = kraus_form(program)
+        assert verifier._factored(form, spec.matrix) == (k >= 4 and mutation != "drop-cgate")
+        if mutation != "drop-cgate":
+            with monkeypatch.context() as patch:
+                on_route(patch, "factored")
+                assert len(_spec_form(form, spec)[2]) == 2
+        probes = spec.dim + 5
+        dense = report_by_route(monkeypatch, "dense", program, spec, probes=probes, seed=k)
+        factored = report_by_route(monkeypatch, "factored", program, spec, probes=probes, seed=k)
+        assert_same_report(factored, dense)
+        assert (dense.verdict == "pass") == (mutation is None), mutation
+
+
+@pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+def test_routes_agree_on_a_nearly_unitary_gate(monkeypatch, mutation):
+    """A gate the gate language admits as unitary within 1e-10: both
+    routes certify it, and give one report within 1e-14 on it and its
+    mutants (some of which also pass, since the gate is nearly I)."""
+    gate = gatelang.evaluate(gatelang.parse("[[1.00000000004,0],[0,1]]"))
+    spec = NonlocalCUSpec(gate, 1)
+    program, u = build_program(spec), build_specification(spec)
+    if mutation:
+        program = apply_mutation(program, mutation)
+    dense = report_by_route(monkeypatch, "dense", program, u)
+    factored = report_by_route(monkeypatch, "factored", program, u)
+    assert_same_report(factored, dense)
+    assert mutation or dense.verdict == "pass"
+
+
 def test_random_slotted_programs_verify_as_unfactored(monkeypatch):
     """Random valid file programs that have a slot (the control may be
-    an external wire or an internal one): against the identity and a
-    controlled Haar gate, the report equals the unfactored pass's within
-    1e-14, through the basis {A, B, I - A, V - B} where the spec splits
-    and the trivial one where it does not."""
+    an external wire or an internal one): against the identity, a
+    controlled Haar gate and a block-diagonal Haar spec, the report on
+    each route equals the unfactored pass's within 1e-14.  Forced onto
+    the factored route, the basis is {A, B, I - A, V - B} less its exactly
+    zero elements (I - A under the first two specs, where A = I), and {1}
+    where the spec does not split."""
     rng = np.random.default_rng(6)
     bases = set()
     slotted = [p for p in (parse_program(random_program_text(rng)) for _ in range(600))
@@ -181,35 +243,43 @@ def test_random_slotted_programs_verify_as_unfactored(monkeypatch):
     assert len(slotted) >= 20
     for p in slotted:
         d = 1 << p.n_external
-        for spec in (qsim.identity(d), qsim.controlled(qsim.haar_random_unitary(max(1, d // 2), rng))):
+        half = max(1, d // 2)
+        block = np.zeros((d, d), dtype=complex)
+        if d > 1:
+            block[:half, :half] = qsim.haar_random_unitary(half, rng).matrix
+            block[half:, half:] = qsim.haar_random_unitary(half, rng).matrix
+        for spec in (qsim.identity(d), qsim.controlled(qsim.haar_random_unitary(half, rng)),
+                     UnitaryMatrix(block)):
             if spec.dim != d:
                 continue
             executor._LAYOUTS.clear()
-            bases.add(len(_spec_form(kraus_form(p), spec)[2]))
-            got = verify_program(p, spec, probes=d + 3, seed=1)
+            with monkeypatch.context() as patch:
+                on_route(patch, "factored")
+                bases.add(len(_spec_form(kraus_form(p), spec)[2]))
+            got = {route: report_by_route(monkeypatch, route, p, spec, probes=d + 3, seed=1)
+                   for route in ("dense", "factored")}
             with monkeypatch.context() as patch:
                 patch.setattr(executor, "_slot", lambda p: None)
                 executor._LAYOUTS.clear()
                 want = verify_program(p, spec, probes=d + 3, seed=1)
             executor._LAYOUTS.clear()
-            assert (got.verdict, got.census) == (want.verdict, want.census)
-            assert [b.transcript for b in got.branches] == [b.transcript for b in want.branches]
-            assert abs(got.choi_dist - want.choi_dist) <= 1e-14
-            for g, w in zip(got.branches, want.branches):
-                assert abs(g.probability - w.probability) <= 1e-14
-                assert abs(g.max_infidelity - w.max_infidelity) <= 1e-14
-    assert bases == {1, 4}
+            for report in got.values():
+                assert_same_report(report, want)
+    assert bases == {1, 3, 4}
 
 
 def test_the_trivial_basis_takes_a_spec_that_does_not_split(monkeypatch):
     """A spec with nonzero off-diagonal blocks is compared over the dense
-    stack, and gives the report the unfactored pass gives."""
+    stack, even where the factored route is forced, and gives the report
+    the unfactored pass gives."""
     program = parse_program(CNOT_FILE.read_text())
     swap = gatelang.evaluate(gatelang.parse("[[1,0,0,0],[0,0,1,0],[0,1,0,0],[0,0,0,1]]"))
     cnot = build_specification(NonlocalCUSpec(qsim.X, 1))
-    assert len(_spec_form(kraus_form(program), swap)[2]) == 1
-    assert len(_spec_form(kraus_form(program), cnot)[2]) == 4
-    report = verify_program(program, swap)
+    with monkeypatch.context() as patch:
+        on_route(patch, "factored")
+        assert len(_spec_form(kraus_form(program), swap)[2]) == 1
+        assert len(_spec_form(kraus_form(program), cnot)[2]) == 2  # A = I and B = V = X
+        report = verify_program(program, swap)
     assert report.verdict == "fail"
     with monkeypatch.context() as patch:
         patch.setattr(executor, "_slot", lambda p: None)
@@ -221,12 +291,14 @@ def test_the_trivial_basis_takes_a_spec_that_does_not_split(monkeypatch):
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 1e-6])
-def test_a_dependent_basis_leaves_no_floor(eps):
-    """With A = I and B = V = e^{iφ} I, the basis {A, B, I - A, V - B} is
-    dependent, and a channel equal to the spec has O(1) coefficients on A
-    and B that cancel: here the slot never fires (its control stays |0>)
-    and q0 gets the phase instead.  The distance still tracks a phase
-    error eps, sqrt(2) |sin(eps/2)|, with no floor at sqrt(1e-16)."""
+def test_a_dependent_basis_leaves_no_floor(monkeypatch, eps):
+    """With A = I and B = V = e^{iφ} I, the factored basis is {I, V} (I - A
+    and V - B are exactly zero and left out), which is dependent, and a
+    channel equal to the spec has O(1) coefficients on I and V that
+    cancel: here the slot never fires (its control stays |0>) and q0 gets
+    the phase instead.  The distance still tracks a phase error eps,
+    sqrt(2) |sin(eps/2)|, with no floor at sqrt(1e-16), on the factored
+    route and on the dense stack."""
     phi = 0.7
     q0, q1, q2 = qwire(0), qwire(1), qwire(2)
     v = UnitaryMatrix(np.exp(1j * phi) * np.eye(2))
@@ -241,10 +313,13 @@ def test_a_dependent_basis_leaves_no_floor(eps):
     )
     spec = qsim.controlled(v)
     assert executor._layout(program).slot == 2
-    assert len(_spec_form(kraus_form(program), spec)[2]) == 4
     want = np.sqrt(2) * abs(np.sin(eps / 2))
-    got = verify_program(program, spec).choi_dist
-    assert abs(got - want) <= 1e-6 * want + 1e-15, (got, want)
+    for route, size in (("factored", 2), ("dense", 1)):
+        with monkeypatch.context() as patch:
+            on_route(patch, route)
+            assert len(_spec_form(kraus_form(program), spec)[2]) == size
+            got = verify_program(program, spec).choi_dist
+        assert abs(got - want) <= 1e-6 * want + 1e-15, (route, got, want)
 
 
 def test_threads_share_the_cache(monkeypatch):

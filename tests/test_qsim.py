@@ -274,7 +274,7 @@ def fidelity(output: np.ndarray, target: np.ndarray) -> float:
     formula read on the inner products of the two."""
     images = np.stack((target, output))
     terms = np.stack((np.einsum("ui,ui->u", images.conj(), images), images.conj()[0] @ images.T))
-    _, seen, fid = _branch_evidence(terms[None])
+    _, seen, fid = _branch_evidence(terms[:, :, None])
     assert seen[0, 0]
     return float(fid[0, 0])
 

@@ -6,7 +6,8 @@ same transcripts in the same order, every float within 1e-15.  Against
 ``verify_program(..., probes=0)``, whose probes are exactly the basis
 inputs, each branch's ``max_infidelity`` must be the largest
 ``1 - fidelity`` that trace shows for it, bit for bit: both come from one
-evidence formula over the whole basis.
+evidence formula over the whole basis, on the route that the verifier's
+rule picks, which both read.
 """
 
 import json
@@ -15,8 +16,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telegate import gatelang
-from telegate.protocol import parse_program
+from telegate import gatelang, qsim, verifier
+from telegate.builder import (
+    MUTATIONS,
+    NonlocalCUSpec,
+    apply_mutation,
+    build_program,
+    build_specification,
+)
+from telegate.executor import kraus_form
+from telegate.protocol import format_program, parse_program
 from telegate.verifier import verify_program
 from trace_cases import labels, programs, record, trace
 
@@ -46,9 +55,7 @@ def test_trace_matches_golden(name):
             assert np.abs(np.subtract(gb["amplitudes"], wb["amplitudes"])).max() <= FLOAT_ATOL
 
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_trace_fidelity_is_verify_basis_evidence(name):
-    text, against, n = CASES[name]
+def assert_trace_is_verify(text, against, n):
     report = verify_program(
         parse_program(text), gatelang.evaluate(gatelang.parse(against)), probes=0
     )
@@ -59,3 +66,23 @@ def test_trace_fidelity_is_verify_basis_evidence(name):
     assert sorted(b.transcript for b in report.branches) == sorted(worst)
     for b in report.branches:
         assert b.max_infidelity == worst[b.transcript], b.transcript
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_trace_fidelity_is_verify_basis_evidence(name):
+    assert_trace_is_verify(*CASES[name])
+
+
+@pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+@pytest.mark.parametrize("k", [3, 4])
+def test_trace_is_verify_on_both_sides_of_the_route_boundary(k, mutation):
+    """At k=3 the built programs take the dense stack and at k=4 the
+    factored basis (but the slot-free drop-cgate mutant): trace and
+    verify agree bit for bit on each."""
+    spec = NonlocalCUSpec(qsim.haar_random_unitary(1 << k, 70 + k), k)
+    program, u = build_program(spec), build_specification(spec)
+    if mutation:
+        program = apply_mutation(program, mutation)
+    factored = verifier._factored(kraus_form(program), u.matrix)
+    assert factored == (k == 4 and mutation != "drop-cgate")
+    assert_trace_is_verify(format_program(program), gatelang.format_matrix(u), k + 1)
