@@ -31,10 +31,10 @@ splits, and the dense stack would hold more than ``BLOCK_CACHE_ENTRIES``
 (2^12) complex entries; the dense one otherwise, so at every size for a
 program without a slot.  For built programs that puts the boundary
 between k = 3 (1280 entries) and k = 4 (5120).  Timed on 2 vCPUs (numpy
-2.4, warm, interleaved), a verify on the dense route against the
-factored one took ~184 against ~219 µs at k = 1, about the same at
-k = 3 (~112 against ~109 µs), ~0.2 against ~0.15 ms at k = 4 and
-~51 against ~5.6 ms at k = 8.
+2.4, warm, both routes forced in turn in one process; ``BENCH_18.json``),
+a verify of a built program on the dense route against the factored one
+took 147 against 192 µs at k = 1, about the same at k = 3 (214 against
+212 µs), 301 against 209 µs at k = 4 and 53 against 7 ms at k = 8.
 
 Reports are deterministic functions of (inputs, seed) and serialize to
 a stable JSON document (see ``docs/report-schema.md``).
