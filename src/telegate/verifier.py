@@ -172,7 +172,7 @@ _CONTROL_HALVES = qsim._freeze(
 # kept; an entry holds the array, so its id is not reused while the
 # entry lives.  At most LAYOUT_CACHE_SIZE entries of at most
 # BLOCK_CACHE_ENTRIES complex entries each, oldest out first.
-_ROWS: dict[int, tuple] = {}
+_ROWS: dict[tuple, tuple] = {}
 _ROWS_LOCK = threading.Lock()
 
 
