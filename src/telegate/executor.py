@@ -22,8 +22,10 @@ and every consumer reads that form:
   dense stack for small registers (at most 2^12 complex entries in the
   stack of the specification and the K_t: built programs up to k = 3),
   for programs without a slot and for specifications that do not split
-  across the slot's control, and off the coefficients otherwise (see
-  :mod:`telegate.verifier`).
+  across the slot's control, and off the coefficients otherwise: the
+  two cost about the same at k = 3, and from k = 4 the coefficients
+  are the faster, 209 against 301 µs at k = 4 and 7 against 53 ms at
+  k = 8 on 2 vCPUs (see :mod:`telegate.verifier`).
 
 The slot.  A program's *slot* is an ``ApplyControlledLocal`` whose targets
 are the trailing external wires, in order, and which no other
