@@ -77,8 +77,8 @@ def test_trace_fidelity_is_verify_basis_evidence(name):
 @pytest.mark.parametrize("k", [3, 4])
 def test_trace_is_verify_on_both_sides_of_the_route_boundary(k, mutation):
     """At k=3 the built programs take the dense stack and at k=4 the
-    factored basis (but the slot-free drop-cgate mutant): trace and
-    verify agree bit for bit on each."""
+    factored basis, except the slot-free drop-cgate mutant, which is
+    dense at every size: trace and verify agree bit for bit on each."""
     spec = NonlocalCUSpec(qsim.haar_random_unitary(1 << k, 70 + k), k)
     program, u = build_program(spec), build_specification(spec)
     if mutation:
