@@ -103,6 +103,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 import threading
 
 import numpy as np
@@ -195,7 +196,7 @@ def kraus_form(p: Program) -> KrausForm:
     instructions = p.instructions
     gates = tuple([instructions[i].gate for i in layout.gate_at])
     coeffs, pairs = layout.coeffs, layout.pairs
-    fresh = coeffs is None or any(g is not h for g, h in zip(gates, layout.gates))
+    fresh = coeffs is None or any(map(operator.is_not, gates, layout.gates))
     if fresh:
         coeffs = _coefficients(layout, instructions, p.n_external)
         pairs = _pairs(coeffs)
@@ -446,13 +447,13 @@ def _checked(
     expm1(sum eps_i) of 1.  1e-12 on top covers rounding.
     """
     b = len(basis)
-    mass = (pairs.reshape(-1, b * b) @ _metric(basis).reshape(b * b)).real
-    keep = None if mass.min() >= BRANCH_PRUNE else mass >= BRANCH_PRUNE  # None: no dust
+    masses = (pairs.reshape(-1, b * b) @ _metric(basis).reshape(b * b)).real.tolist()
+    keep = [mass >= BRANCH_PRUNE for mass in masses]
     d = coeffs.shape[-1] * basis.shape[-1]
-    total = float((mass if keep is None else mass[keep]).sum()) / d
+    total = sum(itertools.compress(masses, keep)) / d
     if abs(total - 1.0) > layout.trace_atol:
         raise ExecutionError(f"channel is not trace preserving: sum |K_t|^2 / d = {total!r}")
-    if keep is None:
+    if all(keep):
         return list(layout.transcripts), coeffs
     return list(itertools.compress(layout.transcripts, keep)), coeffs[keep]
 
@@ -578,15 +579,16 @@ def choi_residual(
     d = z.shape[-1] * basis.shape[-1]
     norm2 = float(onto[0].real)
     a = onto[1:] / norm2
-    flat = z.reshape(u, b, -1)
-    resid = a[:, None, None] * flat[0]
-    np.subtract(flat[1:], resid, out=resid)  # E_t, without a second temporary
+    # E_t, without a second temporary; z is read as it is, which may be a
+    # view with a row stride of its own (see verifier._spec_form).
+    resid = a[:, None, None, None] * z[0]
+    np.subtract(z[1:], resid, out=resid)
     rows = resid.reshape(u - 1, -1)
     w = a.conj() @ rows
     if basis is TRIVIAL_BASIS:  # the metric is 1 and the wires are the coefficients
         gram = rows.conj() @ rows.T
     else:
-        gram = rows.conj() @ (metric @ resid).reshape(u - 1, -1).T
+        gram = rows.conj() @ (metric @ rows.reshape(u - 1, b, -1)).reshape(u - 1, -1).T
         w = w.reshape(b, -1).T @ basis.reshape(b, -1)
     c = float(np.vdot(a, a).real) - 1.0
     n = norm2 / d

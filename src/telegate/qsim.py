@@ -155,7 +155,7 @@ def controlled(u: UnitaryMatrix) -> UnitaryMatrix:
     check_qubits(u.n_qubits + 1, "controlled gate")
     d = u.dim
     block = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    block[:d, :d] = np.eye(d)
+    block.reshape(-1)[: 2 * d * d : 2 * d + 1] = 1  # the diagonal of the I block
     block[d:, d:] = u.matrix
     gate = object.__new__(UnitaryMatrix)
     object.__setattr__(gate, "matrix", _freeze(block))

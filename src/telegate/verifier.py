@@ -43,6 +43,8 @@ a stable JSON document (see ``docs/report-schema.md``).
 from __future__ import annotations
 
 import json
+import json.encoder
+import math
 import threading
 
 import numpy as np
@@ -67,6 +69,9 @@ DEFAULT_TOL_BRANCH = 1e-10
 DEFAULT_TOL_CHOI = 1e-9
 DEFAULT_PROBES = 16
 DEFAULT_SEED = 0
+
+# How json.dumps writes a string (ensure_ascii, its default).
+_encode_string = json.encoder.encode_basestring_ascii
 
 
 class BranchReport(Record):
@@ -103,22 +108,37 @@ class EquivalenceReport(Record):
         return max((b.max_infidelity for b in self.branches), default=0.0)
 
     def to_json(self) -> str:
-        """Canonical JSON form; byte-identical for identical inputs and seed."""
-        doc = {
-            "verdict": self.verdict,
-            "tolerances": {"branch": self.tol_branch, "choi": self.tol_choi},
-            "census": _census_fields(self.census),
-            "choi_distance": self.choi_dist,
-            "branches": [
-                {
-                    "transcript": b.transcript,
-                    "probability": b.probability,
-                    "max_infidelity": b.max_infidelity,
-                }
-                for b in self.branches
-            ],
-        }
-        return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
+        """Canonical JSON form; byte-identical for identical inputs and seed.
+
+        Exactly ``json.dumps(doc, sort_keys=True, separators=(", ", ": "))``
+        of the document in ``docs/report-schema.md``, written field by
+        field in that key order (see :func:`_json`)."""
+        c = self.census
+        branches = ", ".join([
+            f'{{"max_infidelity": {_json(b.max_infidelity)}, '
+            f'"probability": {_json(b.probability)}, "transcript": {_json(b.transcript)}}}'
+            for b in self.branches
+        ])
+        return (
+            f'{{"branches": [{branches}], "census": {{"a_to_b": {_json(c.bits_alice_to_bob)}, '
+            f'"b_to_a": {_json(c.bits_bob_to_alice)}, "ebits": {_json(c.ebits)}}}, '
+            f'"choi_distance": {_json(self.choi_dist)}, "tolerances": {{"branch": '
+            f'{_json(self.tol_branch)}, "choi": {_json(self.tol_choi)}}}, '
+            f'"verdict": {_json(self.verdict)}}}'
+        )
+
+
+def _json(value: object) -> str:
+    """``value`` as ``json.dumps`` writes it inside a report: a finite
+    float or an int by its repr, a string escaped to ASCII, and anything
+    else (non-finite floats, float and int subclasses, other types)
+    through ``json.dumps`` itself."""
+    cls = value.__class__
+    if cls is float and value - value == 0.0 or cls is int:
+        return repr(value)
+    if cls is str:
+        return _encode_string(value)
+    return json.dumps(value, sort_keys=True, separators=(", ", ": "))
 
 
 def _census_fields(c: ResourceCensus) -> dict[str, int]:
@@ -133,11 +153,13 @@ def _haar_probes(n_qubits: int, probes: int, seed: int) -> np.ndarray:
 
     The columns come from one ``default_rng(seed).normal(size=(m - d, 2,
     d))`` draw (real parts, then imaginary parts, probe by probe), each
-    divided by its norm, and are copied once into a C-contiguous array
-    viewed as complex.  Every column is a valid state: its entries are
-    normal deviates, far from overflow, so a column that is finite after
-    the division (checked; a zero norm leaves NaNs) has norm 1 within
-    rounding.  When m = d the block is empty and no generator is seeded.
+    divided by its norm straight into a C-contiguous complex array.  The
+    norms are checked first: a column of finite deviates divides to
+    finite entries of norm 1 within rounding exactly when its norm is
+    finite and nonzero (a zero norm would leave NaNs, an infinite one
+    zeros), and normal deviates are finite and far from overflow, so
+    that no column of a real draw is refused.  When m = d the block is
+    empty and no generator is seeded.
 
     The probe index counts as a register of ceil(log2 m) qubits, which
     covers the n_qubits rows too (m >= d): it is refused, before anything
@@ -150,12 +172,12 @@ def _haar_probes(n_qubits: int, probes: int, seed: int) -> np.ndarray:
     if m == d:
         return np.empty((d, 0), dtype=np.complex128)
     draw = np.random.default_rng(seed).normal(size=(m - d, 2, d))
-    draw /= np.sqrt(np.einsum("jri,jri->j", draw, draw))[:, None, None]
-    if not np.isfinite(draw).all():
+    norms = np.sqrt(np.einsum("jri,jri->j", draw, draw))
+    if not (0.0 < norms.min() and norms.max() < math.inf):  # a NaN fails both
         raise ValueError("probe amplitudes must be finite")
-    haar = np.empty((d, m - d, 2))
-    haar[...] = draw.transpose(2, 0, 1)
-    return haar.view(np.complex128).reshape(d, m - d)
+    haar = np.empty((d, m - d), dtype=np.complex128)
+    np.divide(draw.transpose(2, 0, 1), norms[:, None], out=haar.view(np.float64).reshape(d, m - d, 2))
+    return haar
 
 
 # The spec's coefficients over {A, B, I - A, V - B}: P0 = |0><0| on A,
@@ -199,16 +221,20 @@ def _factored(form: KrausForm, s: np.ndarray) -> bool:
 
 
 def _spec_form(
-    form: KrausForm, u_spec: UnitaryMatrix
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None]:
+    form: KrausForm, u_spec: UnitaryMatrix, k: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """The specification S and the channel's K_t over one basis, on the
     route :func:`_factored` picks: their (1 + T, B, r, r) coefficients
-    Z_u, S first; their column pairs (:func:`_column_pairs`); the
+    Z_u, S first; what :func:`_terms` reads their basis terms from; the
     (B, m, m) basis; and its column Grams, a (m, B, B) array whose
     [q, b, c] is <M_b e_q, M_c e_q>.
 
-    The dense route has the basis {1}, Z_u the dense stack [S; K_t]
-    (:func:`dense`), and no pairs or Grams (None).
+    The dense route has the basis {1} and no Grams (None).  Its basis
+    terms are those of the images of the basis inputs, which are the
+    columns of the dense stack [S; K_t] itself, so it writes the stack
+    into the first d columns of one (1 + T, d, d + k) array of images,
+    where :func:`_terms` puts the images of ``k`` probes after it, and
+    returns that array, with Z_u a view of its first d columns.
 
     The factored route writes S = P0 ⊗ A + P1 ⊗ B over {A, B, I - A,
     V - B}, with V the slot's gate: S has coefficients (P0, P1, 0, 0) and
@@ -218,12 +244,18 @@ def _spec_form(
     residual of :func:`choi_residual` is a sum of small terms.  A basis
     element that is exactly zero (I - A when A = I, V - B when B = V, as
     for every built specification) is left out with its coefficients.
-    The rows depend on the coefficients alone, so they are kept with the
-    coefficient arrays that :func:`kraus_form` caches.
+    Its basis terms come from the column pairs of the coefficients
+    (:func:`_column_pairs`), which depend on the coefficients alone and
+    are kept, with the rows, for the coefficient arrays that
+    :func:`kraus_form` caches.
     """
     s = u_spec.matrix
     if not _factored(form, s):
-        return np.concatenate((s[None], dense(form)))[:, None], None, TRIVIAL_BASIS, None
+        d = len(s)
+        images = np.empty((1 + len(form.coeffs), d, d + k), dtype=np.complex128)
+        images[0, :, :d] = s
+        images[1:, :, :d] = dense(form)
+        return images[:, None, :, :d], images, TRIVIAL_BASIS, None
     coeffs, basis = form.coeffs, form.basis
     m = basis.shape[-1]
     four = np.empty((4, m, m), dtype=np.complex128)
@@ -263,25 +295,29 @@ def _column_pairs(z: np.ndarray) -> np.ndarray:
 
 
 def _terms(
-    z: np.ndarray, pairs: np.ndarray | None, basis: np.ndarray, grams: np.ndarray | None,
+    z: np.ndarray, pairs: np.ndarray, basis: np.ndarray, grams: np.ndarray | None,
     probes: np.ndarray,
 ) -> np.ndarray:
     """The (2, 1 + T, d + k) terms of the images of the d basis inputs
     e_j, then of the k columns psi_j of the d×k ``probes``, under S and
-    the K_t (the rows Z_u of :func:`_spec_form`): [0, u, j] = |Z_u psi_j|^2
-    and [1, u, j] = <Z_0 psi_j, Z_u psi_j>.
+    the K_t (the rows Z_u of :func:`_spec_form`, whose second item is
+    ``pairs``): [0, u, j] = |Z_u psi_j|^2 and
+    [1, u, j] = <Z_0 psi_j, Z_u psi_j>.
 
-    On the dense route the images of e_j are the stack's own columns and
-    those of the probes one batched product with it.  On the factored
-    route the basis terms, j = r * m + q, come from the column pairs of
-    the coefficients (column r) and the column Grams of the basis
-    (column q); a probe psi splits into r parts psi_i on the basis's
-    wires, the basis is applied to each, and its images
+    On the dense route ``pairs`` is the array of images, whose first d
+    columns, the images of e_j, are the stack itself: the images of the
+    probes go into its last k columns, from one batched product with the
+    stack.  On the factored route the basis terms, j = r * m + q, come
+    from the column pairs of the coefficients (column r) and the column
+    Grams of the basis (column q); a probe psi splits into r parts psi_i
+    on the basis's wires, the basis is applied to each, and its images
     sum_bi Z_ub[:, i] ⊗ M_b psi_i are assembled from those."""
     k = probes.shape[1]
     if grams is None:
-        stack = z[:, 0]
-        return _image_terms(np.concatenate((stack, stack @ probes), axis=2) if k else stack)
+        d = pairs.shape[1]
+        if k:
+            np.matmul(pairs[:, :, :d], probes, out=pairs[:, :, d:])
+        return _image_terms(pairs)
     _, r, u, bb = pairs.shape
     m = len(grams)
     terms = pairs.reshape(-1, bb) @ grams.reshape(m, bb).T  # [(2, r, u), q]
@@ -297,12 +333,13 @@ def _terms(
 def _image_terms(images: np.ndarray) -> np.ndarray:
     """The (2, 1 + T, n) squared norms |images[u, :, j]|^2 and overlaps
     <images[0, :, j], images[u, :, j]> of the columns of the
-    (1 + T, d, n) ``images``."""
-    left = images.conj()
-    terms = np.empty((2, len(images), images.shape[2]), dtype=np.complex128)
-    np.einsum("uij,uij->uj", left, images, out=terms[0])
-    np.einsum("ij,uij->uj", left[0], images, out=terms[1])
-    return terms
+    (1 + T, d, n) ``images``: one product of each image with the
+    conjugate of itself and of the spec's image, summed over its rows."""
+    products = np.empty((2,) + images.shape, dtype=np.complex128)
+    np.conjugate(images, out=products[0])
+    np.conjugate(images[0], out=products[1])
+    np.multiply(products, images, out=products)
+    return products.sum(axis=2)
 
 
 def _branch_evidence(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -363,7 +400,7 @@ def verify_program(
     check_specification(p, u_spec)
     haar = _haar_probes(p.n_external, probes, seed)
     form = kraus_form(p)
-    z, pairs, basis, grams = _spec_form(form, u_spec)
+    z, pairs, basis, grams = _spec_form(form, u_spec, haar.shape[1])
     terms = _terms(z, pairs, basis, grams, haar)
     prob, seen, fid = _branch_evidence(terms)
     # Both count only the probes that reach each transcript (the mass

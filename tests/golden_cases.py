@@ -25,7 +25,7 @@ from telegate.builder import (
     build_program,
     build_specification,
 )
-from telegate.verifier import verify_program
+from telegate.verifier import EquivalenceReport, verify_program
 
 NAMED = {
     "I": qsim.I2, "X": qsim.X, "Y": qsim.Y, "Z": qsim.Z, "H": qsim.H,
@@ -57,11 +57,35 @@ def cases():
                 yield f"k{k}/{j}/{m or 'intact'}", spec, m, 100 * k + j
 
 
-def report_json(spec: NonlocalCUSpec, mutation: str | None, seed: int) -> str:
+def report(spec: NonlocalCUSpec, mutation: str | None, seed: int) -> EquivalenceReport:
     program = build_program(spec)
     if mutation:
         program = apply_mutation(program, mutation)
-    return verify_program(program, build_specification(spec), seed=seed).to_json()
+    return verify_program(program, build_specification(spec), seed=seed)
+
+
+def report_json(spec: NonlocalCUSpec, mutation: str | None, seed: int) -> str:
+    return report(spec, mutation, seed).to_json()
+
+
+def reference_json(r: EquivalenceReport) -> str:
+    """The report as a dict through ``json.dumps``: the reference that
+    ``EquivalenceReport.to_json`` must match byte for byte."""
+    doc = {
+        "verdict": r.verdict,
+        "tolerances": {"branch": r.tol_branch, "choi": r.tol_choi},
+        "census": {
+            "ebits": r.census.ebits,
+            "a_to_b": r.census.bits_alice_to_bob,
+            "b_to_a": r.census.bits_bob_to_alice,
+        },
+        "choi_distance": r.choi_dist,
+        "branches": [
+            {"transcript": b.transcript, "probability": b.probability, "max_infidelity": b.max_infidelity}
+            for b in r.branches
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
 
 
 def write_fixture(docs: dict, path: str) -> None:

@@ -3,7 +3,8 @@
 Verdict, tolerances, census and the transcript list must be identical;
 every float may move by rounding only (1e-14 absolute), because a change
 of summation order changes the last bits even when the arithmetic is
-the same.
+the same.  Each report's text is also the canonical ``json.dumps`` form
+of its fields (``golden_cases.reference_json``).
 """
 
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from golden_cases import cases, report_json
+from golden_cases import cases, reference_json, report
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_reports.json").read_text())
 CASES = {name: case for name, *case in cases()}
@@ -24,7 +25,10 @@ def test_fixture_covers_every_case():
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_report_matches_golden(name):
-    got = json.loads(report_json(*CASES[name]))
+    r = report(*CASES[name])
+    text = r.to_json()
+    assert text == reference_json(r)  # the canonical json.dumps form, byte for byte
+    got = json.loads(text)
     want = GOLDEN[name]
     assert got.keys() == want.keys()
     for key in ("verdict", "tolerances", "census"):

@@ -6,13 +6,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ensemble import haar_random_state, probe_states, run_branches, unit
+from golden_cases import reference_json
 from oracles import choi_of_unitary, deferred_measurement_choi
 from telegate import qsim
 from telegate.builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program, build_specification
 from telegate.executor import kraus_choi_distance, kraus_stack, transcript_key
-from telegate.protocol import MakeBellPair, Program, validate_locality
+from telegate.protocol import MakeBellPair, Program, ResourceCensus, validate_locality
 from telegate.qsim import UnitaryMatrix
-from telegate.verifier import DEFAULT_PROBES, _haar_probes, verify, verify_program
+from telegate.verifier import (
+    DEFAULT_PROBES,
+    BranchReport,
+    EquivalenceReport,
+    _haar_probes,
+    verify,
+    verify_program,
+)
 
 
 def test_identity_passes_tightly():
@@ -200,6 +208,41 @@ def test_report_json_schema():
     assert doc["census"] == {"ebits": 1, "a_to_b": 1, "b_to_a": 1}
     assert len(doc["branches"]) == 4
     assert set(doc["branches"][0]) == {"transcript", "probability", "max_infidelity"}
+
+
+@pytest.mark.parametrize("value", [0, 1, math.inf, math.nan, -0.0, 5e-324, np.float64(0.1)])
+def test_to_json_writes_what_json_dumps_writes(value):
+    """to_json is byte for byte the reference dict through json.dumps, for
+    ints, non-finite and extreme floats and float subclasses alike."""
+    census = ResourceCensus(1, 1, 0)
+    branches = (BranchReport("c1=0", value, value), BranchReport("-", 0.5, 0.0))
+    for report in (
+        EquivalenceReport("pass", value, value, census, value, branches),
+        EquivalenceReport("fail", 1e-10, value, census, 0.0, ()),
+    ):
+        assert report.to_json() == reference_json(report)
+
+
+def test_a_zero_probe_is_refused(monkeypatch):
+    """A Haar probe whose draw is all zeros has no norm to divide by:
+    refused from _haar_probes and from verify_program alike."""
+    draw_rng = np.random.default_rng
+
+    class OneZeroProbe:
+        def __init__(self, seed):
+            self.rng = draw_rng(seed)
+
+        def normal(self, size):
+            draw = self.rng.normal(size=size)
+            draw[3] = 0.0
+            return draw
+
+    monkeypatch.setattr(np.random, "default_rng", OneZeroProbe)
+    with pytest.raises(ValueError, match="^probe amplitudes must be finite$"):
+        _haar_probes(1, DEFAULT_PROBES, 0)
+    spec = NonlocalCUSpec(qsim.H, 1)
+    with pytest.raises(ValueError, match="^probe amplitudes must be finite$"):
+        verify_program(build_program(spec), build_specification(spec))
 
 
 def test_verify_program_builder_h_against_controlled_h():
