@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 import json.encoder
-import math
 import threading
 
 import numpy as np
@@ -153,13 +152,11 @@ def _haar_probes(n_qubits: int, probes: int, seed: int) -> np.ndarray:
 
     The columns come from one ``default_rng(seed).normal(size=(m - d, 2,
     d))`` draw (real parts, then imaginary parts, probe by probe), each
-    divided by its norm straight into a C-contiguous complex array.  The
-    norms are checked first: a column of finite deviates divides to
-    finite entries of norm 1 within rounding exactly when its norm is
-    finite and nonzero (a zero norm would leave NaNs, an infinite one
-    zeros), and normal deviates are finite and far from overflow, so
-    that no column of a real draw is refused.  When m = d the block is
-    empty and no generator is seeded.
+    divided by its norm, and are copied once into a C-contiguous array
+    viewed as complex.  Every column is a valid state: its entries are
+    normal deviates, far from overflow, so a column that is finite after
+    the division (checked; a zero norm leaves NaNs) has norm 1 within
+    rounding.  When m = d the block is empty and no generator is seeded.
 
     The probe index counts as a register of ceil(log2 m) qubits, which
     covers the n_qubits rows too (m >= d): it is refused, before anything
@@ -172,12 +169,12 @@ def _haar_probes(n_qubits: int, probes: int, seed: int) -> np.ndarray:
     if m == d:
         return np.empty((d, 0), dtype=np.complex128)
     draw = np.random.default_rng(seed).normal(size=(m - d, 2, d))
-    norms = np.sqrt(np.einsum("jri,jri->j", draw, draw))
-    if not (0.0 < norms.min() and norms.max() < math.inf):  # a NaN fails both
+    draw /= np.sqrt(np.einsum("jri,jri->j", draw, draw))[:, None, None]
+    if not np.isfinite(draw).all():
         raise ValueError("probe amplitudes must be finite")
-    haar = np.empty((d, m - d), dtype=np.complex128)
-    np.divide(draw.transpose(2, 0, 1), norms[:, None], out=haar.view(np.float64).reshape(d, m - d, 2))
-    return haar
+    haar = np.empty((d, m - d, 2))
+    haar[...] = draw.transpose(2, 0, 1)
+    return haar.view(np.complex128).reshape(d, m - d)
 
 
 # The spec's coefficients over {A, B, I - A, V - B}: P0 = |0><0| on A,
