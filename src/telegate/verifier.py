@@ -19,9 +19,9 @@ over one basis (:func:`_spec_form`) on one of two routes.  One rule,
 bit for bit:
 
 * the dense route evaluates the stack Z = [S; K_t] directly: the images
-  of the basis inputs are Z's own columns, those of the Haar probes one
-  batched product, and the Choi distance is :func:`choi_residual` over
-  the trivial basis {1};
+  of the basis inputs are Z's own columns and those of the Haar probes
+  one batched product, written beside them in one array, and the Choi
+  distance is :func:`choi_residual` over the trivial basis {1};
 * the factored route works over {A, B, I - A, V - B} (V the slot's gate,
   S = P0 ⊗ A + P1 ⊗ B), less its exactly zero elements, without a d×d
   operator.
@@ -37,7 +37,8 @@ took 147 against 192 µs at k = 1, about the same at k = 3 (214 against
 212 µs), 301 against 209 µs at k = 4 and 53 against 7 ms at k = 8.
 
 Reports are deterministic functions of (inputs, seed) and serialize to
-a stable JSON document (see ``docs/report-schema.md``).
+a stable JSON document (see ``docs/report-schema.md``), which
+:meth:`EquivalenceReport.to_json` writes field by field.
 """
 
 from __future__ import annotations
@@ -330,13 +331,12 @@ def _terms(
 def _image_terms(images: np.ndarray) -> np.ndarray:
     """The (2, 1 + T, n) squared norms |images[u, :, j]|^2 and overlaps
     <images[0, :, j], images[u, :, j]> of the columns of the
-    (1 + T, d, n) ``images``: one product of each image with the
-    conjugate of itself and of the spec's image, summed over its rows."""
-    products = np.empty((2,) + images.shape, dtype=np.complex128)
-    np.conjugate(images, out=products[0])
-    np.conjugate(images[0], out=products[1])
-    np.multiply(products, images, out=products)
-    return products.sum(axis=2)
+    (1 + T, d, n) ``images``."""
+    left = images.conj()
+    terms = np.empty((2, len(images), images.shape[2]), dtype=np.complex128)
+    np.einsum("uij,uij->uj", left, images, out=terms[0])
+    np.einsum("ij,uij->uj", left[0], images, out=terms[1])
+    return terms
 
 
 def _branch_evidence(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
