@@ -24,7 +24,7 @@ and every consumer reads that form:
   for programs without a slot and for specifications that do not split
   across the slot's control, and off the coefficients otherwise: the
   two cost about the same at k = 3, and from k = 4 the coefficients
-  are the faster, 209 against 301 µs at k = 4 and 7 against 53 ms at
+  are the faster, 200 against 303 µs at k = 4 and 3.9 against 44 ms at
   k = 8 on 2 vCPUs (see :mod:`telegate.verifier`).
 
 The slot.  A program's *slot* is an ``ApplyControlledLocal`` whose targets

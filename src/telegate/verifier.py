@@ -31,10 +31,11 @@ splits, and the dense stack would hold more than ``BLOCK_CACHE_ENTRIES``
 (2^12) complex entries; the dense one otherwise, so at every size for a
 program without a slot.  For built programs that puts the boundary
 between k = 3 (1280 entries) and k = 4 (5120).  Timed on 2 vCPUs (numpy
-2.4, warm, both routes forced in turn in one process; ``BENCH_18.json``),
-a verify of a built program on the dense route against the factored one
-took 147 against 192 µs at k = 1, about the same at k = 3 (214 against
-212 µs), 301 against 209 µs at k = 4 and 53 against 7 ms at k = 8.
+2.4, warm, both routes forced in turn in one process; ``BENCH_19.json``,
+where the host's speed changed between rows), a verify of a built
+program on the dense route against the factored one took 233 against
+281 µs at k = 1, about the same at k = 3 (117 against 109 µs), 303
+against 200 µs at k = 4 and 44 against 3.9 ms at k = 8.
 
 Reports are deterministic functions of (inputs, seed) and serialize to
 a stable JSON document (see ``docs/report-schema.md``), which
