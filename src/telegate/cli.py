@@ -261,6 +261,7 @@ def _cmd_choi(args) -> int:
 
 def _cmd_resources(args) -> int:
     program, _, _ = _load(args, need_spec=False)
+    kraus_form(program)  # refuses what verify, trace and choi refuse
     fields = _census_fields(resource_census(program))
     if args.format == "json":
         print(json.dumps(fields, sort_keys=True, separators=(", ", ": ")))

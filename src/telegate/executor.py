@@ -21,9 +21,9 @@ and every consumer reads that form:
 * the verifier reads branch evidence and the Choi distance off the
   dense stack for small registers (at most 2^12 complex entries in the
   stack of the specification and the K_t: built programs up to k = 3),
-  for programs without a slot and for specifications that do not split
-  across the slot's control, and off the coefficients otherwise: the
-  two cost about the same at k = 3, and from k = 4 the coefficients
+  for programs without a slot and for every specification but exactly
+  controlled(V), V the slot's gate, and off the coefficients otherwise:
+  the two cost about the same at k = 3, and from k = 4 the coefficients
   are the faster, 200 against 303 µs at k = 4 and 3.9 against 44 ms at
   k = 8 on 2 vCPUs (see :mod:`telegate.verifier`).
 

@@ -22,20 +22,23 @@ bit for bit:
   of the basis inputs are Z's own columns and those of the Haar probes
   one batched product, written beside them in one array, and the Choi
   distance is :func:`choi_residual` over the trivial basis {1};
-* the factored route works over {A, B, I - A, V - B} (V the slot's gate,
-  S = P0 ⊗ A + P1 ⊗ B), less its exactly zero elements, without a d×d
-  operator.
+* the factored route works over the program's own basis {I, V} (V the
+  slot's gate), on which S = controlled(V) = P0 ⊗ I + P1 ⊗ V has the
+  constant coefficients (P0, P1), without a d×d operator.
 
-The factored route runs when the program has a slot, the specification
-splits, and the dense stack would hold more than ``BLOCK_CACHE_ENTRIES``
-(2^12) complex entries; the dense one otherwise, so at every size for a
-program without a slot.  For built programs that puts the boundary
-between k = 3 (1280 entries) and k = 4 (5120).  Timed on 2 vCPUs (numpy
-2.4, warm, both routes forced in turn in one process; ``BENCH_19.json``,
-where the host's speed changed between rows), a verify of a built
-program on the dense route against the factored one took 233 against
-281 µs at k = 1, about the same at k = 3 (117 against 109 µs), 303
-against 200 µs at k = 4 and 44 against 3.9 ms at k = 8.
+The factored route runs when the program has a slot with gate V and one
+external wire besides its targets (r = 2), S is exactly controlled(V)
+with that wire as control, and the dense stack would hold more than
+``BLOCK_CACHE_ENTRIES`` (2^12) complex entries; the dense one
+otherwise, so at every size for a program without a slot or a
+specification of any other form.  For built programs that puts the
+boundary between k = 3 (1280 entries) and k = 4 (5120).  Timed on 2
+vCPUs (numpy 2.4, warm, both routes forced in turn in one process;
+``BENCH_19.json``, where the host's speed changed between rows), a
+verify of a built program on the dense route against the factored one
+took 233 against 281 µs at k = 1, about the same at k = 3 (117
+against 109 µs), 303 against 200 µs at k = 4 and 44 against 3.9 ms at
+k = 8.
 
 Reports are deterministic functions of (inputs, seed) and serialize to
 a stable JSON document (see ``docs/report-schema.md``), which
@@ -179,43 +182,45 @@ def _haar_probes(n_qubits: int, probes: int, seed: int) -> np.ndarray:
     return haar.view(np.complex128).reshape(d, m - d)
 
 
-# The spec's coefficients over {A, B, I - A, V - B}: P0 = |0><0| on A,
-# P1 = |1><1| on B (see _spec_form).
+# The spec's coefficients over {I, V}: P0 = |0><0| on I, P1 = |1><1| on V
+# (see _spec_form).
 _CONTROL_HALVES = qsim._freeze(
-    np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]],
-             dtype=np.complex128)
+    np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], dtype=np.complex128)
 )
 
 # For each coefficient array that kraus_form keeps in its cache (those
 # are read-only), what _spec_form derives from it alone: the rows over
-# {A, B, I - A, V - B}, less the elements it leaves out, and their column
-# pairs.  Keyed by the array's identity and the indices of the elements
-# kept; an entry holds the array, so its id is not reused while the
-# entry lives.  At most LAYOUT_CACHE_SIZE entries of at most
-# BLOCK_CACHE_ENTRIES complex entries each, oldest out first.
-_ROWS: dict[tuple, tuple] = {}
+# {I, V} and their column pairs.  Keyed by the array's identity; an
+# entry holds the array, so its id is not reused while the entry lives.
+# At most LAYOUT_CACHE_SIZE entries of at most BLOCK_CACHE_ENTRIES
+# complex entries each, oldest out first.
+_ROWS: dict[int, tuple] = {}
 _ROWS_LOCK = threading.Lock()
 
 
 def _splits(form: KrausForm, s: np.ndarray) -> bool:
-    """Whether the spec ``s`` and the channel ``form`` can be written over
-    {A, B, I - A, V - B}: the program has a slot with gate V and one more
-    external wire, and s = P0 ⊗ A + P1 ⊗ B (its off-diagonal blocks are
-    exactly zero)."""
-    m = form.basis.shape[-1]
-    return len(form.basis) == 2 and form.coeffs.shape[-1] == 2 and not (
-        np.count_nonzero(s[:m, m:]) or np.count_nonzero(s[m:, :m])
+    """Whether the spec ``s`` is exactly controlled(V) over the channel
+    ``form``'s own basis {I, V}: the program has a slot with gate V and
+    one more external wire, and s = P0 ⊗ I + P1 ⊗ V entry for entry (its
+    off-diagonal blocks zero, its diagonal blocks the basis)."""
+    basis = form.basis
+    m = basis.shape[-1]
+    return (
+        len(basis) == 2 and form.coeffs.shape[-1] == 2
+        and not (s[:m, m:].any() or s[m:, :m].any())
+        and (s[:m, :m] == basis[0]).all() and (s[m:, m:] == basis[1]).all()
     )
 
 
 def _factored(form: KrausForm, s: np.ndarray) -> bool:
     """The route rule, which :func:`verify_program` and ``telegate trace``
     (through :func:`basis_evidence`) both read: the factored basis when
-    the spec splits (:func:`_splits`) and the dense stack [S; K_t] would
-    hold more than ``BLOCK_CACHE_ENTRIES`` (2^12) complex entries, else
-    the dense stack.  For built programs (4 transcripts, d = 2^(k+1))
-    that is k >= 4 (5120 entries; 1280 at k = 3), where the factored
-    basis is the faster (see the module docstring)."""
+    the spec is the slot's controlled(V) (:func:`_splits`) and the dense
+    stack [S; K_t] would hold more than ``BLOCK_CACHE_ENTRIES`` (2^12)
+    complex entries, else the dense stack.  For built programs (4
+    transcripts, d = 2^(k+1)) that is k >= 4 (5120 entries; 1280 at
+    k = 3), where the factored basis is the faster (see the module
+    docstring)."""
     return (1 + len(form.coeffs)) * s.size > BLOCK_CACHE_ENTRIES and _splits(form, s)
 
 
@@ -235,14 +240,9 @@ def _spec_form(
     where :func:`_terms` puts the images of ``k`` probes after it, and
     returns that array, with Z_u a view of its first d columns.
 
-    The factored route writes S = P0 ⊗ A + P1 ⊗ B over {A, B, I - A,
-    V - B}, with V the slot's gate: S has coefficients (P0, P1, 0, 0) and
-    K_t = X_t ⊗ I + Y_t ⊗ V has (X_t, Y_t, X_t, Y_t).  When the program
-    implements S, X_t - a P0 and Y_t - a P1 are small and the rest
-    multiplies I - A and V - B, which are then zero or small, so the
-    residual of :func:`choi_residual` is a sum of small terms.  A basis
-    element that is exactly zero (I - A when A = I, V - B when B = V, as
-    for every built specification) is left out with its coefficients.
+    The factored route works over the channel's own basis {I, V}, V the
+    slot's gate, where S = controlled(V) has the coefficients (P0, P1)
+    and K_t = X_t ⊗ I + Y_t ⊗ V has (X_t, Y_t); it reads no block of S.
     Its basis terms come from the column pairs of the coefficients
     (:func:`_column_pairs`), which depend on the coefficients alone and
     are kept, with the rows, for the coefficient arrays that
@@ -256,31 +256,21 @@ def _spec_form(
         images[1:, :, :d] = dense(form)
         return images[:, None, :, :d], images, TRIVIAL_BASIS, None
     coeffs, basis = form.coeffs, form.basis
-    m = basis.shape[-1]
-    four = np.empty((4, m, m), dtype=np.complex128)
-    four[0], four[1] = s[:m, :m], s[m:, m:]
-    np.subtract(basis, four[:2], out=four[2:])
-    kept = (0, 1)  # and I - A, V - B unless exactly zero
-    if four[2:].any():
-        kept += tuple([b for b in (2, 3) if four[b].any()])
-    pick = slice(len(kept)) if kept[-1] < len(kept) else list(kept)
-    four = four[pick]
-    entry = _ROWS.get((id(coeffs), kept))
+    entry = _ROWS.get(id(coeffs))
     if entry is not None and entry[0] is coeffs:
         _, z, pairs = entry
     else:
-        z = np.empty((1 + len(coeffs), 4, 2, 2), dtype=np.complex128)
+        z = np.empty((1 + len(coeffs), 2, 2, 2), dtype=np.complex128)
         z[0] = _CONTROL_HALVES
-        z[1:, :2] = z[1:, 2:] = coeffs
-        z = z[:, pick]
+        z[1:] = coeffs
         pairs = _column_pairs(z)
         if not coeffs.flags.writeable and z.size + pairs.size <= BLOCK_CACHE_ENTRIES:
             with _ROWS_LOCK:
                 if len(_ROWS) >= LAYOUT_CACHE_SIZE:
                     del _ROWS[next(iter(_ROWS))]  # the oldest
-                _ROWS[id(coeffs), kept] = (coeffs, qsim._freeze(z), qsim._freeze(pairs))
-    columns = four.transpose(2, 1, 0)  # [q, x, b] = M_b[x, q]
-    return z, pairs, four, columns.conj().transpose(0, 2, 1) @ columns
+                _ROWS[id(coeffs)] = (coeffs, qsim._freeze(z), qsim._freeze(pairs))
+    columns = basis.transpose(2, 1, 0)  # [q, x, b] = M_b[x, q]
+    return z, pairs, basis, columns.conj().transpose(0, 2, 1) @ columns
 
 
 def _column_pairs(z: np.ndarray) -> np.ndarray:

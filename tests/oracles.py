@@ -5,7 +5,8 @@ embedded by explicit index arithmetic (not axis moves), measurements are
 deferred to a final partial trace (not branched), and Choi matrices are
 assembled from the definition sum (not the vectorization shortcut).
 Shared with the package are only the instruction dataclasses themselves,
-which are the input format under test.
+which are the input format under test, and the gate admission tolerance
+``qsim._UNITARY_ATOL``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from telegate.protocol import (
     Program,
     SendBit,
 )
+from telegate.qsim import _UNITARY_ATOL
 
 _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -174,6 +176,26 @@ def choi_of_unitary(u: np.ndarray) -> np.ndarray:
             ref_part[i, k] = 1.0
             j += np.kron(sys_part, ref_part)
     return j / d
+
+
+def operator_schmidt_rank(u: np.ndarray) -> int:
+    """The operator Schmidt rank of ``u`` across the cut between its first
+    qubit (the control) and the rest (the targets), of dimension m: the
+    number of nonzero singular values of the realigned (4, m^2) matrix
+    R[(a, b), (x, y)] = u[(a, x), (b, y)] (Nielsen et al., PRA 67, 052301).
+    A controlled gate P0 ⊗ I + P1 ⊗ V has rank 2 unless V ∝ I, and rank 1
+    then.
+
+    A singular value counts as zero up to d * ``qsim._UNITARY_ATOL``
+    (d = len(u)).  The gate language admits a gate up to that tolerance
+    entrywise, and an entrywise error of that size has Frobenius norm at
+    most d times it; realigning only permutes the entries, so such an
+    error moves no singular value of R by more than that.
+    """
+    d = len(u)
+    m = d // 2
+    realigned = np.asarray(u).reshape(2, m, 2, m).transpose(0, 2, 1, 3).reshape(4, m * m)
+    return int((np.linalg.svd(realigned, compute_uv=False) > d * _UNITARY_ATOL).sum())
 
 
 # --- random gate-expression corpus -------------------------------------------

@@ -148,27 +148,31 @@ def test_cached_coefficients_are_read_only_and_bounded():
 
 def test_spec_rows_are_kept_with_cached_coefficients_only(monkeypatch):
     """The verifier keeps the rows it derives from coefficients alone for
-    the arrays the executor caches, and for no other: here a program with
-    1024 transcripts, whose coefficients are too large to cache.  At k=2
-    the route rule picks the dense stack, so the factored route is
-    forced."""
+    the arrays the executor caches, keyed by the array's identity, and
+    for no other: here a program with 1024 transcripts, whose
+    coefficients are too large to cache, verified against controlled-X,
+    its own slot's controlled(V).  At k=2 the route rule picks the dense
+    stack, so the factored route is forced."""
     monkeypatch.setattr(verifier, "_factored", verifier._splits)
     executor._LAYOUTS.clear()
     verifier._ROWS.clear()
     (_, program, spec), *_ = programs(2, 500)
     for _ in range(2):
         verify_program(program, spec)
-    (entry,) = verifier._ROWS.values()
+    ((key, entry),) = verifier._ROWS.items()
     assert entry[0] is executor._LAYOUTS[executor._shape(program)].coeffs
+    assert key == id(entry[0])
     measured = range(2, 11)
     text = "ext A q0\next B q1\n" + "".join(
         f"alloc A q{i} = 0\ngate A q{i} : H\nmeasz A q{i} -> c{i}\n" for i in measured
     ) + "alloc B q11 = 0\ngate B q11 : H\ncgate B q11 -> q1 : X\nmeasz B q11 -> c11\n"
     wide = parse_program(text)
     assert len(executor._layout(wide).transcripts) == 1024
-    report = verify_program(wide, qsim.identity(4))
+    cx = qsim.controlled(qsim.X)
+    assert len(_spec_form(kraus_form(wide), cx)[2]) == 2
+    report = verify_program(wide, cx)
     assert len(report.branches) == 1024 and executor._LAYOUTS[executor._shape(wide)].coeffs is None
-    assert len(verifier._ROWS) == 1
+    assert list(verifier._ROWS) == [key]
 
 
 def on_route(patch, route):
@@ -231,11 +235,12 @@ def test_routes_agree_on_a_nearly_unitary_gate(monkeypatch, mutation):
 def test_random_slotted_programs_verify_as_unfactored(monkeypatch):
     """Random valid file programs that have a slot (the control may be
     an external wire or an internal one): against the identity, a
-    controlled Haar gate and a block-diagonal Haar spec, the report on
-    each route equals the unfactored pass's within 1e-14.  Forced onto
-    the factored route, the basis is {A, B, I - A, V - B} less its exactly
-    zero elements (I - A under the first two specs, where A = I), and {1}
-    where the spec does not split."""
+    controlled Haar gate, a block-diagonal Haar spec and, where its
+    dimension fits, controlled(V) of the program's own slot gate V, the
+    report on each route equals the unfactored pass's within 1e-14.
+    Forced onto the factored route, the basis is {I, V} under the last
+    spec and {1} under the others, which are not the slot's
+    controlled(V)."""
     rng = np.random.default_rng(6)
     bases = set()
     slotted = [p for p in (parse_program(random_program_text(rng)) for _ in range(600))
@@ -248,14 +253,17 @@ def test_random_slotted_programs_verify_as_unfactored(monkeypatch):
         if d > 1:
             block[:half, :half] = qsim.haar_random_unitary(half, rng).matrix
             block[half:, half:] = qsim.haar_random_unitary(half, rng).matrix
+        own = qsim.controlled(p.instructions[executor._slot(p)].gate)
         for spec in (qsim.identity(d), qsim.controlled(qsim.haar_random_unitary(half, rng)),
-                     UnitaryMatrix(block)):
+                     UnitaryMatrix(block), own):
             if spec.dim != d:
                 continue
             executor._LAYOUTS.clear()
             with monkeypatch.context() as patch:
                 on_route(patch, "factored")
-                bases.add(len(_spec_form(kraus_form(p), spec)[2]))
+                size = len(_spec_form(kraus_form(p), spec)[2])
+            assert size == (2 if spec is own else 1)
+            bases.add(size)
             got = {route: report_by_route(monkeypatch, route, p, spec, probes=d + 3, seed=1)
                    for route in ("dense", "factored")}
             with monkeypatch.context() as patch:
@@ -265,35 +273,42 @@ def test_random_slotted_programs_verify_as_unfactored(monkeypatch):
             executor._LAYOUTS.clear()
             for report in got.values():
                 assert_same_report(report, want)
-    assert bases == {1, 3, 4}
+    assert bases == {1, 2}
 
 
 def test_the_trivial_basis_takes_a_spec_that_does_not_split(monkeypatch):
-    """A spec with nonzero off-diagonal blocks is compared over the dense
-    stack, even where the factored route is forced, and gives the report
-    the unfactored pass gives."""
+    """Only the slot's controlled(V), entry for entry, takes the factored
+    basis: a spec with nonzero off-diagonal blocks, a block-diagonal spec
+    other than controlled(V) and CNOT with one entry moved by one ulp are
+    compared over the dense stack, even where the factored route is
+    forced, and give the report the unfactored pass gives."""
     program = parse_program(CNOT_FILE.read_text())
     swap = gatelang.evaluate(gatelang.parse("[[1,0,0,0],[0,0,1,0],[0,1,0,0],[0,0,0,1]]"))
     cnot = build_specification(NonlocalCUSpec(qsim.X, 1))
+    diag = np.zeros((4, 4), dtype=complex)
+    diag[:2, :2], diag[2:, 2:] = qsim.H.matrix, qsim.X.matrix
+    moved = cnot.matrix.copy()
+    moved[3, 2] = np.nextafter(1.0, 2.0)
     with monkeypatch.context() as patch:
         on_route(patch, "factored")
-        assert len(_spec_form(kraus_form(program), swap)[2]) == 1
-        assert len(_spec_form(kraus_form(program), cnot)[2]) == 2  # A = I and B = V = X
-        report = verify_program(program, swap)
-    assert report.verdict == "fail"
-    with monkeypatch.context() as patch:
-        patch.setattr(executor, "_slot", lambda p: None)
+        assert len(_spec_form(kraus_form(program), cnot)[2]) == 2  # controlled(V), V = X
+    for spec, verdict in ((swap, "fail"), (UnitaryMatrix(diag), "fail"), (UnitaryMatrix(moved), "pass")):
+        with monkeypatch.context() as patch:
+            on_route(patch, "factored")
+            assert len(_spec_form(kraus_form(program), spec)[2]) == 1
+            report = verify_program(program, spec)
+        assert report.verdict == verdict
+        with monkeypatch.context() as patch:
+            patch.setattr(executor, "_slot", lambda p: None)
+            executor._LAYOUTS.clear()
+            want = verify_program(program, spec)
         executor._LAYOUTS.clear()
-        want = verify_program(program, swap)
-    executor._LAYOUTS.clear()
-    assert report.branches == want.branches
-    assert abs(report.choi_dist - want.choi_dist) <= 1e-14
+        assert_same_report(report, want)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 1e-6])
 def test_a_dependent_basis_leaves_no_floor(monkeypatch, eps):
-    """With A = I and B = V = e^{iφ} I, the factored basis is {I, V} (I - A
-    and V - B are exactly zero and left out), which is dependent, and a
+    """With V = e^{iφ} I, the factored basis {I, V} is dependent, and a
     channel equal to the spec has O(1) coefficients on I and V that
     cancel: here the slot never fires (its control stays |0>) and q0 gets
     the phase instead.  The distance still tracks a phase error eps,

@@ -5,6 +5,10 @@ every float may move by rounding only (1e-14 absolute), because a change
 of summation order changes the last bits even when the arithmetic is
 the same.  Each report's text is also the canonical ``json.dumps`` form
 of its fields (``golden_cases.reference_json``).
+
+The census is checked against what each spec needs: LOCC cannot create
+entanglement, so a program that passes against a spec of operator
+Schmidt rank 2 across the control|targets cut must hold an ebit.
 """
 
 import json
@@ -13,6 +17,9 @@ from pathlib import Path
 import pytest
 
 from golden_cases import cases, reference_json, report
+from oracles import operator_schmidt_rank
+from telegate import gatelang
+from telegate.builder import MUTATIONS, NonlocalCUSpec, build_specification
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_reports.json").read_text())
 CASES = {name: case for name, *case in cases()}
@@ -38,3 +45,29 @@ def test_report_matches_golden(name):
     for g, w in zip(got["branches"], want["branches"]):
         assert abs(g["probability"] - w["probability"]) <= FLOAT_ATOL
         assert abs(g["max_infidelity"] - w["max_infidelity"]) <= FLOAT_ATOL
+
+
+@pytest.mark.parametrize("gate, rank", [
+    ("X", 2), ("H", 2), ("RZ(0.3)", 2), ("X x H", 2), ("RZ(0)", 1), ("[[1i,0],[0,1i]]", 1),
+])
+def test_operator_schmidt_rank_of_controlled_gates(gate, rank):
+    """controlled(V) has rank 2 across the control|targets cut unless V is
+    a multiple of I."""
+    spec = NonlocalCUSpec.for_gate(gatelang.evaluate(gatelang.parse(gate)))
+    assert operator_schmidt_rank(build_specification(spec).matrix) == rank
+
+
+def test_every_pass_holds_the_ebit_its_spec_needs():
+    """Census tripwire: every golden case, intact and under every
+    mutation, that passes against a spec of rank 2 has ebits >= 1.  The
+    cases hold specs of both ranks (gate I is rank 1), and every pass
+    holds exactly one ebit."""
+    passed = {1: set(), 2: set()}
+    for name, spec, mutation, seed in cases():
+        rank = operator_schmidt_rank(build_specification(spec).matrix)
+        for m in (mutation,) if mutation else (None, *MUTATIONS):
+            r = report(spec, m, seed)
+            if r.passed:
+                assert rank < 2 or r.census.ebits >= 1, (name, m)
+                passed[rank].add(r.census.ebits)
+    assert passed == {1: {1}, 2: {1}}
