@@ -292,7 +292,8 @@ def test_the_trivial_basis_takes_a_spec_that_does_not_split(monkeypatch):
     with monkeypatch.context() as patch:
         on_route(patch, "factored")
         assert len(_spec_form(kraus_form(program), cnot)[2]) == 2  # controlled(V), V = X
-    for spec, verdict in ((swap, "fail"), (UnitaryMatrix(diag), "fail"), (UnitaryMatrix(moved), "pass")):
+    specs = ((swap, "fail"), (UnitaryMatrix(diag), "fail"), (UnitaryMatrix(moved), "pass"))
+    for spec, verdict in specs:
         with monkeypatch.context() as patch:
             on_route(patch, "factored")
             assert len(_spec_form(kraus_form(program), spec)[2]) == 1
