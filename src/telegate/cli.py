@@ -26,6 +26,7 @@ import numpy as np
 from . import gatelang
 from .builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program, build_specification
 from .executor import ExecutionError, channel_choi, check_register, dense, kraus_form, transcript_key
+from .executor import _check_locality
 from .protocol import Program, parse_program, resource_census, validate_locality
 from .qsim import UnitaryMatrix
 from .verifier import (
@@ -261,7 +262,7 @@ def _cmd_choi(args) -> int:
 
 def _cmd_resources(args) -> int:
     program, _, _ = _load(args, need_spec=False)
-    kraus_form(program)  # refuses what verify, trace and choi refuse
+    _check_locality(program)  # a census of a program that breaks locality means nothing
     fields = _census_fields(resource_census(program))
     if args.format == "json":
         print(json.dumps(fields, sort_keys=True, separators=(", ", ": ")))

@@ -184,10 +184,7 @@ def kraus_form(p: Program) -> KrausForm:
     key = _shape(p)
     layout = _LAYOUTS.get(key)
     if layout is None:
-        violations = validate_locality(p)
-        if violations:
-            summary = "; ".join(str(v) for v in violations[:3])
-            raise ValueError(f"program fails locality validation: {summary}")
+        _check_locality(p)
         check_register(p)
         layout = _layout(p)
         _store(key, layout)
@@ -236,6 +233,14 @@ def dense(form: KrausForm) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _identity(m: int) -> np.ndarray:
     return qsim._freeze(np.eye(m, dtype=np.complex128))
+
+
+def _check_locality(p: Program) -> None:
+    """Refuse ``p`` if it fails :func:`validate_locality`; name three violations at most."""
+    violations = validate_locality(p)
+    if violations:
+        summary = "; ".join(str(v) for v in violations[:3])
+        raise ValueError(f"program fails locality validation: {summary}")
 
 
 def check_register(p: Program) -> None:

@@ -158,13 +158,17 @@ def test_resources_output(capsys):
     assert json.loads(capsys.readouterr().out) == {"ebits": 1, "a_to_b": 1, "b_to_a": 1}
 
 
-def test_resources_refuses_an_invalid_program(capsys):
+def test_resources_refuses_an_invalid_program(monkeypatch, capsys):
     """The census of a program that fails locality validation is not
-    printed: a cross-party CNOT is refused, as verify refuses it."""
+    printed: a cross-party CNOT is refused, as verify refuses it.  The
+    census runs nothing, so a valid program over the qubit cap gets it."""
     assert main(["resources", "--file", str(DEMOS / "bad_crossparty.tg")]) == 2
     captured = capsys.readouterr()
     assert not captured.out and _one_error_line(captured.err)
     assert "program fails locality validation: " in captured.err
+    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "3")
+    assert main(["resources", "--file", str(DEMOS / "nonlocal_cnot.tg")]) == 0
+    assert capsys.readouterr().out.strip() == "{ebits: 1, a_to_b: 1, b_to_a: 1}"
 
 
 def test_lint_good_and_bad_files(capsys):
