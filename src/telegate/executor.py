@@ -18,14 +18,15 @@ and every consumer reads that form:
 * :func:`choi_residual` compares the channel with a unitary written over
   a basis of its own, from projections and the Gram matrix of the
   residuals (see :func:`kraus_choi_distance`, its dense form);
-* the verifier reads branch evidence and the Choi distance off the
-  dense stack for small registers (at most 2^12 complex entries in the
-  stack of the specification and the K_t: built programs up to k = 3),
-  for programs without a slot and for every specification but exactly
-  controlled(V), V the slot's gate, and off the coefficients otherwise:
-  the two cost about the same at k = 3, and from k = 4 the coefficients
-  are the faster, 200 against 303 µs at k = 4 and 3.9 against 44 ms at
-  k = 8 on 2 vCPUs (see :mod:`telegate.verifier`).
+* the verifier reads branch evidence and the Choi distance in one
+  function (``verifier._evidence``), on the one route it picks per call:
+  off the dense stack for small registers (at most 2^12 complex entries
+  in the stack of the specification and the K_t: built programs up to
+  k = 3), for programs without a slot and for every specification but
+  exactly controlled(V), V the slot's gate, and off the coefficients
+  otherwise: the two cost about the same at k = 3, and from k = 4 the
+  coefficients are the faster, 200 against 303 µs at k = 4 and 3.9
+  against 44 ms at k = 8 on 2 vCPUs (see :mod:`telegate.verifier`).
 
 The slot.  A program's *slot* is an ``ApplyControlledLocal`` whose targets
 are the trailing external wires, in order, and which no other
@@ -585,7 +586,7 @@ def choi_residual(
     norm2 = float(onto[0].real)
     a = onto[1:] / norm2
     # E_t, without a second temporary; z is read as it is, which may be a
-    # view with a row stride of its own (see verifier._spec_form).
+    # view with a row stride of its own (see verifier._evidence).
     resid = a[:, None, None, None] * z[0]
     np.subtract(z[1:], resid, out=resid)
     rows = resid.reshape(u - 1, -1)

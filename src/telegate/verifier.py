@@ -12,11 +12,11 @@ Two independent kinds of evidence go into a verdict:
 
 Both come from one execution of the program: its Kraus operators K_t,
 one per transcript, in the factored form of
-:func:`telegate.executor.kraus_form`, which the specification S joins
-over one basis (:func:`_spec_form`) on one of two routes.  One rule,
-:func:`_factored`, picks the route for :func:`verify_program` and for
-``telegate trace`` (through :func:`basis_evidence`), so the two agree
-bit for bit:
+:func:`telegate.executor.kraus_form`.  One function, :func:`_evidence`,
+reads both off that form for :func:`verify_program` and for ``telegate
+trace`` (through :func:`basis_evidence`), so the two agree bit for bit.
+It asks one rule, :func:`_factored`, once per call which route to take,
+and runs that route from top to bottom:
 
 * the dense route evaluates the stack Z = [S; K_t] directly: the images
   of the basis inputs are Z's own columns and those of the Haar probes
@@ -24,7 +24,8 @@ bit for bit:
   distance is :func:`choi_residual` over the trivial basis {1};
 * the factored route works over the program's own basis {I, V} (V the
   slot's gate), on which S = controlled(V) = P0 ⊗ I + P1 ⊗ V has the
-  constant coefficients (P0, P1), without a d×d operator.
+  constant coefficients (P0, P1), without a d×d operator, and the Choi
+  distance is :func:`choi_residual` over that basis.
 
 The factored route runs when the program has a slot with gate V and one
 external wire besides its targets (r = 2), S is exactly controlled(V)
@@ -183,13 +184,13 @@ def _haar_probes(n_qubits: int, probes: int, seed: int) -> np.ndarray:
 
 
 # The spec's coefficients over {I, V}: P0 = |0><0| on I, P1 = |1><1| on V
-# (see _spec_form).
+# (see _evidence).
 _CONTROL_HALVES = qsim._freeze(
     np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], dtype=np.complex128)
 )
 
 # For each coefficient array that kraus_form keeps in its cache (those
-# are read-only), what _spec_form derives from it alone: the rows over
+# are read-only), what _evidence derives from it alone: the rows over
 # {I, V} and their column pairs.  Keyed by the array's identity; an
 # entry holds the array, so its id is not reused while the entry lives.
 # At most LAYOUT_CACHE_SIZE entries of at most BLOCK_CACHE_ENTRIES
@@ -224,37 +225,47 @@ def _factored(form: KrausForm, s: np.ndarray) -> bool:
     return (1 + len(form.coeffs)) * s.size > BLOCK_CACHE_ENTRIES and _splits(form, s)
 
 
-def _spec_form(
-    form: KrausForm, u_spec: UnitaryMatrix, k: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """The specification S and the channel's K_t over one basis, on the
-    route :func:`_factored` picks: their (1 + T, B, r, r) coefficients
-    Z_u, S first; what :func:`_terms` reads their basis terms from; the
-    (B, m, m) basis; and its column Grams, a (m, B, B) array whose
-    [q, b, c] is <M_b e_q, M_c e_q>.
+def _evidence(
+    form: KrausForm, u_spec: UnitaryMatrix, probes: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The terms of the images of every probe under the specification S
+    and the K_t of ``form``, and the Choi distance between the two
+    channels, both on the route :func:`_factored` picks, which is
+    evaluated here once.
 
-    The dense route has the basis {1} and no Grams (None).  Its basis
-    terms are those of the images of the basis inputs, which are the
-    columns of the dense stack [S; K_t] itself, so it writes the stack
-    into the first d columns of one (1 + T, d, d + k) array of images,
-    where :func:`_terms` puts the images of ``k`` probes after it, and
-    returns that array, with Z_u a view of its first d columns.
+    The terms are a (2, 1 + T, d + k) array over the d basis inputs e_j,
+    then the k columns psi_j of the d×k ``probes``, with rows Z_0 = S and
+    Z_1+t = K_t: [0, u, j] = |Z_u psi_j|^2 and
+    [1, u, j] = <Z_0 psi_j, Z_u psi_j>.  Summed over the basis inputs,
+    the overlaps are the <S, Z_u> that :func:`choi_residual` reads.
+
+    The dense route writes the stack [S; K_t] into the first d columns of
+    one (1 + T, d, d + k) array of images, since the images of the e_j
+    are its columns, and the images of the probes into its last k
+    columns, from one batched product with the stack; its basis is {1}.
 
     The factored route works over the channel's own basis {I, V}, V the
     slot's gate, where S = controlled(V) has the coefficients (P0, P1)
     and K_t = X_t ⊗ I + Y_t ⊗ V has (X_t, Y_t); it reads no block of S.
-    Its basis terms come from the column pairs of the coefficients
-    (:func:`_column_pairs`), which depend on the coefficients alone and
-    are kept, with the rows, for the coefficient arrays that
-    :func:`kraus_form` caches.
+    The basis terms, j = r * m + q, come from the column pairs of the
+    coefficients (column r, :func:`_column_pairs`), kept with the rows
+    for the coefficient arrays that :func:`kraus_form` caches, and from
+    the column Grams of the basis (column q), whose sum is the basis's
+    metric.  A probe psi splits into r parts psi_i on the basis's wires,
+    the basis is applied to each, and its images
+    sum_bi Z_ub[:, i] ⊗ M_b psi_i are assembled from those.
     """
     s = u_spec.matrix
+    d, k = probes.shape
     if not _factored(form, s):
-        d = len(s)
         images = np.empty((1 + len(form.coeffs), d, d + k), dtype=np.complex128)
         images[0, :, :d] = s
         images[1:, :, :d] = dense(form)
-        return images[:, None, :, :d], images, TRIVIAL_BASIS, None
+        if k:
+            np.matmul(images[:, :, :d], probes, out=images[:, :, d:])
+        terms = _image_terms(images)
+        onto = terms[1, :, :d].sum(axis=1)
+        return terms, choi_residual(images[:, None, :, :d], TRIVIAL_BASIS, None, onto)
     coeffs, basis = form.coeffs, form.basis
     entry = _ROWS.get(id(coeffs))
     if entry is not None and entry[0] is coeffs:
@@ -270,7 +281,17 @@ def _spec_form(
                     del _ROWS[next(iter(_ROWS))]  # the oldest
                 _ROWS[id(coeffs)] = (coeffs, qsim._freeze(z), qsim._freeze(pairs))
     columns = basis.transpose(2, 1, 0)  # [q, x, b] = M_b[x, q]
-    return z, pairs, basis, columns.conj().transpose(0, 2, 1) @ columns
+    grams = columns.conj().transpose(0, 2, 1) @ columns  # [q, b, c] = <M_b e_q, M_c e_q>
+    _, r, u, bb = pairs.shape
+    m = len(grams)
+    terms = pairs.reshape(-1, bb) @ grams.reshape(m, bb).T  # [(2, r, u), q]
+    terms = terms.reshape(2, r, u, m).transpose(0, 2, 1, 3).reshape(2, u, r * m)
+    if k:
+        applied = (basis[:, None] @ probes.reshape(1, r, m, k)).reshape(2 * r, m * k)
+        images = (z.transpose(0, 2, 1, 3).reshape(u * r, 2 * r) @ applied).reshape(u, r * m, k)
+        terms = np.concatenate((terms, _image_terms(images)), axis=2)
+    onto = terms[1, :, :d].sum(axis=1)
+    return terms, choi_residual(z, basis, grams.sum(axis=0), onto)
 
 
 def _column_pairs(z: np.ndarray) -> np.ndarray:
@@ -281,42 +302,6 @@ def _column_pairs(z: np.ndarray) -> np.ndarray:
     left = z.conj()
     pairs = np.stack((np.einsum("ubir,ucir->rubc", left, z), np.einsum("bir,ucir->rubc", left[0], z)))
     return pairs.reshape(2, r, u, b * b)
-
-
-def _terms(
-    z: np.ndarray, pairs: np.ndarray, basis: np.ndarray, grams: np.ndarray | None,
-    probes: np.ndarray,
-) -> np.ndarray:
-    """The (2, 1 + T, d + k) terms of the images of the d basis inputs
-    e_j, then of the k columns psi_j of the d×k ``probes``, under S and
-    the K_t (the rows Z_u of :func:`_spec_form`, whose second item is
-    ``pairs``): [0, u, j] = |Z_u psi_j|^2 and
-    [1, u, j] = <Z_0 psi_j, Z_u psi_j>.
-
-    On the dense route ``pairs`` is the array of images, whose first d
-    columns, the images of e_j, are the stack itself: the images of the
-    probes go into its last k columns, from one batched product with the
-    stack.  On the factored route the basis terms, j = r * m + q, come
-    from the column pairs of the coefficients (column r) and the column
-    Grams of the basis (column q); a probe psi splits into r parts psi_i
-    on the basis's wires, the basis is applied to each, and its images
-    sum_bi Z_ub[:, i] ⊗ M_b psi_i are assembled from those."""
-    k = probes.shape[1]
-    if grams is None:
-        d = pairs.shape[1]
-        if k:
-            np.matmul(pairs[:, :, :d], probes, out=pairs[:, :, d:])
-        return _image_terms(pairs)
-    _, r, u, bb = pairs.shape
-    m = len(grams)
-    terms = pairs.reshape(-1, bb) @ grams.reshape(m, bb).T  # [(2, r, u), q]
-    terms = terms.reshape(2, r, u, m).transpose(0, 2, 1, 3).reshape(2, u, r * m)
-    if not k:
-        return terms
-    b = len(basis)
-    applied = (basis[:, None] @ probes.reshape(1, r, m, k)).reshape(b * r, m * k)
-    images = (z.transpose(0, 2, 1, 3).reshape(u * r, b * r) @ applied).reshape(u, r * m, k)
-    return np.concatenate((terms, _image_terms(images)), axis=2)
 
 
 def _image_terms(images: np.ndarray) -> np.ndarray:
@@ -333,7 +318,7 @@ def _image_terms(images: np.ndarray) -> np.ndarray:
 def _branch_evidence(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The evidence of every branch on every probe psi_j, from the (2,
     1 + T, n) terms of its images U psi_j and K_t psi_j (see
-    :func:`_terms`): (T, n) arrays of the probability p = |K_t psi_j|^2,
+    :func:`_evidence`): (T, n) arrays of the probability p = |K_t psi_j|^2,
     of ``seen`` = p >= 1e-14 and of the fidelity
     min(1, |<U psi_j, K_t psi_j>| / (|U psi_j| sqrt(p))), which is
     phase-insensitive and meaningful only where seen.  This is the one
@@ -353,7 +338,7 @@ def basis_evidence(
     :func:`verify_program` computes for its basis probes, on the same
     route."""
     no_probes = np.empty((u_spec.dim, 0), dtype=np.complex128)
-    return _branch_evidence(_terms(*_spec_form(form, u_spec), no_probes))
+    return _branch_evidence(_evidence(form, u_spec, no_probes)[0])
 
 
 def check_specification(p: Program, u_spec: UnitaryMatrix) -> None:
@@ -379,17 +364,16 @@ def verify_program(
     transcript (probability averaged over probes, infidelity maximized),
     skipping probes that reach a transcript with probability below 1e-14.
     Everything is read off the Kraus operators
-    (:func:`telegate.executor.kraus_form`), written with ``u_spec`` over
-    one basis on the route of :func:`_factored` (:func:`_spec_form`): the
-    basis probes, the Haar probes, none of which are drawn when
-    ``probes`` is at most the dimension, and the Choi distance, which
-    compares the whole channels (:func:`choi_residual`).
+    (:func:`telegate.executor.kraus_form`) by :func:`_evidence`, on the
+    route of :func:`_factored`: the basis probes, the Haar probes, none of
+    which are drawn when ``probes`` is at most the dimension, and the
+    Choi distance, which compares the whole channels
+    (:func:`choi_residual`).
     """
     check_specification(p, u_spec)
     haar = _haar_probes(p.n_external, probes, seed)
     form = kraus_form(p)
-    z, pairs, basis, grams = _spec_form(form, u_spec, haar.shape[1])
-    terms = _terms(z, pairs, basis, grams, haar)
+    terms, dist = _evidence(form, u_spec, haar)
     prob, seen, fid = _branch_evidence(terms)
     # Both count only the probes that reach each transcript (the mass
     # zeroes the rest first, so that its sum keeps numpy's pairwise
@@ -404,9 +388,6 @@ def verify_program(
         for t, transcript in enumerate(form.transcripts)
         if mass[t] > 0.0
     )
-    # Summed over the basis inputs, the overlaps are the <S, Z_u>.
-    metric = None if grams is None else grams.sum(axis=0)
-    dist = choi_residual(z, basis, metric, terms[1, :, : u_spec.dim].sum(axis=1))
     max_infid = max((b.max_infidelity for b in branches), default=0.0)
     verdict = "pass" if (max_infid <= tol_branch and dist <= tol_choi) else "fail"
     return EquivalenceReport(

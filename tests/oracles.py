@@ -198,6 +198,29 @@ def operator_schmidt_rank(u: np.ndarray) -> int:
     return int((np.linalg.svd(realigned, compute_uv=False) > d * _UNITARY_ATOL).sum())
 
 
+def controlled_signals(c: np.ndarray) -> bool:
+    """Whether the controlled gate ``c`` = P0 ⊗ I + P1 ⊗ U (control first)
+    signals, that is whether U is not a multiple of I.  Then it signals
+    both ways across the control|targets cut: the control's holder
+    signals through U on a state that U does not fix up to phase, and the
+    targets' holder signals back by phase kickback from eigenstates of U
+    of different eigenvalues (Beckman, Gottesman, Nielsen & Preskill,
+    PRA 64, 052309), so any two-party protocol for it sends a bit each
+    way.
+
+    U counts as a multiple of I when its Frobenius distance from its
+    projection tr(U) I / m on I (m = d / 2) is at most
+    d * ``qsim._UNITARY_ATOL`` (d = len(c)), the threshold of
+    :func:`operator_schmidt_rank`: the gate language admits a gate up to
+    that tolerance entrywise, an error of that size has Frobenius norm at
+    most d times it, and the distance moves by no more than that norm.
+    """
+    d = len(c)
+    m = d // 2
+    u = np.asarray(c)[m:, m:]
+    return bool(np.linalg.norm(u - np.trace(u) / m * np.eye(m)) > d * _UNITARY_ATOL)
+
+
 # --- random gate-expression corpus -------------------------------------------
 
 

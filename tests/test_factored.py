@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import random_program_text
+from program_files import FILES, SWAPPED_CNOT, program, without_each_cpauli
 
 from telegate import executor, gatelang, qsim, verifier
 from telegate.builder import (
@@ -38,7 +39,7 @@ from telegate.protocol import (
     qwire,
 )
 from telegate.qsim import UnitaryMatrix
-from telegate.verifier import _spec_form, verify_program
+from telegate.verifier import verify_program
 
 CNOT_FILE = Path(__file__).resolve().parent.parent / "demos" / "nonlocal_cnot.tg"
 P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
@@ -169,7 +170,7 @@ def test_spec_rows_are_kept_with_cached_coefficients_only(monkeypatch):
     wide = parse_program(text)
     assert len(executor._layout(wide).transcripts) == 1024
     cx = qsim.controlled(qsim.X)
-    assert len(_spec_form(kraus_form(wide), cx)[2]) == 2
+    assert verifier._factored(kraus_form(wide), cx.matrix)
     report = verify_program(wide, cx)
     assert len(report.branches) == 1024 and executor._LAYOUTS[executor._shape(wide)].coeffs is None
     assert list(verifier._ROWS) == [key]
@@ -208,12 +209,31 @@ def test_routes_agree_on_built_programs(monkeypatch, k):
         if mutation != "drop-cgate":
             with monkeypatch.context() as patch:
                 on_route(patch, "factored")
-                assert len(_spec_form(form, spec)[2]) == 2
+                assert verifier._factored(form, spec.matrix)
         probes = spec.dim + 5
         dense = report_by_route(monkeypatch, "dense", program, spec, probes=probes, seed=k)
         factored = report_by_route(monkeypatch, "factored", program, spec, probes=probes, seed=k)
         assert_same_report(factored, dense)
         assert (dense.verdict == "pass") == (mutation is None), mutation
+
+
+def test_routes_agree_on_the_mirrored_cnot(monkeypatch):
+    """A program the builder does not make, with the control at Bob and
+    the target at Alice (``tests/data/mirror_cnot.tg``): forced onto the
+    factored route, where CNOT splits as controlled(X) over {I, X}, it
+    and its mutants without a cpauli give the dense route's report
+    within 1e-14; the swapped CNOT does not split."""
+    spec, intact = FILES["mirror_cnot.tg"][0], program("mirror_cnot.tg")
+    cases = [(intact, spec), (intact, SWAPPED_CNOT)]
+    cases += [(p, spec) for _, p in without_each_cpauli("mirror_cnot.tg")]
+    for p, u in cases:
+        with monkeypatch.context() as patch:
+            on_route(patch, "factored")
+            assert verifier._factored(kraus_form(p), u.matrix) == (u is spec)
+        dense = report_by_route(monkeypatch, "dense", p, u, probes=9, seed=3)
+        factored = report_by_route(monkeypatch, "factored", p, u, probes=9, seed=3)
+        assert_same_report(factored, dense)
+        assert dense.passed == (p is intact and u is spec)
 
 
 @pytest.mark.parametrize("mutation", [None, *MUTATIONS])
@@ -238,11 +258,11 @@ def test_random_slotted_programs_verify_as_unfactored(monkeypatch):
     controlled Haar gate, a block-diagonal Haar spec and, where its
     dimension fits, controlled(V) of the program's own slot gate V, the
     report on each route equals the unfactored pass's within 1e-14.
-    Forced onto the factored route, the basis is {I, V} under the last
-    spec and {1} under the others, which are not the slot's
-    controlled(V)."""
+    Forced onto the factored route, only the last spec takes it; the
+    others, which are not the slot's controlled(V), stay on the dense
+    stack."""
     rng = np.random.default_rng(6)
-    bases = set()
+    routes = set()
     slotted = [p for p in (parse_program(random_program_text(rng)) for _ in range(600))
                if executor._slot(p) is not None]
     assert len(slotted) >= 20
@@ -261,9 +281,9 @@ def test_random_slotted_programs_verify_as_unfactored(monkeypatch):
             executor._LAYOUTS.clear()
             with monkeypatch.context() as patch:
                 on_route(patch, "factored")
-                size = len(_spec_form(kraus_form(p), spec)[2])
-            assert size == (2 if spec is own else 1)
-            bases.add(size)
+                factored = verifier._factored(kraus_form(p), spec.matrix)
+            assert factored == (spec is own)
+            routes.add(factored)
             got = {route: report_by_route(monkeypatch, route, p, spec, probes=d + 3, seed=1)
                    for route in ("dense", "factored")}
             with monkeypatch.context() as patch:
@@ -273,7 +293,7 @@ def test_random_slotted_programs_verify_as_unfactored(monkeypatch):
             executor._LAYOUTS.clear()
             for report in got.values():
                 assert_same_report(report, want)
-    assert bases == {1, 2}
+    assert routes == {False, True}
 
 
 def test_the_trivial_basis_takes_a_spec_that_does_not_split(monkeypatch):
@@ -291,12 +311,12 @@ def test_the_trivial_basis_takes_a_spec_that_does_not_split(monkeypatch):
     moved[3, 2] = np.nextafter(1.0, 2.0)
     with monkeypatch.context() as patch:
         on_route(patch, "factored")
-        assert len(_spec_form(kraus_form(program), cnot)[2]) == 2  # controlled(V), V = X
+        assert verifier._factored(kraus_form(program), cnot.matrix)  # controlled(V), V = X
     specs = ((swap, "fail"), (UnitaryMatrix(diag), "fail"), (UnitaryMatrix(moved), "pass"))
     for spec, verdict in specs:
         with monkeypatch.context() as patch:
             on_route(patch, "factored")
-            assert len(_spec_form(kraus_form(program), spec)[2]) == 1
+            assert not verifier._factored(kraus_form(program), spec.matrix)
             report = verify_program(program, spec)
         assert report.verdict == verdict
         with monkeypatch.context() as patch:
@@ -332,10 +352,10 @@ def test_a_dependent_basis_leaves_no_floor(monkeypatch, eps):
     spec = qsim.controlled(v)
     assert executor._layout(program).slot == 2
     want = np.sqrt(2) * abs(np.sin(eps / 2))
-    for route, size in (("factored", 2), ("dense", 1)):
+    for route in ("factored", "dense"):
         with monkeypatch.context() as patch:
             on_route(patch, route)
-            assert len(_spec_form(kraus_form(program), spec)[2]) == size
+            assert verifier._factored(kraus_form(program), spec.matrix) == (route == "factored")
             got = verify_program(program, spec).choi_dist
         assert abs(got - want) <= 1e-6 * want + 1e-15, (route, got, want)
 

@@ -8,7 +8,9 @@ of its fields (``golden_cases.reference_json``).
 
 The census is checked against what each spec needs: LOCC cannot create
 entanglement, so a program that passes against a spec of operator
-Schmidt rank 2 across the control|targets cut must hold an ebit.
+Schmidt rank 2 across the control|targets cut must hold an ebit, and no
+operation signals without communication, so a program that passes
+against a spec that signals both ways must send a bit each way.
 """
 
 import json
@@ -17,9 +19,11 @@ from pathlib import Path
 import pytest
 
 from golden_cases import cases, reference_json, report
-from oracles import operator_schmidt_rank
+from oracles import controlled_signals, operator_schmidt_rank
+from program_files import variants
 from telegate import gatelang
 from telegate.builder import MUTATIONS, NonlocalCUSpec, build_specification
+from telegate.verifier import verify_program
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_reports.json").read_text())
 CASES = {name: case for name, *case in cases()}
@@ -49,12 +53,16 @@ def test_report_matches_golden(name):
 
 @pytest.mark.parametrize("gate, rank", [
     ("X", 2), ("H", 2), ("RZ(0.3)", 2), ("X x H", 2), ("RZ(0)", 1), ("[[1i,0],[0,1i]]", 1),
+    ("[[1.00000000004,0],[0,1]]", 1),
 ])
 def test_operator_schmidt_rank_of_controlled_gates(gate, rank):
     """controlled(V) has rank 2 across the control|targets cut unless V is
-    a multiple of I."""
+    a multiple of I, within what the gate language admits as unitary;
+    it signals exactly when its rank is 2."""
     spec = NonlocalCUSpec.for_gate(gatelang.evaluate(gatelang.parse(gate)))
-    assert operator_schmidt_rank(build_specification(spec).matrix) == rank
+    u = build_specification(spec).matrix
+    assert operator_schmidt_rank(u) == rank
+    assert controlled_signals(u) == (rank == 2)
 
 
 def test_every_pass_holds_the_ebit_its_spec_needs():
@@ -71,3 +79,26 @@ def test_every_pass_holds_the_ebit_its_spec_needs():
                 assert rank < 2 or r.census.ebits >= 1, (name, m)
                 passed[rank].add(r.census.ebits)
     assert passed == {1: {1}, 2: {1}}
+
+
+def test_every_pass_sends_the_bits_its_spec_needs():
+    """Census tripwire, signalling half: every golden case, intact and
+    under every mutation, and every program file of ``program_files``,
+    against each of its specs and without each of its cpauli lines, that
+    passes against a spec that signals sends at least one bit each way.
+    The passes include specs that do not signal (gate I), and those that
+    do send one bit each way, or two for the teleported-data CNOT."""
+    passed = {False: set(), True: set()}
+    runs = [
+        ((name, m), report(spec, m, seed), build_specification(spec).matrix)
+        for name, spec, mutation, seed in cases()
+        for m in ((mutation,) if mutation else (None, *MUTATIONS))
+    ]
+    runs += [(label, verify_program(p, u), u.matrix) for label, p, u in variants()]
+    for label, r, u in runs:
+        if r.passed:
+            c = r.census
+            signals = controlled_signals(u)
+            assert not signals or min(c.bits_alice_to_bob, c.bits_bob_to_alice) >= 1, label
+            passed[signals].add((c.bits_alice_to_bob, c.bits_bob_to_alice))
+    assert passed == {False: {(1, 1)}, True: {(1, 1), (2, 2)}}
