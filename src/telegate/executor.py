@@ -66,32 +66,36 @@ never enters it.  The qubit cap is checked on every call, since
 ``TELEGATE_MAX_QUBITS`` may change between calls.
 
 A cache entry also keeps the coefficients C_tb of the last pass run for
-its shape, with the gate objects that pass read (every gate but the
-slot's).  A call reuses them only when each of its own non-slot gates
-*is* the object the entry holds: no matrix is hashed or compared, and
-the held reference keeps an object's id from being reused.  The builder
-shares its non-slot gates between every program of one k, so a sweep
-over gates of one k runs the pass once per shape, and a warm call runs
-no pass at all.  Coefficients are kept only when they and their
-:func:`_pairs` hold at most :data:`BLOCK_CACHE_ENTRIES` complex entries
-(64 KiB), so the cache holds at most ``LAYOUT_CACHE_SIZE`` × 64 KiB =
-4 MiB of arrays.  Cached arrays are read-only (the coefficients a call
-returns are read-only exactly when they are cached ones), and an entry
-is replaced, never changed, under a lock, so a thread reading an entry
+its shape and their :func:`_pairs`, the inner products
+<C_tb e_j, C_tc e_j> of their columns, with the gate objects that pass
+read (every gate but the slot's).  A call reuses them only when each of
+its own non-slot gates *is* the object the entry holds: no matrix is
+hashed or compared, and the held reference keeps an object's id from
+being reused.  The builder shares its non-slot gates between every
+program of one k, so a sweep over gates of one k runs the pass once per
+shape, and a warm call runs no pass at all.  Coefficients are kept only
+when they and their pairs hold at most :data:`BLOCK_CACHE_ENTRIES`
+complex entries (64 KiB), so the cache holds at most
+``LAYOUT_CACHE_SIZE`` × 64 KiB = 4 MiB of arrays.  It is the package's
+one cache of arrays derived from the coefficients: the verifier reads
+the pairs from the form a call returns and keeps nothing of its own.
+Cached arrays are read-only (the coefficients and pairs a call returns
+are read-only exactly when they are cached ones), and an entry is
+replaced, never changed, under a lock, so a thread reading an entry
 that another evicts or refills keeps a consistent one.  A one-shot CLI
 call runs one program per process, so its layout is always new and it
 gains nothing from the cache.
 
 The operators are checked on the factored form: coefficients are
 finite when a pass computes them, and on every call transcripts with
-``|K_t|_F^2 < 1e-14`` are dropped as dust and the rest must sum to 1
-within the bound of :func:`_checked`, with
-|K_t|_F^2 = sum_bc <C_tb, C_tc> <M_b, M_c>; the <C_tb, C_tc> do not
-depend on V and are cached with the coefficients.  The Choi matrix
-J = sum_t vec(K_t) vec(K_t)† / d of :func:`channel_choi` needs no check
-of its own: as a Gram matrix it is Hermitian and positive semidefinite,
-and its trace is that checked sum (Watrous, *The Theory of Quantum
-Information*, ch. 2).
+``|K_t|_F^2 < 1e-14`` are dropped as dust, with their rows of
+coefficients and pairs, and the rest must sum to 1 within the bound of
+:func:`_checked`, with |K_t|_F^2 = sum_bc <C_tb, C_tc> <M_b, M_c>; the
+<C_tb, C_tc>, the pairs summed over the columns, do not depend on V.
+The Choi matrix J = sum_t vec(K_t) vec(K_t)† / d of :func:`channel_choi`
+needs no check of its own: as a Gram matrix it is Hermitian and positive
+semidefinite, and its trace is that checked sum (Watrous, *The Theory of
+Quantum Information*, ch. 2).
 
 Choi matrices here are normalized to trace 1.  No sampling is involved:
 the branch ensemble is complete, so tests tolerate only floating-point
@@ -147,9 +151,10 @@ _LAYOUTS_LOCK = threading.Lock()
 Transcript = tuple[tuple[WireRef, int], ...]
 
 # A channel's Kraus operators K_t = sum_b coeffs[t, b] ⊗ basis[b], for
-# ``transcripts`` sorted by bits: coeffs is (T, B, r, r) and basis
-# (B, m, m), with r * m = d.
-KrausForm = collections.namedtuple("KrausForm", "transcripts coeffs basis")
+# ``transcripts`` sorted by bits: coeffs is (T, B, r, r), pairs the
+# (T, r, B, B) inner products <C_tb e_j, C_tc e_j> of their columns (see
+# _pairs) and basis (B, m, m), with r * m = d.
+KrausForm = collections.namedtuple("KrausForm", "transcripts coeffs pairs basis")
 
 
 class ExecutionError(RuntimeError):
@@ -167,7 +172,8 @@ def transcript_key(transcript: Transcript) -> str:
 def kraus_form(p: Program) -> KrausForm:
     """The transcripts of ``p``, sorted by bits, and their Kraus operators
     in factored form: over {I, V} if ``p`` has a slot with gate V, else
-    over {1} (see the module docstring).
+    over {1}, with the :func:`_pairs` of the coefficients (see the module
+    docstring).
 
     The program must pass :func:`validate_locality`, and its externals
     plus every qubit it allocates must fit :func:`qsim.max_qubits`.
@@ -204,12 +210,12 @@ def kraus_form(p: Program) -> KrausForm:
         v = instructions[layout.slot].gate.matrix
         basis = np.empty((2,) + v.shape, dtype=np.complex128)
         basis[0], basis[1] = _identity(len(v)), v
-    transcripts, kept = _checked(layout, coeffs, pairs, basis)
+    checked = _checked(layout, coeffs, pairs, basis)
     if fresh and coeffs.size + pairs.size <= BLOCK_CACHE_ENTRIES:
         qsim._freeze(coeffs)  # read-only exactly when cached (see the module docstring)
         qsim._freeze(pairs)
         _store(key, layout._replace(gates=gates, coeffs=coeffs, pairs=pairs))
-    return KrausForm(transcripts, kept, basis)
+    return KrausForm(*checked, basis)
 
 
 def kraus_stack(p: Program) -> tuple[list[Transcript], np.ndarray]:
@@ -425,24 +431,28 @@ def _select(psi: np.ndarray, perm: tuple[int, ...]) -> None:
 
 
 def _pairs(coeffs: np.ndarray) -> np.ndarray:
-    """The (T, B, B) inner products <C_tb, C_tc> of the coefficients of
-    each transcript, which must be finite."""
-    t, b = coeffs.shape[:2]
-    flat = np.ascontiguousarray(coeffs).reshape(t, b, -1)
-    if not np.isfinite(flat.view(np.float64)).all():
+    """The (T, r, B, B) inner products <C_tb e_j, C_tc e_j> of the
+    columns of the coefficients of each transcript, which must be finite.
+    Summed over the columns j they are the <C_tb, C_tc>."""
+    if not np.isfinite(np.ascontiguousarray(coeffs).view(np.float64)).all():
         raise ExecutionError("Kraus operators must be finite")
-    return flat.conj() @ flat.transpose(0, 2, 1)
+    # An einsum, not a batched product of the columns: on the slot-free
+    # (4, 1, 512, 512) stack of k = 8 that takes ~19 ms against the
+    # einsum's ~6.4 (2 vCPUs, numpy 2.4).
+    return np.einsum("tbij,tcij->tjbc", coeffs.conj(), coeffs)
 
 
 def _checked(
     layout: _Layout, coeffs: np.ndarray, pairs: np.ndarray, basis: np.ndarray
-) -> tuple[list[Transcript], np.ndarray]:
+) -> tuple[list[Transcript], np.ndarray, np.ndarray]:
     """Drop the dust rows of the coefficients ``coeffs`` over ``basis``
-    (one row per transcript of ``layout``; ``pairs`` are their
-    :func:`_pairs`, which checked them finite) and check the rest: total
-    mass sum_t |K_t|_F^2 equal to d within ``layout.trace_atol``, the
-    bound that the gates' own check admits, with
-    |K_t|_F^2 = sum_bc <C_tb, C_tc> <M_b, M_c>.
+    and of their per-column :func:`_pairs` ``pairs`` (one row per
+    transcript of ``layout``; ``_pairs`` checked them finite), check the
+    rest, and return the kept transcripts, coefficients and pairs.  The
+    check: total mass sum_t |K_t|_F^2 equal to d within
+    ``layout.trace_atol``, the bound that the gates' own check admits,
+    with |K_t|_F^2 = sum_bc <C_tb, C_tc> <M_b, M_c> and <C_tb, C_tc> the
+    sum of the pairs over the columns.
 
     A gate on m qubits is built with G†G = I + E, |E_ij| <= 1e-10
     (``qsim._UNITARY_ATOL``), so |E|_op <= 2^m * 1e-10 =: eps; m counts
@@ -453,15 +463,15 @@ def _checked(
     expm1(sum eps_i) of 1.  1e-12 on top covers rounding.
     """
     b = len(basis)
-    masses = (pairs.reshape(-1, b * b) @ _metric(basis).reshape(b * b)).real.tolist()
+    masses = (pairs.sum(axis=1).reshape(-1, b * b) @ _metric(basis).reshape(b * b)).real.tolist()
     keep = [mass >= BRANCH_PRUNE for mass in masses]
     d = coeffs.shape[-1] * basis.shape[-1]
     total = sum(itertools.compress(masses, keep)) / d
     if abs(total - 1.0) > layout.trace_atol:
         raise ExecutionError(f"channel is not trace preserving: sum |K_t|^2 / d = {total!r}")
     if all(keep):
-        return list(layout.transcripts), coeffs
-    return list(itertools.compress(layout.transcripts, keep)), coeffs[keep]
+        return list(layout.transcripts), coeffs, pairs
+    return list(itertools.compress(layout.transcripts, keep)), coeffs[keep], pairs[keep]
 
 
 def _metric(basis: np.ndarray) -> np.ndarray:

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import json
 import json.encoder
-import threading
 
 import numpy as np
 
@@ -59,7 +58,6 @@ from ._record import Record
 from .builder import NonlocalCUSpec, build_program, build_specification
 from .executor import (
     BLOCK_CACHE_ENTRIES,
-    LAYOUT_CACHE_SIZE,
     TRIVIAL_BASIS,
     KrausForm,
     choi_residual,
@@ -189,16 +187,6 @@ _CONTROL_HALVES = qsim._freeze(
     np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], dtype=np.complex128)
 )
 
-# For each coefficient array that kraus_form keeps in its cache (those
-# are read-only), what _evidence derives from it alone: the rows over
-# {I, V} and their column pairs.  Keyed by the array's identity; an
-# entry holds the array, so its id is not reused while the entry lives.
-# At most LAYOUT_CACHE_SIZE entries of at most BLOCK_CACHE_ENTRIES
-# complex entries each, oldest out first.
-_ROWS: dict[int, tuple] = {}
-_ROWS_LOCK = threading.Lock()
-
-
 def _splits(form: KrausForm, s: np.ndarray) -> bool:
     """Whether the spec ``s`` is exactly controlled(V) over the channel
     ``form``'s own basis {I, V}: the program has a slot with gate V and
@@ -246,13 +234,16 @@ def _evidence(
 
     The factored route works over the channel's own basis {I, V}, V the
     slot's gate, where S = controlled(V) has the coefficients (P0, P1)
-    and K_t = X_t ⊗ I + Y_t ⊗ V has (X_t, Y_t); it reads no block of S.
-    The basis terms, j = r * m + q, come from the column pairs of the
-    coefficients (column r, :func:`_column_pairs`), kept with the rows
-    for the coefficient arrays that :func:`kraus_form` caches, and from
-    the column Grams of the basis (column q), whose sum is the basis's
-    metric.  A probe psi splits into r parts psi_i on the basis's wires,
-    the basis is applied to each, and its images
+    and K_t = X_t ⊗ I + Y_t ⊗ V has (X_t, Y_t); it reads no block of S
+    and keeps nothing between calls.  On a basis input e = e_i ⊗ e_q
+    (j = i * m + q), with G_q[b, c] = <M_b e_q, M_c e_q> the column
+    Grams of the basis (their sum is its metric),
+    |K_t e|^2 = sum_bc <C_tb e_i, C_tc e_i> G_q[b, c] comes from the
+    form's column pairs (``form.pairs``), and, since S e = e_i ⊗ M_i e_q,
+    <S e, Z_u e> = sum_c Z_uc[i, i] G_q[i, c] from the diagonals of the
+    coefficients, in one batched product whose row u = 0 is
+    |S e|^2.  A probe psi splits into r parts psi_i on the basis's
+    wires, the basis is applied to each, and its images
     sum_bi Z_ub[:, i] ⊗ M_b psi_i are assembled from those.
     """
     s = u_spec.matrix
@@ -267,41 +258,27 @@ def _evidence(
         onto = terms[1, :, :d].sum(axis=1)
         return terms, choi_residual(images[:, None, :, :d], TRIVIAL_BASIS, None, onto)
     coeffs, basis = form.coeffs, form.basis
-    entry = _ROWS.get(id(coeffs))
-    if entry is not None and entry[0] is coeffs:
-        _, z, pairs = entry
-    else:
-        z = np.empty((1 + len(coeffs), 2, 2, 2), dtype=np.complex128)
-        z[0] = _CONTROL_HALVES
-        z[1:] = coeffs
-        pairs = _column_pairs(z)
-        if not coeffs.flags.writeable and z.size + pairs.size <= BLOCK_CACHE_ENTRIES:
-            with _ROWS_LOCK:
-                if len(_ROWS) >= LAYOUT_CACHE_SIZE:
-                    del _ROWS[next(iter(_ROWS))]  # the oldest
-                _ROWS[id(coeffs)] = (coeffs, qsim._freeze(z), qsim._freeze(pairs))
+    z = np.empty((1 + len(coeffs), 2, 2, 2), dtype=np.complex128)
+    z[0] = _CONTROL_HALVES
+    z[1:] = coeffs
     columns = basis.transpose(2, 1, 0)  # [q, x, b] = M_b[x, q]
     grams = columns.conj().transpose(0, 2, 1) @ columns  # [q, b, c] = <M_b e_q, M_c e_q>
-    _, r, u, bb = pairs.shape
+    u, _, r, _ = z.shape
     m = len(grams)
-    terms = pairs.reshape(-1, bb) @ grams.reshape(m, bb).T  # [(2, r, u), q]
-    terms = terms.reshape(2, r, u, m).transpose(0, 2, 1, 3).reshape(2, u, r * m)
+    terms = np.empty((2, u, r, m), dtype=np.complex128)  # [., u, i, q]: on e_i ⊗ e_q
+    # <S e, Z_u e> = sum_c Z_uc[i, i] <M_i e_q, M_c e_q>; row u = 0 is |S e|^2
+    np.matmul(z.diagonal(axis1=2, axis2=3).transpose(2, 0, 1), grams.transpose(1, 2, 0),
+              out=terms[1].transpose(1, 0, 2))
+    terms[0, 0] = terms[1, 0]
+    # |K_t e|^2 = sum_bc <C_tb e_i, C_tc e_i> <M_b e_q, M_c e_q>
+    np.matmul(form.pairs.reshape(-1, 4), grams.reshape(m, 4).T, out=terms[0, 1:].reshape(-1, m))
+    terms = terms.reshape(2, u, r * m)
     if k:
         applied = (basis[:, None] @ probes.reshape(1, r, m, k)).reshape(2 * r, m * k)
         images = (z.transpose(0, 2, 1, 3).reshape(u * r, 2 * r) @ applied).reshape(u, r * m, k)
         terms = np.concatenate((terms, _image_terms(images)), axis=2)
     onto = terms[1, :, :d].sum(axis=1)
     return terms, choi_residual(z, basis, grams.sum(axis=0), onto)
-
-
-def _column_pairs(z: np.ndarray) -> np.ndarray:
-    """The (2, r, 1 + T, B^2) inner products of the columns of the
-    coefficients Z_u: [0, r, u] holds <Z_ub e_r, Z_uc e_r> and [1, r, u]
-    holds <Z_0b e_r, Z_uc e_r>, for every b, c."""
-    u, b, r, _ = z.shape
-    left = z.conj()
-    pairs = np.stack((np.einsum("ubir,ucir->rubc", left, z), np.einsum("bir,ucir->rubc", left[0], z)))
-    return pairs.reshape(2, r, u, b * b)
 
 
 def _image_terms(images: np.ndarray) -> np.ndarray:

@@ -127,6 +127,55 @@ def test_a_non_slot_gate_is_part_of_the_cached_coefficients():
     assert want[id(h)].tobytes() != want[id(s)].tobytes()
 
 
+def assert_pairs_are_column_grams(program):
+    """The pairs of ``program``'s form are the Gram matrices of the columns
+    of its coefficients, one row per kept transcript, computed here one
+    transcript and one column at a time: on the pass that computes them
+    and on the call after it, which reads them from the cache if it
+    keeps them."""
+    for _ in range(2):
+        form = kraus_form(program)
+        t, b, r, _ = form.coeffs.shape
+        assert form.pairs.shape == (t, r, b, b) and t == len(form.transcripts)
+        for i in range(t):
+            for j in range(r):
+                columns = form.coeffs[i, :, :, j]  # column j of every C_ib
+                assert np.abs(form.pairs[i, j] - columns.conj() @ columns.T).max() <= 1e-15
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_pairs_are_the_column_grams_of_the_coefficients(k):
+    """Built programs, intact and under every mutation."""
+    executor._LAYOUTS.clear()
+    for _, program, _ in programs(k, 700 + k):
+        assert_pairs_are_column_grams(program)
+
+
+def test_pairs_of_random_programs_are_the_column_grams():
+    """Random valid file programs, with and without a slot, whose
+    coefficients need not be symmetric or real."""
+    rng = np.random.default_rng(8)
+    executor._LAYOUTS.clear()
+    for _ in range(100):
+        assert_pairs_are_column_grams(parse_program(random_program_text(rng)))
+
+
+@pytest.mark.parametrize("text", [
+    "ext A q0\nalloc A q1 = 0\nmeasz A q1 -> c1\n",
+    "ext A q0\next B q1\nalloc B q2 = 0\ncgate B q2 -> q1 : X\n"
+    "alloc A q3 = 0\nmeasz A q3 -> c3\nmeasz B q2 -> c2\n",
+])
+def test_pairs_drop_with_their_dust_transcript(text):
+    """A fresh |0> measured can only read 0: the transcripts that read 1
+    are dust, and the form keeps one row of pairs per kept transcript, on
+    the trivial basis and on a slot's {I, X}, fresh and cached."""
+    program = parse_program(text)
+    executor._LAYOUTS.clear()
+    assert_pairs_are_column_grams(program)
+    assert len(executor._layout(program).transcripts) > len(kraus_form(program).pairs) == 1
+    assert executor._LAYOUTS[executor._shape(program)].coeffs is not None
+
+
 def test_cached_coefficients_are_read_only_and_bounded():
     """The cache keeps coefficients and their pairs only up to
     BLOCK_CACHE_ENTRIES complex entries in all, so it holds at most
@@ -145,35 +194,6 @@ def test_cached_coefficients_are_read_only_and_bounded():
         if kept:
             assert layout.coeffs.size + layout.pairs.size <= executor.BLOCK_CACHE_ENTRIES
             assert not (layout.coeffs.flags.writeable or layout.pairs.flags.writeable)
-
-
-def test_spec_rows_are_kept_with_cached_coefficients_only(monkeypatch):
-    """The verifier keeps the rows it derives from coefficients alone for
-    the arrays the executor caches, keyed by the array's identity, and
-    for no other: here a program with 1024 transcripts, whose
-    coefficients are too large to cache, verified against controlled-X,
-    its own slot's controlled(V).  At k=2 the route rule picks the dense
-    stack, so the factored route is forced."""
-    monkeypatch.setattr(verifier, "_factored", verifier._splits)
-    executor._LAYOUTS.clear()
-    verifier._ROWS.clear()
-    (_, program, spec), *_ = programs(2, 500)
-    for _ in range(2):
-        verify_program(program, spec)
-    ((key, entry),) = verifier._ROWS.items()
-    assert entry[0] is executor._LAYOUTS[executor._shape(program)].coeffs
-    assert key == id(entry[0])
-    measured = range(2, 11)
-    text = "ext A q0\next B q1\n" + "".join(
-        f"alloc A q{i} = 0\ngate A q{i} : H\nmeasz A q{i} -> c{i}\n" for i in measured
-    ) + "alloc B q11 = 0\ngate B q11 : H\ncgate B q11 -> q1 : X\nmeasz B q11 -> c11\n"
-    wide = parse_program(text)
-    assert len(executor._layout(wide).transcripts) == 1024
-    cx = qsim.controlled(qsim.X)
-    assert verifier._factored(kraus_form(wide), cx.matrix)
-    report = verify_program(wide, cx)
-    assert len(report.branches) == 1024 and executor._LAYOUTS[executor._shape(wide)].coeffs is None
-    assert list(verifier._ROWS) == [key]
 
 
 def on_route(patch, route):
@@ -198,6 +218,31 @@ def assert_same_report(got, want, atol=1e-14):
         assert abs(g.max_infidelity - w.max_infidelity) <= atol
 
 
+def test_the_factored_route_reads_uncached_coefficients(monkeypatch):
+    """The factored route reads only the form that kraus_form returns,
+    whether its coefficients are cached or not: here a program with 1024
+    transcripts, whose coefficients are too large to cache, verified
+    against controlled-X, its own slot's controlled(V), gives the dense
+    route's report.  At k=2 the route rule picks the dense stack, so the
+    factored route is forced."""
+    measured = range(2, 11)
+    text = "ext A q0\next B q1\n" + "".join(
+        f"alloc A q{i} = 0\ngate A q{i} : H\nmeasz A q{i} -> c{i}\n" for i in measured
+    ) + "alloc B q11 = 0\ngate B q11 : H\ncgate B q11 -> q1 : X\nmeasz B q11 -> c11\n"
+    wide = parse_program(text)
+    assert len(executor._layout(wide).transcripts) == 1024
+    cx = qsim.controlled(qsim.X)
+    executor._LAYOUTS.clear()
+    with monkeypatch.context() as patch:
+        on_route(patch, "factored")
+        assert verifier._factored(kraus_form(wide), cx.matrix)
+    factored = report_by_route(monkeypatch, "factored", wide, cx)
+    dense = report_by_route(monkeypatch, "dense", wide, cx)
+    assert len(factored.branches) == 1024
+    assert_same_report(factored, dense)
+    assert executor._LAYOUTS[executor._shape(wide)].coeffs is None
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_routes_agree_on_built_programs(monkeypatch, k):
     """Both routes give one report within 1e-14, intact and under every
@@ -215,6 +260,28 @@ def test_routes_agree_on_built_programs(monkeypatch, k):
         factored = report_by_route(monkeypatch, "factored", program, spec, probes=probes, seed=k)
         assert_same_report(factored, dense)
         assert (dense.verdict == "pass") == (mutation is None), mutation
+
+
+def test_routes_agree_where_the_pairs_are_complex(monkeypatch):
+    """The slot's control picks up a phase after the slot (S, then H) and
+    is measured, so X_t = x_t I and Y_t = y_t I with conj(x_t) y_t
+    imaginary, and V = T has a complex diagonal: the factored route's
+    norms read the off-diagonal pairs.  The program fails against
+    controlled(T), with the same report on both routes."""
+    program = parse_program(
+        "ext A q0\next B q1\nalloc B q2 = 0\ngate B q2 : H\ncgate B q2 -> q1 : T\n"
+        "gate B q2 : S\ngate B q2 : H\nmeasz B q2 -> c2\n"
+    )
+    spec = qsim.controlled(qsim.T)
+    with monkeypatch.context() as patch:
+        on_route(patch, "factored")
+        form = kraus_form(program)
+        assert verifier._factored(form, spec.matrix)
+    assert np.abs(form.pairs[:, :, 0, 1].imag).min() > 0.1
+    dense = report_by_route(monkeypatch, "dense", program, spec, probes=9, seed=2)
+    factored = report_by_route(monkeypatch, "factored", program, spec, probes=9, seed=2)
+    assert_same_report(factored, dense)
+    assert dense.verdict == "fail"
 
 
 def test_routes_agree_on_the_mirrored_cnot(monkeypatch):
@@ -361,12 +428,12 @@ def test_a_dependent_basis_leaves_no_floor(monkeypatch, eps):
 
 
 def test_threads_share_the_cache(monkeypatch):
-    """Four threads verify k = 1..3, intact and mutated, five times over,
+    """Four threads verify k = 1..4, intact and mutated, five times over,
     with the cache cut to two shapes so that entries are evicted while
-    other threads read them: every report is the serial run's, byte for
-    byte."""
+    other threads read them, on the dense route and, at k = 4, on the
+    factored one: every report is the serial run's, byte for byte."""
     monkeypatch.setattr(executor, "LAYOUT_CACHE_SIZE", 2)
-    cases = [(p, u) for k in (1, 2, 3) for _, p, u in programs(k, 400 + k)]
+    cases = [(p, u) for k in (1, 2, 3, 4) for _, p, u in programs(k, 400 + k)]
     executor._LAYOUTS.clear()
     want = [verify_program(p, u).to_json() for p, u in cases]
     errors, results = [], []
