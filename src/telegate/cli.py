@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gatelang
+from . import gatelang, qsim
 from .builder import MUTATIONS, NonlocalCUSpec, apply_mutation, build_program, build_specification
 from .executor import ExecutionError, channel_choi, check_register, dense, kraus_form, transcript_key
 from .executor import _check_locality
@@ -299,6 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        qsim.max_qubits()  # an invalid TELEGATE_MAX_QUBITS is an input error of every command
         status = args.func(args)
         if sys.stdout is not None:  # None when started with stdout closed
             sys.stdout.flush()  # here, not at exit, where a closed pipe cannot be caught

@@ -153,8 +153,10 @@ Transcript = tuple[tuple[WireRef, int], ...]
 # A channel's Kraus operators K_t = sum_b coeffs[t, b] ⊗ basis[b], for
 # ``transcripts`` sorted by bits: coeffs is (T, B, r, r), pairs the
 # (T, r, B, B) inner products <C_tb e_j, C_tc e_j> of their columns (see
-# _pairs) and basis (B, m, m), with r * m = d.
-KrausForm = collections.namedtuple("KrausForm", "transcripts coeffs pairs basis")
+# _pairs) and basis (B, m, m), with r * m = d; v is the slot gate's own
+# matrix object (the gate's ``matrix``, not a copy), or None without a
+# slot.
+KrausForm = collections.namedtuple("KrausForm", "transcripts coeffs pairs basis v")
 
 
 class ExecutionError(RuntimeError):
@@ -205,17 +207,17 @@ def kraus_form(p: Program) -> KrausForm:
         coeffs = _coefficients(layout, instructions, p.n_external)
         pairs = _pairs(coeffs)
     if layout.slot is None:
-        basis = TRIVIAL_BASIS
+        basis, v = TRIVIAL_BASIS, None
     else:
         v = instructions[layout.slot].gate.matrix
         basis = np.empty((2,) + v.shape, dtype=np.complex128)
         basis[0], basis[1] = _identity(len(v)), v
     checked = _checked(layout, coeffs, pairs, basis)
-    if fresh and coeffs.size + pairs.size <= BLOCK_CACHE_ENTRIES:
+    if fresh and coeffs.size <= BLOCK_CACHE_ENTRIES:
         qsim._freeze(coeffs)  # read-only exactly when cached (see the module docstring)
         qsim._freeze(pairs)
         _store(key, layout._replace(gates=gates, coeffs=coeffs, pairs=pairs))
-    return KrausForm(*checked, basis)
+    return KrausForm(*checked, basis, v)
 
 
 def kraus_stack(p: Program) -> tuple[list[Transcript], np.ndarray]:

@@ -8,9 +8,9 @@ Conventions fixed here and used by the whole package:
 * Gate matrices: ``H = [[1,1],[1,-1]]/sqrt(2)``, ``S = diag(1, i)``,
   ``T = diag(1, exp(i*pi/4))``, ``rz(t) = diag(exp(-it/2), exp(+it/2))``.
 
-The register cap (:func:`max_qubits`) is enforced in one place,
-:func:`check_qubits`; states are evolved and measured only by
-:mod:`telegate.executor`.
+The register cap (:func:`max_qubits`) is read from the environment
+once per process and enforced in one place, :func:`check_qubits`;
+states are evolved and measured only by :mod:`telegate.executor`.
 
 All values are immutable after construction; every operation returns a
 new value, so everything here is safe to share between threads.
@@ -19,12 +19,13 @@ Entries are complex128 throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
 import numpy as np
 
-from ._record import Record
+from ._record import Record, set_field
 
 Array = np.ndarray
 
@@ -33,8 +34,13 @@ _UNITARY_ATOL = 1e-10
 BRANCH_PRUNE = 1e-14  # branches below this probability are dropped as dust
 
 
+@functools.lru_cache(maxsize=None)
 def max_qubits() -> int:
-    """Register size cap, overridable via the TELEGATE_MAX_QUBITS env var."""
+    """Register size cap, overridable via the TELEGATE_MAX_QUBITS env var.
+
+    Read once per process: a valid value is kept, and
+    ``max_qubits.cache_clear()`` makes the next call read the variable
+    again.  An invalid value is never kept, so every call raises."""
     raw = os.environ.get("TELEGATE_MAX_QUBITS")
     if raw is None:
         return _DEFAULT_MAX_QUBITS
@@ -67,9 +73,17 @@ class UnitaryMatrix(Record):
     1e-10 entrywise, non-finite entries, and dimensions beyond the
     register cap.  Equality compares the entries exactly; unitaries are
     unhashable.
+
+    A unitary that :func:`controlled` builds also records the read-only
+    matrix of the gate it controls in the private slot ``_controls``,
+    which is None for every other unitary: the verifier's route rule
+    reads it.  It is not a field: equality and ``repr`` ignore it, and a
+    copy or pickle is rebuilt through the constructor, which records
+    None.
     """
 
-    __slots__ = _fields = ("matrix",)
+    __slots__ = ("matrix", "_controls")
+    _fields = ("matrix",)
 
     def __init__(self, matrix: Array):
         m = np.asarray(matrix, dtype=np.complex128).copy()
@@ -85,6 +99,7 @@ class UnitaryMatrix(Record):
         if defect > _UNITARY_ATOL:
             raise ValueError(f"matrix is not unitary: max |U†U - I| = {defect:.3e}")
         Record.__init__(self, _freeze(m))
+        set_field(self, "_controls", None)
 
     @property
     def dim(self) -> int:
@@ -106,14 +121,26 @@ class UnitaryMatrix(Record):
         return f"UnitaryMatrix(dim={self.dim})"
 
 
-# Fixed single-qubit gates.
-I2 = UnitaryMatrix(np.eye(2))
-X = UnitaryMatrix(np.array([[0, 1], [1, 0]]))
-Y = UnitaryMatrix(np.array([[0, -1j], [1j, 0]]))
-Z = UnitaryMatrix(np.array([[1, 0], [0, -1]]))
-H = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
-S = UnitaryMatrix(np.diag([1, 1j]))
-T = UnitaryMatrix(np.diag([1, np.exp(1j * math.pi / 4)]))
+def _unchecked(m: Array, controls: Array | None = None) -> UnitaryMatrix:
+    """The unitary of the complex128 array ``m``, which is frozen in place,
+    built without the constructor's checks (its shape, the cap, its
+    unitarity) or its copy: for matrices unitary by construction, which
+    the caller hands over.  ``controls`` is its ``_controls``."""
+    gate = object.__new__(UnitaryMatrix)
+    Record.__init__(gate, _freeze(m))
+    set_field(gate, "_controls", controls)
+    return gate
+
+
+# Fixed single-qubit gates, exact by construction: built without reading
+# the cap, so that an invalid TELEGATE_MAX_QUBITS cannot break the import.
+I2 = _unchecked(np.eye(2, dtype=np.complex128))
+X = _unchecked(np.array([[0, 1], [1, 0]], dtype=np.complex128))
+Y = _unchecked(np.array([[0, -1j], [1j, 0]]))
+Z = _unchecked(np.array([[1, 0], [0, -1]], dtype=np.complex128))
+H = _unchecked((np.array([[1, 1], [1, -1]]) / math.sqrt(2)).astype(np.complex128))
+S = _unchecked(np.diag([1, 1j]))
+T = _unchecked(np.diag([1, np.exp(1j * math.pi / 4)]))
 
 
 def identity(dim: int) -> UnitaryMatrix:
@@ -150,16 +177,15 @@ def controlled(u: UnitaryMatrix) -> UnitaryMatrix:
     The control is the first (most significant) tensor factor of the result.
     The result is not checked again: diag(I, U)†diag(I, U) - I is
     diag(0, U†U - I), so its unitarity defect is exactly that of ``u``,
-    which passed the check when it was built.
+    which passed the check when it was built.  The result records
+    ``u.matrix`` as its ``_controls`` (see :class:`UnitaryMatrix`).
     """
     check_qubits(u.n_qubits + 1, "controlled gate")
     d = u.dim
     block = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     block.reshape(-1)[: 2 * d * d : 2 * d + 1] = 1  # the diagonal of the I block
     block[d:, d:] = u.matrix
-    gate = object.__new__(UnitaryMatrix)
-    object.__setattr__(gate, "matrix", _freeze(block))
-    return gate
+    return _unchecked(block, u.matrix)
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator | int | None = None) -> UnitaryMatrix:

@@ -187,21 +187,31 @@ _CONTROL_HALVES = qsim._freeze(
     np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], dtype=np.complex128)
 )
 
-def _splits(form: KrausForm, s: np.ndarray) -> bool:
-    """Whether the spec ``s`` is exactly controlled(V) over the channel
+def _splits(form: KrausForm, spec: UnitaryMatrix) -> bool:
+    """Whether the spec ``spec`` is exactly controlled(V) over the channel
     ``form``'s own basis {I, V}: the program has a slot with gate V and
-    one more external wire, and s = P0 ⊗ I + P1 ⊗ V entry for entry (its
-    off-diagonal blocks zero, its diagonal blocks the basis)."""
+    one more external wire (r = 2), and S = P0 ⊗ I + P1 ⊗ V entry for
+    entry (its off-diagonal blocks zero, its diagonal blocks the basis).
+
+    A spec that :func:`qsim.controlled` built from the slot's own gate
+    records that gate's matrix (``spec._controls is form.v``) and is
+    controlled(V) by construction, so it is taken without reading S: a
+    built program's spec from ``build_specification`` is one.  Any other
+    spec, an equal copy included, is compared entry for entry, which
+    gives the same answer."""
     basis = form.basis
-    m = basis.shape[-1]
+    if len(basis) != 2 or form.coeffs.shape[-1] != 2:
+        return False
+    if spec._controls is form.v:
+        return True
+    s, m = spec.matrix, basis.shape[-1]
     return (
-        len(basis) == 2 and form.coeffs.shape[-1] == 2
-        and not (s[:m, m:].any() or s[m:, :m].any())
+        not (s[:m, m:].any() or s[m:, :m].any())
         and (s[:m, :m] == basis[0]).all() and (s[m:, m:] == basis[1]).all()
     )
 
 
-def _factored(form: KrausForm, s: np.ndarray) -> bool:
+def _factored(form: KrausForm, spec: UnitaryMatrix) -> bool:
     """The route rule, which :func:`verify_program` and ``telegate trace``
     (through :func:`basis_evidence`) both read: the factored basis when
     the spec is the slot's controlled(V) (:func:`_splits`) and the dense
@@ -210,7 +220,7 @@ def _factored(form: KrausForm, s: np.ndarray) -> bool:
     transcripts, d = 2^(k+1)) that is k >= 4 (5120 entries; 1280 at
     k = 3), where the factored basis is the faster (see the module
     docstring)."""
-    return (1 + len(form.coeffs)) * s.size > BLOCK_CACHE_ENTRIES and _splits(form, s)
+    return (1 + len(form.coeffs)) * spec.matrix.size > BLOCK_CACHE_ENTRIES and _splits(form, spec)
 
 
 def _evidence(
@@ -246,11 +256,10 @@ def _evidence(
     wires, the basis is applied to each, and its images
     sum_bi Z_ub[:, i] ⊗ M_b psi_i are assembled from those.
     """
-    s = u_spec.matrix
     d, k = probes.shape
-    if not _factored(form, s):
+    if not _factored(form, u_spec):
         images = np.empty((1 + len(form.coeffs), d, d + k), dtype=np.complex128)
-        images[0, :, :d] = s
+        images[0, :, :d] = u_spec.matrix
         images[1:, :, :d] = dense(form)
         if k:
             np.matmul(images[:, :, :d], probes, out=images[:, :, d:])

@@ -1,4 +1,7 @@
+import pytest
 from hypothesis import HealthCheck, settings
+
+from telegate import qsim
 
 settings.register_profile(
     "suite",
@@ -8,6 +11,25 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def qubit_cap(monkeypatch):
+    """Set the qubit cap for one test: ``qubit_cap(3)`` sets
+    TELEGATE_MAX_QUBITS, ``qubit_cap(None)`` removes it, and either
+    clears the cap that ``qsim.max_qubits`` keeps, so that its next call
+    reads the new value.  The kept cap is cleared again at teardown,
+    before monkeypatch restores the variable."""
+
+    def set_cap(value):
+        if value is None:
+            monkeypatch.delenv("TELEGATE_MAX_QUBITS", raising=False)
+        else:
+            monkeypatch.setenv("TELEGATE_MAX_QUBITS", str(value))
+        qsim.max_qubits.cache_clear()
+
+    yield set_cap
+    qsim.max_qubits.cache_clear()
 
 
 # One pass/fail line per acceptance criterion at the end of the run.

@@ -158,7 +158,7 @@ def test_resources_output(capsys):
     assert json.loads(capsys.readouterr().out) == {"ebits": 1, "a_to_b": 1, "b_to_a": 1}
 
 
-def test_resources_refuses_an_invalid_program(monkeypatch, capsys):
+def test_resources_refuses_an_invalid_program(qubit_cap, capsys):
     """The census of a program that fails locality validation is not
     printed: a cross-party CNOT is refused, as verify refuses it.  The
     census runs nothing, so a valid program over the qubit cap gets it."""
@@ -166,7 +166,7 @@ def test_resources_refuses_an_invalid_program(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert not captured.out and _one_error_line(captured.err)
     assert "program fails locality validation: " in captured.err
-    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "3")
+    qubit_cap(3)
     assert main(["resources", "--file", str(DEMOS / "nonlocal_cnot.tg")]) == 0
     assert capsys.readouterr().out.strip() == "{ebits: 1, a_to_b: 1, b_to_a: 1}"
 
@@ -286,10 +286,48 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_max_qubits_env_cap(monkeypatch, capsys):
-    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "3")
+def test_max_qubits_env_cap(qubit_cap, capsys):
+    qubit_cap(3)
     assert main(["verify", "--gate", "X"]) == 2  # execution needs 4 live qubits
     assert "cap" in capsys.readouterr().err
+
+
+# One command of each subcommand, each valid at the default cap.
+SUBCOMMANDS = {
+    "verify": ["verify", "--gate", "X"],
+    "trace": ["trace", "--gate", "X", "--input", "10"],
+    "choi": ["choi", "--gate", "X"],
+    "resources": ["resources", "--gate", "X"],
+    "lint": ["lint", str(DEMOS / "nonlocal_cnot.tg")],
+}
+
+
+@pytest.mark.parametrize("value, message", [
+    ("junk", "must be an integer, got 'junk'"),
+    ("0", "must be >= 1, got 0"),
+    ("-1", "must be >= 1, got -1"),
+])
+@pytest.mark.parametrize("command", SUBCOMMANDS.values(), ids=SUBCOMMANDS)
+def test_invalid_cap_is_an_input_error(command, value, message, qubit_cap, capsys):
+    """Every subcommand, lint included, refuses an invalid cap with exit 2
+    and one error line, before it reads its input."""
+    qubit_cap(value)
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: TELEGATE_MAX_QUBITS {message}\n")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS.values(), ids=SUBCOMMANDS)
+def test_invalid_cap_does_not_break_the_import(command):
+    """A fresh interpreter imports the package without reading the cap,
+    so an invalid one gets the same one-line refusal as in process."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TELEGATE_MAX_QUBITS": "junk"}
+    result = subprocess.run(
+        [sys.executable, "-m", "telegate.cli", *command], capture_output=True, env=env, timeout=60
+    )
+    assert (result.returncode, result.stdout.decode(), result.stderr.decode()) == (
+        2, "", "error: TELEGATE_MAX_QUBITS must be an integer, got 'junk'\n"
+    )
 
 
 def _one_error_line(err: str) -> bool:
@@ -355,7 +393,7 @@ def test_huge_probe_count_is_refused_before_allocating(capsys):
     assert "probe matrix needs 40 qubits" in captured.err and "cap" in captured.err
 
 
-def test_cap_counts_every_allocated_qubit(tmp_path, monkeypatch, capsys):
+def test_cap_counts_every_allocated_qubit(tmp_path, qubit_cap, capsys):
     """Measured qubits stay in the register as transcript axes, so one
     external plus 12 allocations needs 13 qubits, although at most two
     are ever unmeasured at once.  ``lint`` reports the same refusal, with
@@ -375,7 +413,7 @@ def test_cap_counts_every_allocated_qubit(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [f"{program}: {refusal}", "1 violation(s)"]
     assert not captured.err
-    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "13")
+    qubit_cap(13)
     assert main(argv) == 0
     assert "verdict: PASS" in capsys.readouterr().out
     assert main(["lint", str(program)]) == 0

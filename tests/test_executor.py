@@ -169,12 +169,12 @@ def test_kraus_operators_of_built_programs_are_complete(k):
                 assert np.abs(op.conj().T @ op - np.eye(d) / 4).max() <= 1e-12
 
 
-def test_kraus_register_cap_counts_live_qubits_only(monkeypatch):
+def test_kraus_register_cap_counts_live_qubits_only(qubit_cap):
     """k=1 keeps 4 qubits alive; the d=4 batch axis does not count."""
     p = build_program(NonlocalCUSpec(qsim.X, 1))
-    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "4")
+    qubit_cap(4)
     assert len(kraus_stack(p)[1]) == 4
-    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "3")
+    qubit_cap(3)
     with pytest.raises(ValueError, match="4 qubits alive.*3-qubit cap"):
         kraus_stack(p)
 
@@ -316,16 +316,16 @@ def test_invalid_program_is_refused_every_time_and_never_cached():
     assert len(set(messages)) == 1
 
 
-def test_lowered_cap_refuses_a_cached_layout(monkeypatch):
+def test_lowered_cap_refuses_a_cached_layout(qubit_cap):
     p = build_program(NonlocalCUSpec(qsim.X, 1))  # 4 qubits alive
-    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "3")
+    qubit_cap(3)
     with pytest.raises(ValueError) as cold:
         cold_kraus_stack(p)
     assert executor._LAYOUTS == {}
-    monkeypatch.delenv("TELEGATE_MAX_QUBITS")
+    qubit_cap(None)
     kraus_stack(p)
     assert len(executor._LAYOUTS) == 1
-    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "3")
+    qubit_cap(3)
     with pytest.raises(ValueError) as warm:
         kraus_stack(p)
     assert str(warm.value) == str(cold.value)
@@ -425,13 +425,13 @@ def test_kraus_choi_distance_is_trace_normalized_for_50_random_unitaries():
         assert kraus_choi_distance([u.matrix], u) < 1e-12
 
 
-def test_dense_choi_cap_counts_the_reference_register(monkeypatch):
+def test_dense_choi_cap_counts_the_reference_register(qubit_cap):
     """The dense Choi matrix of n external wires is refused when the
     program's widest register plus n reference qubits exceeds the cap."""
     p = build_program(NonlocalCUSpec(qsim.X, 1))  # 2 external, 4 alive at most
-    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "6")
+    qubit_cap(6)
     assert len(channel_choi(p)) == 16
-    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "5")
+    qubit_cap(5)
     with pytest.raises(ValueError, match="needs 6 qubits .4 for the program, 2 for the reference.*5-qubit cap"):
         channel_choi(p)
 

@@ -177,14 +177,15 @@ def test_pairs_drop_with_their_dust_transcript(text):
 
 
 def test_cached_coefficients_are_read_only_and_bounded():
-    """The cache keeps coefficients and their pairs only up to
-    BLOCK_CACHE_ENTRIES complex entries in all, so it holds at most
-    LAYOUT_CACHE_SIZE * 64 KiB of arrays: a slot-free k=3 program has
-    4 * 16 * 16 + 4 and keeps them, one at k=4 has 4 * 32 * 32 + 4 and
-    does not; a slotted k=8 program has 4 * 2 * 2 * 2 + 4 * 2 * 2."""
+    """The cache keeps coefficients only up to BLOCK_CACHE_ENTRIES complex
+    entries, with their pairs, which hold B/r times as many (at most
+    twice as many, at B = 2 and r = 1), so it holds at most
+    LAYOUT_CACHE_SIZE * 3 * 64 KiB of arrays: a slot-free k=4 program
+    has 4 * 32 * 32 coefficients and keeps them, one at k=5 has
+    4 * 64 * 64 and does not; a slotted k=8 program has 4 * 2 * 2 * 2."""
     assert executor.BLOCK_CACHE_ENTRIES * 16 == 64 * 1024
     executor._LAYOUTS.clear()
-    for k, kept in ((3, True), (4, False), (8, True)):
+    for k, kept in ((4, True), (5, False), (8, True)):
         program = build_program(NonlocalCUSpec(qsim.identity(1 << k), k))
         if k != 8:
             program = apply_mutation(program, "drop-cgate")
@@ -192,14 +193,54 @@ def test_cached_coefficients_are_read_only_and_bounded():
         layout = executor._LAYOUTS[executor._shape(program)]
         assert (layout.coeffs is not None) == kept, k
         if kept:
-            assert layout.coeffs.size + layout.pairs.size <= executor.BLOCK_CACHE_ENTRIES
+            assert layout.coeffs.size <= executor.BLOCK_CACHE_ENTRIES
+            assert layout.pairs.size <= 2 * layout.coeffs.size
             assert not (layout.coeffs.flags.writeable or layout.pairs.flags.writeable)
+
+
+def wide_program():
+    """A program with one slot and 1024 transcripts, whose (1024, 2, 2, 2)
+    coefficients are too large to cache."""
+    measured = range(2, 11)
+    text = "ext A q0\next B q1\n" + "".join(
+        f"alloc A q{i} = 0\ngate A q{i} : H\nmeasz A q{i} -> c{i}\n" for i in measured
+    ) + "alloc B q11 = 0\ngate B q11 : H\ncgate B q11 -> q1 : X\nmeasz B q11 -> c11\n"
+    return parse_program(text)
+
+
+def test_a_second_call_returns_the_cached_arrays(monkeypatch):
+    """The slot-free k = 4 drop-cgate mutant, with 4096 coefficients and
+    128 pairs, runs its pass once: a second call runs none and returns
+    the cached, read-only arrays themselves.  The 1024-transcript
+    program, with 8192 coefficients, stays uncached and runs its pass on
+    every call."""
+    spec = NonlocalCUSpec(qsim.haar_random_unitary(16, 5), 4)
+    mutant = apply_mutation(build_program(spec), "drop-cgate")
+    wide = wide_program()
+    executor._LAYOUTS.clear()
+    first = kraus_form(mutant)
+    layout = executor._LAYOUTS[executor._shape(mutant)]
+    assert (layout.coeffs.size, layout.pairs.size) == (4096, 128)
+    kraus_form(wide)
+    assert executor._LAYOUTS[executor._shape(wide)].coeffs is None
+    passes = []
+    coefficients = executor._coefficients
+    monkeypatch.setattr(executor, "_coefficients",
+                        lambda *args: passes.append(args[0]) or coefficients(*args))
+    second = kraus_form(mutant)
+    assert passes == []
+    assert second.coeffs is layout.coeffs and second.pairs is layout.pairs
+    assert second.coeffs.tobytes() == first.coeffs.tobytes()
+    assert not (second.coeffs.flags.writeable or second.pairs.flags.writeable)
+    again = kraus_form(wide)
+    assert len(passes) == 1 and again.coeffs.flags.writeable
+    assert executor._LAYOUTS[executor._shape(wide)].coeffs is None
 
 
 def on_route(patch, route):
     """Send verify_program and basis_evidence down one route: the dense
     stack everywhere, or the factored basis wherever the spec splits."""
-    patch.setattr(verifier, "_factored", verifier._splits if route == "factored" else lambda form, s: False)
+    patch.setattr(verifier, "_factored", verifier._splits if route == "factored" else lambda form, spec: False)
 
 
 def report_by_route(monkeypatch, route, p, spec, **kwargs):
@@ -225,17 +266,13 @@ def test_the_factored_route_reads_uncached_coefficients(monkeypatch):
     against controlled-X, its own slot's controlled(V), gives the dense
     route's report.  At k=2 the route rule picks the dense stack, so the
     factored route is forced."""
-    measured = range(2, 11)
-    text = "ext A q0\next B q1\n" + "".join(
-        f"alloc A q{i} = 0\ngate A q{i} : H\nmeasz A q{i} -> c{i}\n" for i in measured
-    ) + "alloc B q11 = 0\ngate B q11 : H\ncgate B q11 -> q1 : X\nmeasz B q11 -> c11\n"
-    wide = parse_program(text)
+    wide = wide_program()
     assert len(executor._layout(wide).transcripts) == 1024
     cx = qsim.controlled(qsim.X)
     executor._LAYOUTS.clear()
     with monkeypatch.context() as patch:
         on_route(patch, "factored")
-        assert verifier._factored(kraus_form(wide), cx.matrix)
+        assert verifier._factored(kraus_form(wide), cx)
     factored = report_by_route(monkeypatch, "factored", wide, cx)
     dense = report_by_route(monkeypatch, "dense", wide, cx)
     assert len(factored.branches) == 1024
@@ -250,16 +287,70 @@ def test_routes_agree_on_built_programs(monkeypatch, k):
     {I, V} exactly for built programs with a slot from k = 4 on."""
     for mutation, program, spec in programs(k, 600 + k):
         form = kraus_form(program)
-        assert verifier._factored(form, spec.matrix) == (k >= 4 and mutation != "drop-cgate")
+        assert verifier._factored(form, spec) == (k >= 4 and mutation != "drop-cgate")
         if mutation != "drop-cgate":
             with monkeypatch.context() as patch:
                 on_route(patch, "factored")
-                assert verifier._factored(form, spec.matrix)
+                assert verifier._factored(form, spec)
         probes = spec.dim + 5
         dense = report_by_route(monkeypatch, "dense", program, spec, probes=probes, seed=k)
         factored = report_by_route(monkeypatch, "factored", program, spec, probes=probes, seed=k)
         assert_same_report(factored, dense)
         assert (dense.verdict == "pass") == (mutation is None), mutation
+
+
+def entrywise_route(form, s):
+    """The route rule of the verifier without provenance, written out
+    here: the factored basis exactly when the program has a slot and
+    one other external (r = 2), the dense stack would hold more than
+    BLOCK_CACHE_ENTRIES entries and s is diag(I, V) entry for entry."""
+    basis = form.basis
+    if len(basis) != 2 or form.coeffs.shape[-1] != 2:
+        return False
+    want = np.zeros_like(s)
+    m = basis.shape[-1]
+    want[:m, :m], want[m:, m:] = basis
+    return (1 + len(form.coeffs)) * s.size > executor.BLOCK_CACHE_ENTRIES and np.array_equal(s, want)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_provenance_gives_the_entrywise_route(k):
+    """A built spec records its gate, and the route rule takes it on that
+    record; the route is the one the entry-for-entry comparison gives,
+    intact and under every mutation.  Specs without the slot gate's
+    record take the comparison and keep their route: an equal copy, the
+    spec of another gate object with the same entries, and the spec with
+    one entry one ulp off, which does not split."""
+    gate = qsim.haar_random_unitary(1 << k, 900 + k)
+    spec = NonlocalCUSpec(gate, k)
+    built, u = build_program(spec), build_specification(spec)
+    moved = u.matrix.copy()
+    moved[-1, -1] = moved[-1, -1].real * (1 + 2**-52) + 1j * moved[-1, -1].imag
+    off = UnitaryMatrix(moved)
+    assert not np.array_equal(off.matrix, u.matrix)
+    for mutation in (None, *MUTATIONS):
+        program = apply_mutation(built, mutation) if mutation else built
+        form = kraus_form(program)
+        assert u._controls is gate.matrix and (form.v is gate.matrix) == (mutation != "drop-cgate")
+        want = entrywise_route(form, u.matrix)
+        assert want == (k >= 4 and mutation != "drop-cgate")
+        assert verifier._factored(form, u) == want, mutation
+        for other in (UnitaryMatrix(u.matrix), qsim.controlled(UnitaryMatrix(gate.matrix))):
+            assert other._controls is not gate.matrix and other == u
+            assert verifier._factored(form, other) == want, mutation
+        assert not verifier._factored(form, off) and not entrywise_route(form, off.matrix)
+
+
+def test_the_route_reads_the_record_before_the_entries():
+    """The record alone decides for a spec that carries the slot gate's
+    matrix: a spec that claims controlled(V) but holds other entries
+    (never made by the package) takes the factored route unread, while
+    the same entries without the record are compared and refused."""
+    spec = NonlocalCUSpec(qsim.haar_random_unitary(16, 4), 4)
+    form = kraus_form(build_program(spec))
+    wrong = qsim.identity(32).matrix.copy()
+    assert verifier._factored(form, qsim._unchecked(wrong, form.v))
+    assert not verifier._factored(form, UnitaryMatrix(wrong))
 
 
 def test_routes_agree_where_the_pairs_are_complex(monkeypatch):
@@ -276,7 +367,7 @@ def test_routes_agree_where_the_pairs_are_complex(monkeypatch):
     with monkeypatch.context() as patch:
         on_route(patch, "factored")
         form = kraus_form(program)
-        assert verifier._factored(form, spec.matrix)
+        assert verifier._factored(form, spec)
     assert np.abs(form.pairs[:, :, 0, 1].imag).min() > 0.1
     dense = report_by_route(monkeypatch, "dense", program, spec, probes=9, seed=2)
     factored = report_by_route(monkeypatch, "factored", program, spec, probes=9, seed=2)
@@ -296,7 +387,7 @@ def test_routes_agree_on_the_mirrored_cnot(monkeypatch):
     for p, u in cases:
         with monkeypatch.context() as patch:
             on_route(patch, "factored")
-            assert verifier._factored(kraus_form(p), u.matrix) == (u is spec)
+            assert verifier._factored(kraus_form(p), u) == (u is spec)
         dense = report_by_route(monkeypatch, "dense", p, u, probes=9, seed=3)
         factored = report_by_route(monkeypatch, "factored", p, u, probes=9, seed=3)
         assert_same_report(factored, dense)
@@ -348,7 +439,7 @@ def test_random_slotted_programs_verify_as_unfactored(monkeypatch):
             executor._LAYOUTS.clear()
             with monkeypatch.context() as patch:
                 on_route(patch, "factored")
-                factored = verifier._factored(kraus_form(p), spec.matrix)
+                factored = verifier._factored(kraus_form(p), spec)
             assert factored == (spec is own)
             routes.add(factored)
             got = {route: report_by_route(monkeypatch, route, p, spec, probes=d + 3, seed=1)
@@ -378,12 +469,12 @@ def test_the_trivial_basis_takes_a_spec_that_does_not_split(monkeypatch):
     moved[3, 2] = np.nextafter(1.0, 2.0)
     with monkeypatch.context() as patch:
         on_route(patch, "factored")
-        assert verifier._factored(kraus_form(program), cnot.matrix)  # controlled(V), V = X
+        assert verifier._factored(kraus_form(program), cnot)  # controlled(V), V = X
     specs = ((swap, "fail"), (UnitaryMatrix(diag), "fail"), (UnitaryMatrix(moved), "pass"))
     for spec, verdict in specs:
         with monkeypatch.context() as patch:
             on_route(patch, "factored")
-            assert not verifier._factored(kraus_form(program), spec.matrix)
+            assert not verifier._factored(kraus_form(program), spec)
             report = verify_program(program, spec)
         assert report.verdict == verdict
         with monkeypatch.context() as patch:
@@ -422,7 +513,7 @@ def test_a_dependent_basis_leaves_no_floor(monkeypatch, eps):
     for route in ("factored", "dense"):
         with monkeypatch.context() as patch:
             on_route(patch, route)
-            assert verifier._factored(kraus_form(program), spec.matrix) == (route == "factored")
+            assert verifier._factored(kraus_form(program), spec) == (route == "factored")
             got = verify_program(program, spec).choi_dist
         assert abs(got - want) <= 1e-6 * want + 1e-15, (route, got, want)
 

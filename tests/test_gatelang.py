@@ -247,9 +247,9 @@ REFUSALS = [
 @pytest.mark.parametrize(
     "text, cls, message, offset, cap", REFUSALS, ids=[case[0][:30] for case in REFUSALS]
 )
-def test_every_refusal_is_pinned(text, cls, message, offset, cap, monkeypatch):
+def test_every_refusal_is_pinned(text, cls, message, offset, cap, qubit_cap):
     if cap is not None:
-        monkeypatch.setenv("TELEGATE_MAX_QUBITS", str(cap))
+        qubit_cap(cap)
     with pytest.raises((GateSyntaxError, GateEvalError)) as exc:
         evaluate(parse(text))
     assert type(exc.value) is cls

@@ -75,6 +75,6 @@ def test_the_files_take_the_routes_of_their_shapes():
     form = kraus_form(cat)
     assert executor._slot(cat) == 6
     assert form.coeffs.shape == (4, 2, 4, 4)
-    assert not verifier._splits(form, FILES["cat_two_targets.tg"][0].matrix)
+    assert not verifier._splits(form, FILES["cat_two_targets.tg"][0])
     assert executor._slot(mirror) == 5
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -70,17 +72,69 @@ def test_kron_dimension_cap():
         qsim.kron(big, big)
 
 
-def test_max_qubits_env_override(monkeypatch):
-    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "3")
+def test_max_qubits_env_override(qubit_cap):
+    qubit_cap(3)
     assert qsim.max_qubits() == 3
     with pytest.raises(ValueError, match="cap"):
         qsim.identity(1 << 4)
-    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "junk")
+    qubit_cap("junk")
     with pytest.raises(ValueError, match="integer"):
         qsim.max_qubits()
 
 
+def test_the_cap_is_read_once(qubit_cap, monkeypatch):
+    """A valid cap is kept until ``max_qubits.cache_clear()``; an invalid
+    one raises on every call and is never kept."""
+    qubit_cap(5)
+    assert qsim.max_qubits() == 5
+    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "7")
+    assert qsim.max_qubits() == 5
+    qubit_cap("0")
+    for _ in range(2):
+        with pytest.raises(ValueError, match=">= 1, got 0"):
+            qsim.max_qubits()
+    monkeypatch.setenv("TELEGATE_MAX_QUBITS", "7")
+    assert qsim.max_qubits() == 7
+
+
+@pytest.mark.parametrize("name, entries", [
+    ("I2", np.eye(2)),
+    ("X", [[0, 1], [1, 0]]),
+    ("Y", [[0, -1j], [1j, 0]]),
+    ("Z", [[1, 0], [0, -1]]),
+    ("H", np.array([[1, 1], [1, -1]]) / math.sqrt(2)),
+    ("S", np.diag([1, 1j])),
+    ("T", np.diag([1, np.exp(1j * math.pi / 4)])),
+])
+def test_fixed_gates_are_what_the_constructor_builds(name, entries):
+    """The fixed gates are built without the constructor's checks (so that
+    the import reads no cap); each is the unitary the constructor makes
+    of its entries, bit for bit, read-only and with no provenance."""
+    gate, want = getattr(qsim, name), UnitaryMatrix(entries)
+    assert type(gate) is UnitaryMatrix and gate == want
+    assert gate.matrix.dtype == np.complex128 and gate.matrix.tobytes() == want.matrix.tobytes()
+    assert not gate.matrix.flags.writeable
+    assert gate._controls is None
+
+
 # controlled
+
+def test_controlled_records_its_gate_and_nothing_else_does():
+    """controlled(u) records u's own read-only matrix.  The record is not
+    a field: equality and repr ignore it, it cannot be assigned, and a
+    copy or pickle, rebuilt through the constructor, records nothing."""
+    u = qsim.haar_random_unitary(4, 3)
+    c = qsim.controlled(u)
+    assert c._controls is u.matrix and not c._controls.flags.writeable
+    assert u._controls is None and qsim.identity(8)._controls is None
+    plain = UnitaryMatrix(c.matrix)
+    assert plain._controls is None and plain == c and repr(plain) == repr(c)
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert twin == c and twin._controls is None
+    with pytest.raises(AttributeError):
+        c._controls = None
+
+
 
 def test_controlled_identity():
     assert np.array_equal(qsim.controlled(qsim.I2).matrix, np.eye(4))

@@ -83,6 +83,6 @@ def test_trace_is_verify_on_both_sides_of_the_route_boundary(k, mutation):
     program, u = build_program(spec), build_specification(spec)
     if mutation:
         program = apply_mutation(program, mutation)
-    factored = verifier._factored(kraus_form(program), u.matrix)
+    factored = verifier._factored(kraus_form(program), u)
     assert factored == (k == 4 and mutation != "drop-cgate")
     assert_trace_is_verify(format_program(program), gatelang.format_matrix(u), k + 1)
