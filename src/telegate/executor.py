@@ -27,6 +27,9 @@ and every consumer reads that form:
   otherwise: the two cost about the same at k = 3, and from k = 4 the
   coefficients are the faster, 200 against 303 µs at k = 4 and 3.9
   against 44 ms at k = 8 on 2 vCPUs (see :mod:`telegate.verifier`).
+  The form carries V's own matrix object (``KrausForm.v``), so a
+  specification that :func:`qsim.controlled` built from that gate is
+  recognized by its record, without comparing its entries.
 
 The slot.  A program's *slot* is an ``ApplyControlledLocal`` whose targets
 are the trailing external wires, in order, and which no other
@@ -62,8 +65,9 @@ reading each gate matrix from the program by index.  Every program the
 builder makes for one k has one shape, so :func:`kraus_form` validates
 and lays out a shape once and keeps the layout in a cache of at most
 :data:`LAYOUT_CACHE_SIZE` shapes, oldest out first.  An invalid program
-never enters it.  The qubit cap is checked on every call, since
-``TELEGATE_MAX_QUBITS`` may change between calls.
+never enters it.  The qubit cap is checked on every call, against
+:func:`qsim.max_qubits`, which reads ``TELEGATE_MAX_QUBITS`` once per
+process (``qsim.max_qubits.cache_clear()`` resets it).
 
 A cache entry also keeps the coefficients C_tb of the last pass run for
 its shape and their :func:`_pairs`, the inner products
@@ -74,9 +78,11 @@ hashed or compared, and the held reference keeps an object's id from
 being reused.  The builder shares its non-slot gates between every
 program of one k, so a sweep over gates of one k runs the pass once per
 shape, and a warm call runs no pass at all.  Coefficients are kept only
-when they and their pairs hold at most :data:`BLOCK_CACHE_ENTRIES`
-complex entries (64 KiB), so the cache holds at most
-``LAYOUT_CACHE_SIZE`` × 64 KiB = 4 MiB of arrays.  It is the package's
+when they hold at most :data:`BLOCK_CACHE_ENTRIES` complex entries
+(64 KiB), as the (4, 1, 32, 32) coefficients of a slot-free k = 4
+program do.  Their pairs hold B/r times as many entries, at most twice
+as many (B = 2, r = 1), so an entry keeps at most 3 × 64 KiB and the
+cache at most ``LAYOUT_CACHE_SIZE`` × 192 KiB = 12 MiB of arrays.  It is the package's
 one cache of arrays derived from the coefficients: the verifier reads
 the pairs from the form a call returns and keeps nothing of its own.
 Cached arrays are read-only (the coefficients and pairs a call returns
@@ -142,8 +148,9 @@ _REGISTER_DETAIL = " alive in one register (measured qubits are kept)"
 # Layouts by program shape (see kraus_form), oldest first; the lock
 # keeps two threads from evicting at once.
 LAYOUT_CACHE_SIZE = 64
-# The most complex entries of cached coefficients and pairs per layout
-# (64 KiB).
+# The most complex entries of cached coefficients per layout (64 KiB;
+# their pairs come on top, see the module docstring), and the
+# verifier's route threshold.
 BLOCK_CACHE_ENTRIES = 1 << 12
 _LAYOUTS: dict[tuple, "_Layout"] = {}
 _LAYOUTS_LOCK = threading.Lock()
@@ -187,8 +194,8 @@ def kraus_form(p: Program) -> KrausForm:
     Validation and the layout of the pass (:func:`_layout`) depend only
     on the shape of ``p`` (:func:`_shape`), so they run once per shape,
     and the pass itself runs only when the cached entry holds no
-    coefficients for ``p``'s non-slot gates; the register cap, which can
-    change between calls, is checked on every call.
+    coefficients for ``p``'s non-slot gates; the register cap is checked
+    on every call.
     """
     key = _shape(p)
     layout = _LAYOUTS.get(key)

@@ -33,7 +33,12 @@ with that wire as control, and the dense stack would hold more than
 ``BLOCK_CACHE_ENTRIES`` (2^12) complex entries; the dense one
 otherwise, so at every size for a program without a slot or a
 specification of any other form.  For built programs that puts the
-boundary between k = 3 (1280 entries) and k = 4 (5120).  Timed on 2
+boundary between k = 3 (1280 entries) and k = 4 (5120).  A spec that
+:func:`qsim.controlled` built from the slot's own gate, as
+``build_specification`` does for the program ``build_program`` makes
+from the same spec, is controlled(V) by construction and is taken on
+that record without reading S; any other is compared entry for entry
+(:func:`_splits`), with the same answer.  Timed on 2
 vCPUs (numpy 2.4, warm, both routes forced in turn in one process;
 ``BENCH_19.json``, where the host's speed changed between rows), a
 verify of a built program on the dense route against the factored one
