@@ -82,9 +82,10 @@ when they hold at most :data:`BLOCK_CACHE_ENTRIES` complex entries
 (64 KiB), as the (4, 1, 32, 32) coefficients of a slot-free k = 4
 program do.  Their pairs hold B/r times as many entries, at most twice
 as many (B = 2, r = 1), so an entry keeps at most 3 × 64 KiB and the
-cache at most ``LAYOUT_CACHE_SIZE`` × 192 KiB = 12 MiB of arrays.  It is the package's
-one cache of arrays derived from the coefficients: the verifier reads
-the pairs from the form a call returns and keeps nothing of its own.
+cache at most ``LAYOUT_CACHE_SIZE`` × 192 KiB = 12 MiB of arrays.  It
+is the package's one cache of arrays derived from the coefficients: the
+verifier reads the pairs from the form a call returns and keeps nothing
+of its own.
 Cached arrays are read-only (the coefficients and pairs a call returns
 are read-only exactly when they are cached ones), and an entry is
 replaced, never changed, under a lock, so a thread reading an entry
