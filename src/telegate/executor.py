@@ -24,9 +24,7 @@ and every consumer reads that form:
   in the stack of the specification and the K_t: built programs up to
   k = 3), for programs without a slot and for every specification but
   exactly controlled(V), V the slot's gate, and off the coefficients
-  otherwise: the two cost about the same at k = 3, and from k = 4 the
-  coefficients are the faster, 200 against 303 µs at k = 4 and 3.9
-  against 44 ms at k = 8 on 2 vCPUs (see :mod:`telegate.verifier`).
+  otherwise (see :mod:`telegate.verifier` for the timings).
   The form carries V's own matrix object (``KrausForm.v``), so a
   specification that :func:`qsim.controlled` built from that gate is
   recognized by its record, without comparing its entries.
@@ -70,24 +68,23 @@ never enters it.  The qubit cap is checked on every call, against
 process (``qsim.max_qubits.cache_clear()`` resets it).
 
 A cache entry also keeps the coefficients C_tb of the last pass run for
-its shape and their :func:`_pairs`, the inner products
-<C_tb e_j, C_tc e_j> of their columns, with the gate objects that pass
-read (every gate but the slot's).  A call reuses them only when each of
-its own non-slot gates *is* the object the entry holds: no matrix is
-hashed or compared, and the held reference keeps an object's id from
-being reused.  The builder shares its non-slot gates between every
-program of one k, so a sweep over gates of one k runs the pass once per
-shape, and a warm call runs no pass at all.  Coefficients are kept only
+its shape and their :func:`_gram`, the (T, B, B) inner products
+<C_tb, C_tc>, with the gate objects that pass read (every gate but the
+slot's).  A call reuses them only when each of its own non-slot gates
+*is* the object the entry holds: no matrix is hashed or compared, and
+the held reference keeps an object's id from being reused.  The builder
+shares its non-slot gates between every program of one k, so a sweep
+over gates of one k runs the pass once per shape, and a warm call runs
+no pass at all.  Coefficients are kept only
 when they hold at most :data:`BLOCK_CACHE_ENTRIES` complex entries
 (64 KiB), as the (4, 1, 32, 32) coefficients of a slot-free k = 4
-program do.  Their pairs hold B/r times as many entries, at most twice
-as many (B = 2, r = 1), so an entry keeps at most 3 × 64 KiB and the
-cache at most ``LAYOUT_CACHE_SIZE`` × 192 KiB = 12 MiB of arrays.  It
-is the package's one cache of arrays derived from the coefficients: the
-verifier reads the pairs from the form a call returns and keeps nothing
-of its own.
-Cached arrays are read-only (the coefficients and pairs a call returns
-are read-only exactly when they are cached ones), and an entry is
+program do.  Their Gram is never larger (B² entries per transcript
+against B r²), so an entry keeps at most 2 × 64 KiB and the cache at
+most ``LAYOUT_CACHE_SIZE`` × 128 KiB = 8 MiB of arrays.  It is the
+package's one cache of arrays derived from the coefficients; the
+verifier keeps nothing of its own.
+Cached arrays are read-only (the coefficients a call returns are
+read-only exactly when they are cached ones), and an entry is
 replaced, never changed, under a lock, so a thread reading an entry
 that another evicts or refills keeps a consistent one.  A one-shot CLI
 call runs one program per process, so its layout is always new and it
@@ -96,9 +93,10 @@ gains nothing from the cache.
 The operators are checked on the factored form: coefficients are
 finite when a pass computes them, and on every call transcripts with
 ``|K_t|_F^2 < 1e-14`` are dropped as dust, with their rows of
-coefficients and pairs, and the rest must sum to 1 within the bound of
-:func:`_checked`, with |K_t|_F^2 = sum_bc <C_tb, C_tc> <M_b, M_c>; the
-<C_tb, C_tc>, the pairs summed over the columns, do not depend on V.
+coefficients, and the rest must sum to 1 within the bound of
+:func:`_checked`, with |K_t|_F^2 = sum_bc <C_tb, C_tc> <M_b, M_c>: the
+Gram of the coefficients, which does not depend on V and is cached,
+against that of the basis.
 The Choi matrix J = sum_t vec(K_t) vec(K_t)† / d of :func:`channel_choi`
 needs no check of its own: as a Gram matrix it is Hermitian and positive
 semidefinite, and its trace is that checked sum (Watrous, *The Theory of
@@ -150,7 +148,7 @@ _REGISTER_DETAIL = " alive in one register (measured qubits are kept)"
 # keeps two threads from evicting at once.
 LAYOUT_CACHE_SIZE = 64
 # The most complex entries of cached coefficients per layout (64 KiB;
-# their pairs come on top, see the module docstring), and the
+# their Gram comes on top, see the module docstring), and the
 # verifier's route threshold.
 BLOCK_CACHE_ENTRIES = 1 << 12
 _LAYOUTS: dict[tuple, "_Layout"] = {}
@@ -159,12 +157,10 @@ _LAYOUTS_LOCK = threading.Lock()
 Transcript = tuple[tuple[WireRef, int], ...]
 
 # A channel's Kraus operators K_t = sum_b coeffs[t, b] ⊗ basis[b], for
-# ``transcripts`` sorted by bits: coeffs is (T, B, r, r), pairs the
-# (T, r, B, B) inner products <C_tb e_j, C_tc e_j> of their columns (see
-# _pairs) and basis (B, m, m), with r * m = d; v is the slot gate's own
-# matrix object (the gate's ``matrix``, not a copy), or None without a
-# slot.
-KrausForm = collections.namedtuple("KrausForm", "transcripts coeffs pairs basis v")
+# ``transcripts`` sorted by bits: coeffs is (T, B, r, r) and basis
+# (B, m, m), with r * m = d; v is the slot gate's own matrix object (the
+# gate's ``matrix``, not a copy), or None without a slot.
+KrausForm = collections.namedtuple("KrausForm", "transcripts coeffs basis v")
 
 
 class ExecutionError(RuntimeError):
@@ -182,8 +178,7 @@ def transcript_key(transcript: Transcript) -> str:
 def kraus_form(p: Program) -> KrausForm:
     """The transcripts of ``p``, sorted by bits, and their Kraus operators
     in factored form: over {I, V} if ``p`` has a slot with gate V, else
-    over {1}, with the :func:`_pairs` of the coefficients (see the module
-    docstring).
+    over {1} (see the module docstring).
 
     The program must pass :func:`validate_locality`, and its externals
     plus every qubit it allocates must fit :func:`qsim.max_qubits`.
@@ -209,22 +204,24 @@ def kraus_form(p: Program) -> KrausForm:
         qsim.check_qubits(layout.width, "program", _REGISTER_DETAIL)
     instructions = p.instructions
     gates = tuple([instructions[i].gate for i in layout.gate_at])
-    coeffs, pairs = layout.coeffs, layout.pairs
+    coeffs, gram = layout.coeffs, layout.gram
     fresh = coeffs is None or any(map(operator.is_not, gates, layout.gates))
     if fresh:
         coeffs = _coefficients(layout, instructions, p.n_external)
-        pairs = _pairs(coeffs)
+        if not np.isfinite(np.ascontiguousarray(coeffs).view(np.float64)).all():
+            raise ExecutionError("Kraus operators must be finite")
+        gram = _gram(coeffs)
     if layout.slot is None:
         basis, v = TRIVIAL_BASIS, None
     else:
         v = instructions[layout.slot].gate.matrix
         basis = np.empty((2,) + v.shape, dtype=np.complex128)
         basis[0], basis[1] = _identity(len(v)), v
-    checked = _checked(layout, coeffs, pairs, basis)
+    checked = _checked(layout, coeffs, gram, basis)
     if fresh and coeffs.size <= BLOCK_CACHE_ENTRIES:
         qsim._freeze(coeffs)  # read-only exactly when cached (see the module docstring)
-        qsim._freeze(pairs)
-        _store(key, layout._replace(gates=gates, coeffs=coeffs, pairs=pairs))
+        qsim._freeze(gram)
+        _store(key, layout._replace(gates=gates, coeffs=coeffs, gram=gram))
     return KrausForm(*checked, basis, v)
 
 
@@ -306,11 +303,11 @@ def _store(key: tuple, layout: "_Layout") -> None:
 # every outcome of the measured bits in bit order; ``trace_atol``, the
 # bound of :func:`_checked`; ``slot``, the slot's index or None;
 # ``gate_at``, the indices of the gates the pass reads; and ``gates``,
-# ``coeffs`` and ``pairs``, those gates, the read-only coefficients a
-# pass over them gave and their :func:`_pairs`, or None.  Not a
+# ``coeffs`` and ``gram``, those gates, the read-only coefficients a
+# pass over them gave and their (T, B, B) :func:`_gram`, or None.  Not a
 # typing.NamedTuple, which adds ~0.5 ms to every CLI start (CPython 3.11).
 _Layout = collections.namedtuple(
-    "_Layout", "width steps order transcripts trace_atol slot gate_at gates coeffs pairs"
+    "_Layout", "width steps order transcripts trace_atol slot gate_at gates coeffs gram"
 )
 
 
@@ -440,29 +437,25 @@ def _select(psi: np.ndarray, perm: tuple[int, ...]) -> None:
     front[1, ..., :half] = 0
 
 
-def _pairs(coeffs: np.ndarray) -> np.ndarray:
-    """The (T, r, B, B) inner products <C_tb e_j, C_tc e_j> of the
-    columns of the coefficients of each transcript, which must be finite.
-    Summed over the columns j they are the <C_tb, C_tc>."""
-    if not np.isfinite(np.ascontiguousarray(coeffs).view(np.float64)).all():
-        raise ExecutionError("Kraus operators must be finite")
-    # An einsum, not a batched product of the columns: on the slot-free
-    # (4, 1, 512, 512) stack of k = 8 that takes ~19 ms against the
-    # einsum's ~6.4 (2 vCPUs, numpy 2.4).
-    return np.einsum("tbij,tcij->tjbc", coeffs.conj(), coeffs)
+def _gram(a: np.ndarray) -> np.ndarray:
+    """The inner products <A_b, A_c> = tr(A_b† A_c) of the matrices A_b
+    on the last two axes of ``a``, b running over the axis before them:
+    the B×B metric of a (B, m, m) basis, or the (T, B, B) Gram of
+    (T, B, r, r) coefficients."""
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return flat.conj() @ flat.swapaxes(-1, -2)
 
 
 def _checked(
-    layout: _Layout, coeffs: np.ndarray, pairs: np.ndarray, basis: np.ndarray
-) -> tuple[list[Transcript], np.ndarray, np.ndarray]:
-    """Drop the dust rows of the coefficients ``coeffs`` over ``basis``
-    and of their per-column :func:`_pairs` ``pairs`` (one row per
-    transcript of ``layout``; ``_pairs`` checked them finite), check the
-    rest, and return the kept transcripts, coefficients and pairs.  The
-    check: total mass sum_t |K_t|_F^2 equal to d within
-    ``layout.trace_atol``, the bound that the gates' own check admits,
-    with |K_t|_F^2 = sum_bc <C_tb, C_tc> <M_b, M_c> and <C_tb, C_tc> the
-    sum of the pairs over the columns.
+    layout: _Layout, coeffs: np.ndarray, gram: np.ndarray, basis: np.ndarray
+) -> tuple[list[Transcript], np.ndarray]:
+    """Drop the dust rows of the finite coefficients ``coeffs`` over
+    ``basis`` (one row per transcript of ``layout``), check the rest, and
+    return the kept transcripts and coefficients.  The check: total mass
+    sum_t |K_t|_F^2 equal to d within ``layout.trace_atol``, the bound
+    that the gates' own check admits, with |K_t|_F^2 = sum_bc
+    <C_tb, C_tc> <M_b, M_c> read off ``gram``, the :func:`_gram` of the
+    coefficients, and that of the basis.
 
     A gate on m qubits is built with G†G = I + E, |E_ij| <= 1e-10
     (``qsim._UNITARY_ATOL``), so |E|_op <= 2^m * 1e-10 =: eps; m counts
@@ -473,21 +466,15 @@ def _checked(
     expm1(sum eps_i) of 1.  1e-12 on top covers rounding.
     """
     b = len(basis)
-    masses = (pairs.sum(axis=1).reshape(-1, b * b) @ _metric(basis).reshape(b * b)).real.tolist()
+    masses = (gram.reshape(-1, b * b) @ _gram(basis).reshape(b * b)).real.tolist()
     keep = [mass >= BRANCH_PRUNE for mass in masses]
     d = coeffs.shape[-1] * basis.shape[-1]
     total = sum(itertools.compress(masses, keep)) / d
     if abs(total - 1.0) > layout.trace_atol:
         raise ExecutionError(f"channel is not trace preserving: sum |K_t|^2 / d = {total!r}")
     if all(keep):
-        return list(layout.transcripts), coeffs, pairs
-    return list(itertools.compress(layout.transcripts, keep)), coeffs[keep], pairs[keep]
-
-
-def _metric(basis: np.ndarray) -> np.ndarray:
-    """The B×B matrix of the inner products <M_b, M_c> = tr(M_b† M_c)."""
-    flat = basis.reshape(len(basis), -1)
-    return flat.conj() @ flat.T
+        return list(layout.transcripts), coeffs
+    return list(itertools.compress(layout.transcripts, keep)), coeffs[keep]
 
 
 def _append_qubits(psi: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -578,7 +565,7 @@ def choi_residual(
     0 of the (1 + T, B, r, r) array ``z`` holds the coefficients of U and
     row 1 + t those of K_t, so that K_t = sum_b z[1 + t, b] ⊗ basis[b];
     ``metric`` is the B×B matrix <M_b, M_c> of the basis
-    (:func:`_metric`; unread over the trivial basis {1}, where it is 1 and
+    (:func:`_gram`; unread over the trivial basis {1}, where it is 1 and
     the coefficients are the operators themselves), and ``onto`` the inner
     products <U, Z_u> of U with every row, itself first.
 

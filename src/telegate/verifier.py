@@ -224,8 +224,10 @@ def _factored(form: KrausForm, spec: UnitaryMatrix) -> bool:
     complex entries, else the dense stack.  For built programs (4
     transcripts, d = 2^(k+1)) that is k >= 4 (5120 entries; 1280 at
     k = 3), where the factored basis is the faster (see the module
-    docstring)."""
-    return (1 + len(form.coeffs)) * spec.matrix.size > BLOCK_CACHE_ENTRIES and _splits(form, spec)
+    docstring).  It sizes the stack from the form alone, so that a spec
+    taken on its record is not read at all."""
+    d = form.coeffs.shape[-1] * form.basis.shape[-1]
+    return (1 + len(form.coeffs)) * d * d > BLOCK_CACHE_ENTRIES and _splits(form, spec)
 
 
 def _evidence(
@@ -253,11 +255,10 @@ def _evidence(
     and keeps nothing between calls.  On a basis input e = e_i ⊗ e_q
     (j = i * m + q), with G_q[b, c] = <M_b e_q, M_c e_q> the column
     Grams of the basis (their sum is its metric),
-    |K_t e|^2 = sum_bc <C_tb e_i, C_tc e_i> G_q[b, c] comes from the
-    form's column pairs (``form.pairs``), and, since S e = e_i ⊗ M_i e_q,
-    <S e, Z_u e> = sum_c Z_uc[i, i] G_q[i, c] from the diagonals of the
-    coefficients, in one batched product whose row u = 0 is
-    |S e|^2.  A probe psi splits into r parts psi_i on the basis's
+    |Z_u e|^2 = sum_bc <Z_ub e_i, Z_uc e_i> G_q[b, c] comes from the
+    column pairs of every row of coefficients, S's included, and, since
+    S e = e_i ⊗ M_i e_q, <S e, Z_u e> = sum_c Z_uc[i, i] G_q[i, c] from
+    their diagonals.  A probe psi splits into r parts psi_i on the basis's
     wires, the basis is applied to each, and its images
     sum_bi Z_ub[:, i] ⊗ M_b psi_i are assembled from those.
     """
@@ -280,12 +281,12 @@ def _evidence(
     u, _, r, _ = z.shape
     m = len(grams)
     terms = np.empty((2, u, r, m), dtype=np.complex128)  # [., u, i, q]: on e_i ⊗ e_q
-    # <S e, Z_u e> = sum_c Z_uc[i, i] <M_i e_q, M_c e_q>; row u = 0 is |S e|^2
+    # <S e, Z_u e> = sum_c Z_uc[i, i] <M_i e_q, M_c e_q>
     np.matmul(z.diagonal(axis1=2, axis2=3).transpose(2, 0, 1), grams.transpose(1, 2, 0),
               out=terms[1].transpose(1, 0, 2))
-    terms[0, 0] = terms[1, 0]
-    # |K_t e|^2 = sum_bc <C_tb e_i, C_tc e_i> <M_b e_q, M_c e_q>
-    np.matmul(form.pairs.reshape(-1, 4), grams.reshape(m, 4).T, out=terms[0, 1:].reshape(-1, m))
+    # |Z_u e|^2 = sum_bc <Z_ub e_i, Z_uc e_i> <M_b e_q, M_c e_q>; row u = 0 is |S e|^2
+    pairs = np.einsum("ubxi,ucxi->uibc", z.conj(), z)
+    np.matmul(pairs.reshape(-1, 4), grams.reshape(m, 4).T, out=terms[0].reshape(-1, m))
     terms = terms.reshape(2, u, r * m)
     if k:
         applied = (basis[:, None] @ probes.reshape(1, r, m, k)).reshape(2 * r, m * k)

@@ -127,37 +127,54 @@ def test_a_non_slot_gate_is_part_of_the_cached_coefficients():
     assert want[id(h)].tobytes() != want[id(s)].tobytes()
 
 
-def assert_pairs_are_column_grams(program):
-    """The pairs of ``program``'s form are the Gram matrices of the columns
-    of its coefficients, one row per kept transcript, computed here one
-    transcript and one column at a time: on the pass that computes them
-    and on the call after it, which reads them from the cache if it
+def grams_read(monkeypatch, program, calls=2):
+    """The coefficients and Gram that ``calls`` calls of kraus_form on
+    ``program`` hand to ``executor._checked``, one pair per call: the
+    first computes them, and later ones read them from the cache if it
     keeps them."""
-    for _ in range(2):
-        form = kraus_form(program)
-        t, b, r, _ = form.coeffs.shape
-        assert form.pairs.shape == (t, r, b, b) and t == len(form.transcripts)
-        for i in range(t):
-            for j in range(r):
-                columns = form.coeffs[i, :, :, j]  # column j of every C_ib
-                assert np.abs(form.pairs[i, j] - columns.conj() @ columns.T).max() <= 1e-15
+    seen = []
+    checked = executor._checked
+    with monkeypatch.context() as patch:
+        patch.setattr(executor, "_checked",
+                      lambda layout, c, g, b: seen.append((c, g)) or checked(layout, c, g, b))
+        forms = [kraus_form(program) for _ in range(calls)]
+    return forms, seen
 
 
-@pytest.mark.parametrize("k", range(1, 5))
-def test_pairs_are_the_column_grams_of_the_coefficients(k):
-    """Built programs, intact and under every mutation."""
+def assert_gram_of_the_coefficients(monkeypatch, program):
+    """The Gram that kraus_form reads for ``program`` is <C_tb, C_tc>,
+    computed here one transcript and one pair of basis terms at a time,
+    with one row per transcript of the layout (dust included), within
+    1e-15 of the mass |K_t|_F^2 it sums to (the coefficients of a
+    slot-free program hold up to d / T of it), on the call that computes
+    it and on the one after it."""
+    forms, seen = grams_read(monkeypatch, program)
+    for form, (coeffs, gram) in zip(forms, seen):
+        t, b = coeffs.shape[:2]
+        assert gram.shape == (t, b, b) and t == len(executor._layout(program).transcripts)
+        want = np.array([[[np.vdot(coeffs[i, x], coeffs[i, y]) for y in range(b)]
+                          for x in range(b)] for i in range(t)])
+        assert np.abs(gram - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
+        assert len(form.coeffs) == len(form.transcripts) <= t
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_pairs_are_the_column_grams_of_the_coefficients(monkeypatch, k):
+    """The pairs <C_tb, C_tc> that kraus_form keeps, the Gram of the
+    coefficients, of built programs, intact and under every mutation:
+    cached, and uncached for slot-free programs from k = 5 on."""
     executor._LAYOUTS.clear()
     for _, program, _ in programs(k, 700 + k):
-        assert_pairs_are_column_grams(program)
+        assert_gram_of_the_coefficients(monkeypatch, program)
 
 
-def test_pairs_of_random_programs_are_the_column_grams():
-    """Random valid file programs, with and without a slot, whose
-    coefficients need not be symmetric or real."""
+def test_pairs_of_random_programs_are_the_column_grams(monkeypatch):
+    """The Gram of random valid file programs, with and without a slot,
+    whose coefficients need not be symmetric or real."""
     rng = np.random.default_rng(8)
     executor._LAYOUTS.clear()
     for _ in range(100):
-        assert_pairs_are_column_grams(parse_program(random_program_text(rng)))
+        assert_gram_of_the_coefficients(monkeypatch, parse_program(random_program_text(rng)))
 
 
 @pytest.mark.parametrize("text", [
@@ -165,23 +182,29 @@ def test_pairs_of_random_programs_are_the_column_grams():
     "ext A q0\next B q1\nalloc B q2 = 0\ncgate B q2 -> q1 : X\n"
     "alloc A q3 = 0\nmeasz A q3 -> c3\nmeasz B q2 -> c2\n",
 ])
-def test_pairs_drop_with_their_dust_transcript(text):
+def test_pairs_drop_with_their_dust_transcript(monkeypatch, text):
     """A fresh |0> measured can only read 0: the transcripts that read 1
-    are dust, and the form keeps one row of pairs per kept transcript, on
-    the trivial basis and on a slot's {I, X}, fresh and cached."""
+    are dust, with a zero row of the Gram, and the form keeps the one
+    transcript whose row is not, on the trivial basis and on a slot's
+    {I, X}, fresh and cached."""
     program = parse_program(text)
     executor._LAYOUTS.clear()
-    assert_pairs_are_column_grams(program)
-    assert len(executor._layout(program).transcripts) > len(kraus_form(program).pairs) == 1
-    assert executor._LAYOUTS[executor._shape(program)].coeffs is not None
+    assert_gram_of_the_coefficients(monkeypatch, program)
+    forms, seen = grams_read(monkeypatch, program)
+    for form, (_, gram) in zip(forms, seen):
+        transcripts = executor._layout(program).transcripts
+        kept = [t for t, g in enumerate(gram) if np.abs(g).max() > 0.0]
+        assert len(gram) == len(transcripts) > 1 and len(kept) == 1
+        assert form.transcripts == [transcripts[kept[0]]] and len(form.coeffs) == 1
+    assert executor._LAYOUTS[executor._shape(program)].gram is seen[1][1]
 
 
 def test_cached_coefficients_are_read_only_and_bounded():
     """The cache keeps coefficients only up to BLOCK_CACHE_ENTRIES complex
-    entries, with their pairs, which hold B/r times as many (at most
-    twice as many, at B = 2 and r = 1), so it holds at most
-    LAYOUT_CACHE_SIZE * 3 * 64 KiB of arrays: a slot-free k=4 program
-    has 4 * 32 * 32 coefficients and keeps them, one at k=5 has
+    entries, with their (T, B, B) Gram, which is never larger (B^2
+    entries a transcript against B r^2, B <= 2 and r >= 1), so it holds
+    at most LAYOUT_CACHE_SIZE * 2 * 64 KiB of arrays: a slot-free k=4
+    program has 4 * 32 * 32 coefficients and keeps them, one at k=5 has
     4 * 64 * 64 and does not; a slotted k=8 program has 4 * 2 * 2 * 2."""
     assert executor.BLOCK_CACHE_ENTRIES * 16 == 64 * 1024
     executor._LAYOUTS.clear()
@@ -191,11 +214,26 @@ def test_cached_coefficients_are_read_only_and_bounded():
             program = apply_mutation(program, "drop-cgate")
         kraus_form(program)
         layout = executor._LAYOUTS[executor._shape(program)]
-        assert (layout.coeffs is not None) == kept, k
+        assert (layout.coeffs is not None) == kept == (layout.gram is not None), k
         if kept:
+            t, b = layout.coeffs.shape[:2]
             assert layout.coeffs.size <= executor.BLOCK_CACHE_ENTRIES
-            assert layout.pairs.size <= 2 * layout.coeffs.size
-            assert not (layout.coeffs.flags.writeable or layout.pairs.flags.writeable)
+            assert layout.gram.shape == (t, b, b) and layout.gram.size <= layout.coeffs.size
+            assert not (layout.coeffs.flags.writeable or layout.gram.flags.writeable)
+
+
+def test_a_slot_free_layout_keeps_a_scalar_gram():
+    """A program without a slot has the basis {1}: its layout keeps the
+    (T, 1, 1) Gram |K_t|_F^2 beside the coefficients, and no other array."""
+    spec = NonlocalCUSpec(qsim.haar_random_unitary(4, 6), 2)
+    mutant = apply_mutation(build_program(spec), "drop-cgate")
+    executor._LAYOUTS.clear()
+    form = kraus_form(mutant)
+    layout = executor._LAYOUTS[executor._shape(mutant)]
+    assert form.basis is executor.TRIVIAL_BASIS and layout.gram.shape == (4, 1, 1)
+    arrays = [f for f in layout._fields if isinstance(getattr(layout, f), np.ndarray)]
+    assert arrays == ["coeffs", "gram"]
+    assert "pairs" not in form._fields + layout._fields
 
 
 def wide_program():
@@ -210,28 +248,28 @@ def wide_program():
 
 def test_a_second_call_returns_the_cached_arrays(monkeypatch):
     """The slot-free k = 4 drop-cgate mutant, with 4096 coefficients and
-    128 pairs, runs its pass once: a second call runs none and returns
-    the cached, read-only arrays themselves.  The 1024-transcript
-    program, with 8192 coefficients, stays uncached and runs its pass on
-    every call."""
+    a Gram of 4, runs its pass once: a second call runs none, returns
+    the cached, read-only coefficients themselves and checks them with
+    the cached Gram.  The 1024-transcript program, with 8192
+    coefficients, stays uncached and runs its pass on every call."""
     spec = NonlocalCUSpec(qsim.haar_random_unitary(16, 5), 4)
     mutant = apply_mutation(build_program(spec), "drop-cgate")
     wide = wide_program()
     executor._LAYOUTS.clear()
     first = kraus_form(mutant)
     layout = executor._LAYOUTS[executor._shape(mutant)]
-    assert (layout.coeffs.size, layout.pairs.size) == (4096, 128)
+    assert (layout.coeffs.size, layout.gram.size) == (4096, 4)
     kraus_form(wide)
     assert executor._LAYOUTS[executor._shape(wide)].coeffs is None
     passes = []
     coefficients = executor._coefficients
     monkeypatch.setattr(executor, "_coefficients",
                         lambda *args: passes.append(args[0]) or coefficients(*args))
-    second = kraus_form(mutant)
+    (second,), ((_, gram),) = grams_read(monkeypatch, mutant, calls=1)
     assert passes == []
-    assert second.coeffs is layout.coeffs and second.pairs is layout.pairs
+    assert second.coeffs is layout.coeffs and gram is layout.gram
     assert second.coeffs.tobytes() == first.coeffs.tobytes()
-    assert not (second.coeffs.flags.writeable or second.pairs.flags.writeable)
+    assert not (second.coeffs.flags.writeable or gram.flags.writeable)
     again = kraus_form(wide)
     assert len(passes) == 1 and again.coeffs.flags.writeable
     assert executor._LAYOUTS[executor._shape(wide)].coeffs is None
@@ -357,7 +395,7 @@ def test_routes_agree_where_the_pairs_are_complex(monkeypatch):
     """The slot's control picks up a phase after the slot (S, then H) and
     is measured, so X_t = x_t I and Y_t = y_t I with conj(x_t) y_t
     imaginary, and V = T has a complex diagonal: the factored route's
-    norms read the off-diagonal pairs.  The program fails against
+    norms read the off-diagonal column pairs <X_t e_i, Y_t e_i>.  The program fails against
     controlled(T), with the same report on both routes."""
     program = parse_program(
         "ext A q0\next B q1\nalloc B q2 = 0\ngate B q2 : H\ncgate B q2 -> q1 : T\n"
@@ -368,7 +406,8 @@ def test_routes_agree_where_the_pairs_are_complex(monkeypatch):
         on_route(patch, "factored")
         form = kraus_form(program)
         assert verifier._factored(form, spec)
-    assert np.abs(form.pairs[:, :, 0, 1].imag).min() > 0.1
+    columns = form.coeffs.transpose(0, 3, 1, 2)  # [t, i, b, x] = C_tb[x, i]
+    assert np.abs((columns[:, :, 0].conj() * columns[:, :, 1]).sum(axis=-1).imag).min() > 0.1
     dense = report_by_route(monkeypatch, "dense", program, spec, probes=9, seed=2)
     factored = report_by_route(monkeypatch, "factored", program, spec, probes=9, seed=2)
     assert_same_report(factored, dense)

@@ -40,7 +40,7 @@ def measure(state: np.ndarray, qubit: int) -> list[tuple[int, float, np.ndarray]
     )
     layout = _layout(p)
     out = _run(layout, p.instructions, state.reshape((2,) * n + (1,)))[:, None]
-    transcripts, ops, _ = _checked(layout, out, executor._pairs(out), executor.TRIVIAL_BASIS)
+    transcripts, ops = _checked(layout, out, executor._gram(out), executor.TRIVIAL_BASIS)
     branches = []
     for ((_, outcome),), op in zip(transcripts, ops):
         v = op.reshape(-1)
