@@ -130,6 +130,7 @@ from .protocol import (
     Program,
     WireRef,
     _wires_at,
+    resource_census,
     validate_locality,
 )
 from .qsim import BRANCH_PRUNE, UnitaryMatrix
@@ -140,6 +141,11 @@ _FRESH = tuple(qsim._freeze(np.array(amps, dtype=np.complex128))
                for amps in ([1, 0], [0, 1], np.array([1, 0, 0, 1]) / math.sqrt(2)))
 # The basis {1} of a program without a slot: C_t0 is K_t itself.
 TRIVIAL_BASIS = qsim._freeze(np.ones((1, 1, 1), dtype=np.complex128))
+# The coefficients of controlled(V) over {I, V}: P0 = |0><0| on I, P1 =
+# |1><1| on V, row 0 of a form's ``rows`` (see _operands).
+_CONTROL_HALVES = qsim._freeze(
+    np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], dtype=np.complex128)
+)
 # Marks the slot's step in a layout (see _layout).
 _SELECT = "select"
 _REGISTER_DETAIL = " alive in one register (measured qubits are kept)"
@@ -159,8 +165,12 @@ Transcript = tuple[tuple[WireRef, int], ...]
 # A channel's Kraus operators K_t = sum_b coeffs[t, b] ⊗ basis[b], for
 # ``transcripts`` sorted by bits: coeffs is (T, B, r, r) and basis
 # (B, m, m), with r * m = d; v is the slot gate's own matrix object (the
-# gate's ``matrix``, not a copy), or None without a slot.
-KrausForm = collections.namedtuple("KrausForm", "transcripts coeffs basis v")
+# gate's ``matrix``, not a copy), or None without a slot; census is the
+# program's resource census.  With a slot and r = 2, rows is the
+# (1 + T, 2, 2, 2) stack z = [P0, P1; X_t, Y_t], controlled(V)'s
+# coefficients over {I, V} and then the K_t's, and pairs their (2, 1 + T,
+# 2, 2, 2) column products (see _operands); both are None otherwise.
+KrausForm = collections.namedtuple("KrausForm", "transcripts coeffs basis v census rows pairs")
 
 
 class ExecutionError(RuntimeError):
@@ -204,25 +214,32 @@ def kraus_form(p: Program) -> KrausForm:
         qsim.check_qubits(layout.width, "program", _REGISTER_DETAIL)
     instructions = p.instructions
     gates = tuple([instructions[i].gate for i in layout.gate_at])
-    coeffs, gram = layout.coeffs, layout.gram
+    coeffs, gram, rows, pairs = layout.coeffs, layout.gram, layout.rows, layout.pairs
     fresh = coeffs is None or any(map(operator.is_not, gates, layout.gates))
     if fresh:
         coeffs = _coefficients(layout, instructions, p.n_external)
         if not np.isfinite(np.ascontiguousarray(coeffs).view(np.float64)).all():
             raise ExecutionError("Kraus operators must be finite")
         gram = _gram(coeffs)
+        rows, pairs = _operands(coeffs)
     if layout.slot is None:
         basis, v = TRIVIAL_BASIS, None
     else:
         v = instructions[layout.slot].gate.matrix
         basis = np.empty((2,) + v.shape, dtype=np.complex128)
         basis[0], basis[1] = _identity(len(v)), v
-    checked = _checked(layout, coeffs, gram, basis)
+    transcripts, keep = _checked(layout, coeffs, gram, basis)
     if fresh and coeffs.size <= BLOCK_CACHE_ENTRIES:
-        qsim._freeze(coeffs)  # read-only exactly when cached (see the module docstring)
-        qsim._freeze(gram)
-        _store(key, layout._replace(gates=gates, coeffs=coeffs, gram=gram))
-    return KrausForm(*checked, basis, v)
+        # read-only exactly when cached (see the module docstring)
+        for array in (coeffs, gram) if rows is None else (coeffs, gram, rows, pairs):
+            qsim._freeze(array)
+        _store(key, layout._replace(gates=gates, coeffs=coeffs, gram=gram, rows=rows, pairs=pairs))
+    if keep is not None:
+        coeffs = coeffs[keep]
+        if rows is not None:
+            keep = [True, *keep]  # controlled(V)'s row stays
+            rows, pairs = rows[keep], pairs[:, keep]
+    return KrausForm(transcripts, coeffs, basis, v, layout.census, rows, pairs)
 
 
 def kraus_stack(p: Program) -> tuple[list[Transcript], np.ndarray]:
@@ -302,12 +319,17 @@ def _store(key: tuple, layout: "_Layout") -> None:
 # puts the measured axes first for the final reshape; ``transcripts``,
 # every outcome of the measured bits in bit order; ``trace_atol``, the
 # bound of :func:`_checked`; ``slot``, the slot's index or None;
-# ``gate_at``, the indices of the gates the pass reads; and ``gates``,
-# ``coeffs`` and ``gram``, those gates, the read-only coefficients a
-# pass over them gave and their (T, B, B) :func:`_gram`, or None.  Not a
+# ``gate_at``, the indices of the gates the pass reads; ``census``, the
+# program's :func:`resource_census`, which reads only instruction classes
+# and ``SendBit.to_party``, both kept by the shape; and ``gates``,
+# ``coeffs``, ``gram``, ``rows`` and ``pairs``, those gates, the
+# read-only coefficients a pass over them gave, their (T, B, B)
+# :func:`_gram` and their :func:`_operands`, every row of the layout's
+# transcripts kept (dust is dropped per call), or None.  Not a
 # typing.NamedTuple, which adds ~0.5 ms to every CLI start (CPython 3.11).
 _Layout = collections.namedtuple(
-    "_Layout", "width steps order transcripts trace_atol slot gate_at gates coeffs gram"
+    "_Layout",
+    "width steps order transcripts trace_atol slot gate_at census gates coeffs gram rows pairs",
 )
 
 
@@ -381,7 +403,7 @@ def _layout(p: Program) -> _Layout:
     gate_at = tuple(step[0] for step in steps if type(step[0]) is int)
     width = ndim - 1 + p.n_external - kept
     return _Layout(width, tuple(steps), order, transcripts, 1e-12 + math.expm1(defect),
-                   slot, gate_at, None, None, None)
+                   slot, gate_at, resource_census(p), None, None, None, None, None)
 
 
 def _coefficients(layout: _Layout, instructions: tuple, n_external: int) -> np.ndarray:
@@ -448,10 +470,11 @@ def _gram(a: np.ndarray) -> np.ndarray:
 
 def _checked(
     layout: _Layout, coeffs: np.ndarray, gram: np.ndarray, basis: np.ndarray
-) -> tuple[list[Transcript], np.ndarray]:
-    """Drop the dust rows of the finite coefficients ``coeffs`` over
+) -> tuple[list[Transcript], list[bool] | None]:
+    """Find the dust rows of the finite coefficients ``coeffs`` over
     ``basis`` (one row per transcript of ``layout``), check the rest, and
-    return the kept transcripts and coefficients.  The check: total mass
+    return the kept transcripts and which rows to keep, None when every
+    row is kept.  The check: total mass
     sum_t |K_t|_F^2 equal to d within ``layout.trace_atol``, the bound
     that the gates' own check admits, with |K_t|_F^2 = sum_bc
     <C_tb, C_tc> <M_b, M_c> read off ``gram``, the :func:`_gram` of the
@@ -473,8 +496,29 @@ def _checked(
     if abs(total - 1.0) > layout.trace_atol:
         raise ExecutionError(f"channel is not trace preserving: sum |K_t|^2 / d = {total!r}")
     if all(keep):
-        return list(layout.transcripts), coeffs
-    return list(itertools.compress(layout.transcripts, keep)), coeffs[keep]
+        return list(layout.transcripts), None
+    return list(itertools.compress(layout.transcripts, keep)), keep
+
+
+def _operands(coeffs: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """What the verifier's factored route reads of the (T, 2, 2, 2)
+    coefficients over {I, V} of a program with a slot and r = 2: the rows
+    z = [P0, P1; X_t, Y_t] (controlled(V)'s coefficients, then the
+    coefficients), and their (2, 1 + T, 2, 2, 2) products, with
+    [0, u, i, b, c] = <z_ub e_i, z_uc e_i> and [1, u, i, b, c] =
+    δ_bi z_uc[i, i].  Neither depends on V.  (None, None) for every other
+    shape of coefficients."""
+    if coeffs.shape[1:] != (2, 2, 2):
+        return None, None
+    rows = np.empty((1 + len(coeffs), 2, 2, 2), dtype=np.complex128)
+    rows[0] = _CONTROL_HALVES
+    rows[1:] = coeffs
+    pairs = np.zeros((2,) + rows.shape, dtype=np.complex128)
+    pairs[0] = np.einsum("ubxi,ucxi->uibc", rows.conj(), rows)
+    diagonals = rows.diagonal(axis1=2, axis2=3)  # [u, c, i] = z_uc[i, i]
+    for i in (0, 1):
+        pairs[1, :, i, i] = diagonals[..., i]
+    return rows, pairs
 
 
 def _append_qubits(psi: np.ndarray, amps: np.ndarray) -> np.ndarray:

@@ -79,7 +79,11 @@ class UnitaryMatrix(Record):
     which is None for every other unitary: the verifier's route rule
     reads it.  It is not a field: equality and ``repr`` ignore it, and a
     copy or pickle is rebuilt through the constructor, which records
-    None.
+    None.  Such a unitary fills ``matrix`` on its first read, since the
+    verifier's factored route never reads it: ``dim``, ``n_qubits`` and
+    ``repr`` come from the recorded gate, and the first read publishes
+    the matrix only once it is filled and read-only, so threads that race
+    to it each get the same entries.
     """
 
     __slots__ = ("matrix", "_controls")
@@ -101,9 +105,19 @@ class UnitaryMatrix(Record):
         Record.__init__(self, _freeze(m))
         set_field(self, "_controls", None)
 
+    def __getattr__(self, name: str) -> Array:
+        # Reached only when a slot is unset: the matrix of a unitary that
+        # controlled() built, on its first read.
+        if name != "matrix":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        m = _controlled_block(self._controls)
+        set_field(self, "matrix", m)
+        return m
+
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        u = self._controls
+        return self.matrix.shape[0] if u is None else 2 * len(u)
 
     @property
     def n_qubits(self) -> int:
@@ -178,14 +192,30 @@ def controlled(u: UnitaryMatrix) -> UnitaryMatrix:
     The result is not checked again: diag(I, U)†diag(I, U) - I is
     diag(0, U†U - I), so its unitarity defect is exactly that of ``u``,
     which passed the check when it was built.  The result records
-    ``u.matrix`` as its ``_controls`` (see :class:`UnitaryMatrix`).
+    ``u.matrix`` as its ``_controls`` and fills its own matrix on first
+    read (see :class:`UnitaryMatrix`).
+
+    >>> cx = controlled(X)
+    >>> cx, cx.n_qubits
+    (UnitaryMatrix(dim=4), 2)
+    >>> cx.matrix.real.astype(int).tolist()
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    >>> cx == UnitaryMatrix(cx.matrix), cx.matrix.flags.writeable
+    (True, False)
     """
     check_qubits(u.n_qubits + 1, "controlled gate")
-    d = u.dim
+    gate = object.__new__(UnitaryMatrix)
+    set_field(gate, "_controls", u.matrix)
+    return gate
+
+
+def _controlled_block(u: Array) -> Array:
+    """The read-only matrix diag(I, u)."""
+    d = len(u)
     block = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     block.reshape(-1)[: 2 * d * d : 2 * d + 1] = 1  # the diagonal of the I block
-    block[d:, d:] = u.matrix
-    return _unchecked(block, u.matrix)
+    block[d:, d:] = u
+    return _freeze(block)
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator | int | None = None) -> UnitaryMatrix:

@@ -70,7 +70,7 @@ from .executor import (
     kraus_form,
     transcript_key,
 )
-from .protocol import Program, ResourceCensus, resource_census
+from .protocol import Program, ResourceCensus
 from .qsim import BRANCH_PRUNE, UnitaryMatrix
 
 DEFAULT_TOL_BRANCH = 1e-10
@@ -90,6 +90,9 @@ class BranchReport(Record):
     def __init__(self, transcript: str, probability: float, max_infidelity: float):
         Record.__init__(self, transcript, probability, max_infidelity)
 
+    def __hash__(self) -> int:  # computed when asked for, not at construction
+        return hash(self._key)
+
 
 class EquivalenceReport(Record):
     __slots__ = _fields = (
@@ -106,6 +109,9 @@ class EquivalenceReport(Record):
         branches: tuple[BranchReport, ...],
     ):
         Record.__init__(self, verdict, tol_branch, tol_choi, census, choi_dist, branches)
+
+    def __hash__(self) -> int:  # computed when asked for, not at construction
+        return hash(self._key)
 
     @property
     def passed(self) -> bool:
@@ -186,12 +192,6 @@ def _haar_probes(n_qubits: int, probes: int, seed: int) -> np.ndarray:
     return haar.view(np.complex128).reshape(d, m - d)
 
 
-# The spec's coefficients over {I, V}: P0 = |0><0| on I, P1 = |1><1| on V
-# (see _evidence).
-_CONTROL_HALVES = qsim._freeze(
-    np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], dtype=np.complex128)
-)
-
 def _splits(form: KrausForm, spec: UnitaryMatrix) -> bool:
     """Whether the spec ``spec`` is exactly controlled(V) over the channel
     ``form``'s own basis {I, V}: the program has a slot with gate V and
@@ -204,11 +204,11 @@ def _splits(form: KrausForm, spec: UnitaryMatrix) -> bool:
     built program's spec from ``build_specification`` is one.  Any other
     spec, an equal copy included, is compared entry for entry, which
     gives the same answer."""
-    basis = form.basis
-    if len(basis) != 2 or form.coeffs.shape[-1] != 2:
+    if form.rows is None:
         return False
     if spec._controls is form.v:
         return True
+    basis = form.basis
     s, m = spec.matrix, basis.shape[-1]
     return (
         not (s[:m, m:].any() or s[m:, :m].any())
@@ -272,28 +272,19 @@ def _evidence(
         terms = _image_terms(images)
         onto = terms[1, :, :d].sum(axis=1)
         return terms, choi_residual(images[:, None, :, :d], TRIVIAL_BASIS, None, onto)
-    coeffs, basis = form.coeffs, form.basis
-    z = np.empty((1 + len(coeffs), 2, 2, 2), dtype=np.complex128)
-    z[0] = _CONTROL_HALVES
-    z[1:] = coeffs
+    rows, basis = form.rows, form.basis
     columns = basis.transpose(2, 1, 0)  # [q, x, b] = M_b[x, q]
     grams = columns.conj().transpose(0, 2, 1) @ columns  # [q, b, c] = <M_b e_q, M_c e_q>
-    u, _, r, _ = z.shape
+    u, _, r, _ = rows.shape
     m = len(grams)
-    terms = np.empty((2, u, r, m), dtype=np.complex128)  # [., u, i, q]: on e_i ⊗ e_q
-    # <S e, Z_u e> = sum_c Z_uc[i, i] <M_i e_q, M_c e_q>
-    np.matmul(z.diagonal(axis1=2, axis2=3).transpose(2, 0, 1), grams.transpose(1, 2, 0),
-              out=terms[1].transpose(1, 0, 2))
-    # |Z_u e|^2 = sum_bc <Z_ub e_i, Z_uc e_i> <M_b e_q, M_c e_q>; row u = 0 is |S e|^2
-    pairs = np.einsum("ubxi,ucxi->uibc", z.conj(), z)
-    np.matmul(pairs.reshape(-1, 4), grams.reshape(m, 4).T, out=terms[0].reshape(-1, m))
-    terms = terms.reshape(2, u, r * m)
+    # [0, u, i, q] = |Z_u e|^2 and [1, u, i, q] = <S e, Z_u e> on e = e_i ⊗ e_q
+    terms = (form.pairs.reshape(-1, 4) @ grams.reshape(m, 4).T).reshape(2, u, r * m)
     if k:
         applied = (basis[:, None] @ probes.reshape(1, r, m, k)).reshape(2 * r, m * k)
-        images = (z.transpose(0, 2, 1, 3).reshape(u * r, 2 * r) @ applied).reshape(u, r * m, k)
+        images = (rows.transpose(0, 2, 1, 3).reshape(u * r, 2 * r) @ applied).reshape(u, r * m, k)
         terms = np.concatenate((terms, _image_terms(images)), axis=2)
     onto = terms[1, :, :d].sum(axis=1)
-    return terms, choi_residual(z, basis, grams.sum(axis=0), onto)
+    return terms, choi_residual(rows, basis, grams.sum(axis=0), onto)
 
 
 def _image_terms(images: np.ndarray) -> np.ndarray:
@@ -383,7 +374,7 @@ def verify_program(
     max_infid = max((b.max_infidelity for b in branches), default=0.0)
     verdict = "pass" if (max_infid <= tol_branch and dist <= tol_choi) else "fail"
     return EquivalenceReport(
-        verdict, tol_branch, tol_choi, resource_census(p), dist, branches
+        verdict, tol_branch, tol_choi, form.census, dist, branches
     )
 
 

@@ -224,7 +224,8 @@ def test_cached_coefficients_are_read_only_and_bounded():
 
 def test_a_slot_free_layout_keeps_a_scalar_gram():
     """A program without a slot has the basis {1}: its layout keeps the
-    (T, 1, 1) Gram |K_t|_F^2 beside the coefficients, and no other array."""
+    (T, 1, 1) Gram |K_t|_F^2 beside the coefficients, and no other array:
+    no rows or pairs, which only the factored route reads."""
     spec = NonlocalCUSpec(qsim.haar_random_unitary(4, 6), 2)
     mutant = apply_mutation(build_program(spec), "drop-cgate")
     executor._LAYOUTS.clear()
@@ -233,7 +234,7 @@ def test_a_slot_free_layout_keeps_a_scalar_gram():
     assert form.basis is executor.TRIVIAL_BASIS and layout.gram.shape == (4, 1, 1)
     arrays = [f for f in layout._fields if isinstance(getattr(layout, f), np.ndarray)]
     assert arrays == ["coeffs", "gram"]
-    assert "pairs" not in form._fields + layout._fields
+    assert form.rows is form.pairs is layout.rows is layout.pairs is None
 
 
 def wide_program():
