@@ -230,15 +230,14 @@ def kraus_form(p: Program) -> KrausForm:
         basis[0], basis[1] = _identity(len(v)), v
     transcripts, keep = _checked(layout, coeffs, gram, basis)
     if fresh and coeffs.size <= BLOCK_CACHE_ENTRIES:
-        # read-only exactly when cached (see the module docstring)
-        for array in (coeffs, gram) if rows is None else (coeffs, gram, rows, pairs):
-            qsim._freeze(array)
+        qsim._freeze(coeffs)  # read-only exactly when cached (see the module docstring)
+        qsim._freeze(gram)
         _store(key, layout._replace(gates=gates, coeffs=coeffs, gram=gram, rows=rows, pairs=pairs))
     if keep is not None:
         coeffs = coeffs[keep]
         if rows is not None:
-            keep = [True, *keep]  # controlled(V)'s row stays
-            rows, pairs = rows[keep], pairs[:, keep]
+            kept = [True, *keep]  # controlled(V)'s row stays
+            rows, pairs = rows[kept], pairs[:, kept]
     return KrausForm(transcripts, coeffs, basis, v, layout.census, rows, pairs)
 
 
@@ -506,8 +505,8 @@ def _operands(coeffs: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]
     z = [P0, P1; X_t, Y_t] (controlled(V)'s coefficients, then the
     coefficients), and their (2, 1 + T, 2, 2, 2) products, with
     [0, u, i, b, c] = <z_ub e_i, z_uc e_i> and [1, u, i, b, c] =
-    δ_bi z_uc[i, i].  Neither depends on V.  (None, None) for every other
-    shape of coefficients."""
+    δ_bi z_uc[i, i], both read-only.  Neither depends on V.  (None, None)
+    for every other shape of coefficients."""
     if coeffs.shape[1:] != (2, 2, 2):
         return None, None
     rows = np.empty((1 + len(coeffs), 2, 2, 2), dtype=np.complex128)
@@ -518,7 +517,7 @@ def _operands(coeffs: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]
     diagonals = rows.diagonal(axis1=2, axis2=3)  # [u, c, i] = z_uc[i, i]
     for i in (0, 1):
         pairs[1, :, i, i] = diagonals[..., i]
-    return rows, pairs
+    return qsim._freeze(rows), qsim._freeze(pairs)
 
 
 def _append_qubits(psi: np.ndarray, amps: np.ndarray) -> np.ndarray:
