@@ -27,8 +27,9 @@ hash.  Then:
   string hashes are salted differently.
 
 A class whose fields may hold an unhashable value (a gate matrix) sets
-``__hash__ = None`` or computes the hash per call; it keeps the key, and
-no hash is computed for it at construction.
+``__hash__ = None`` or computes the hash per call, and so does one that
+is built far more often than it is hashed (a report); it keeps the key,
+and no hash is computed for it at construction.
 """
 
 from __future__ import annotations

@@ -23,8 +23,9 @@ and every consumer reads that form:
   off the dense stack for small registers (at most 2^12 complex entries
   in the stack of the specification and the K_t: built programs up to
   k = 3), for programs without a slot and for every specification but
-  exactly controlled(V), V the slot's gate, and off the coefficients
-  otherwise (see :mod:`telegate.verifier` for the timings).
+  exactly controlled(V), V the slot's gate, and otherwise off the
+  coefficients' rows and pair products that the form carries
+  (:func:`_operands`; see :mod:`telegate.verifier` for the timings).
   The form carries V's own matrix object (``KrausForm.v``), so a
   specification that :func:`qsim.controlled` built from that gate is
   recognized by its record, without comparing its entries.
@@ -58,7 +59,9 @@ The pass is split in two.  :func:`_layout` works out everything that
 depends only on the program's *shape* (:func:`_shape`: its externals,
 and each instruction with its gate matrix and label left out): the
 slot, the register width, each step's axis permutation, the final axis
-order and every transcript.  :func:`_run` then applies the numbers,
+order, every transcript and the program's resource census, which every
+form carries (:func:`protocol.resource_census` reads only instruction
+classes and ``SendBit.to_party``).  :func:`_run` then applies the numbers,
 reading each gate matrix from the program by index.  Every program the
 builder makes for one k has one shape, so :func:`kraus_form` validates
 and lays out a shape once and keeps the layout in a cache of at most
@@ -67,33 +70,43 @@ never enters it.  The qubit cap is checked on every call, against
 :func:`qsim.max_qubits`, which reads ``TELEGATE_MAX_QUBITS`` once per
 process (``qsim.max_qubits.cache_clear()`` resets it).
 
-A cache entry also keeps the coefficients C_tb of the last pass run for
-its shape and their :func:`_gram`, the (T, B, B) inner products
-<C_tb, C_tc>, with the gate objects that pass read (every gate but the
-slot's).  A call reuses them only when each of its own non-slot gates
-*is* the object the entry holds: no matrix is hashed or compared, and
-the held reference keeps an object's id from being reused.  The builder
-shares its non-slot gates between every program of one k, so a sweep
-over gates of one k runs the pass once per shape, and a warm call runs
-no pass at all.  Coefficients are kept only
-when they hold at most :data:`BLOCK_CACHE_ENTRIES` complex entries
-(64 KiB), as the (4, 1, 32, 32) coefficients of a slot-free k = 4
-program do.  Their Gram is never larger (B² entries per transcript
-against B r²), so an entry keeps at most 2 × 64 KiB and the cache at
-most ``LAYOUT_CACHE_SIZE`` × 128 KiB = 8 MiB of arrays.  It is the
-package's one cache of arrays derived from the coefficients; the
-verifier keeps nothing of its own.
-Cached arrays are read-only (the coefficients a call returns are
-read-only exactly when they are cached ones), and an entry is
-replaced, never changed, under a lock, so a thread reading an entry
-that another evicts or refills keeps a consistent one.  A one-shot CLI
-call runs one program per process, so its layout is always new and it
-gains nothing from the cache.
+A cache entry also keeps what the last pass run for its shape gave, with
+the gate objects that pass read (every gate but the slot's): the
+coefficients C_tb, their :func:`_gram`, the (T, B, B) inner products
+<C_tb, C_tc>, and, for a slot with one other external wire (r = 2),
+what the verifier's factored route reads (:func:`_operands`): the rows
+z = [P0, P1; X_t, Y_t] and their column pair products.  None of them
+depends on V, so a warm call computes only what V changes.  A call
+reuses them only when each of its own non-slot gates *is* the object
+the entry holds: no matrix is hashed or compared, and the held
+reference keeps an object's id from being reused.  The builder shares
+its non-slot gates between every program of one k, so a sweep over
+gates of one k runs the pass once per shape, and a warm call runs no
+pass at all.
+
+Coefficients are kept only when they hold at most
+:data:`BLOCK_CACHE_ENTRIES` complex entries (64 KiB), as the
+(4, 1, 32, 32) coefficients of a slot-free k = 4 program do, and the
+rest is bounded by them: the Gram holds B² entries per transcript
+against their B r² (half as many at r = 2, twice as many at r = 1), and
+at r = 2 the rows hold 8 entries more than the coefficients and the
+pairs twice as many as the rows.  An entry therefore keeps at most
+4.5 × 4096 + 24 = 18456 complex entries (288.375 KiB, reached by a slot
+with r = 2 and 512 transcripts), and the cache at most
+``LAYOUT_CACHE_SIZE`` times that, under 18.1 MiB.  It is the package's
+one cache of arrays derived from the coefficients; the verifier keeps
+nothing of its own.  Cached arrays are read-only (the coefficients and
+the Gram a call reads are read-only exactly when they are cached ones;
+rows and pairs always are), and an entry is replaced, never changed,
+under a lock, so a thread reading an entry that another evicts or
+refills keeps a consistent one.  A one-shot CLI call runs one program
+per process, so its layout is always new and it gains nothing from the
+cache.
 
 The operators are checked on the factored form: coefficients are
 finite when a pass computes them, and on every call transcripts with
 ``|K_t|_F^2 < 1e-14`` are dropped as dust, with their rows of
-coefficients, and the rest must sum to 1 within the bound of
+coefficients, rows and pairs, and the rest must sum to 1 within the bound of
 :func:`_checked`, with |K_t|_F^2 = sum_bc <C_tb, C_tc> <M_b, M_c>: the
 Gram of the coefficients, which does not depend on V and is cached,
 against that of the basis.
@@ -154,8 +167,8 @@ _REGISTER_DETAIL = " alive in one register (measured qubits are kept)"
 # keeps two threads from evicting at once.
 LAYOUT_CACHE_SIZE = 64
 # The most complex entries of cached coefficients per layout (64 KiB;
-# their Gram comes on top, see the module docstring), and the
-# verifier's route threshold.
+# their Gram, rows and pairs come on top, see the module docstring), and
+# the verifier's route threshold.
 BLOCK_CACHE_ENTRIES = 1 << 12
 _LAYOUTS: dict[tuple, "_Layout"] = {}
 _LAYOUTS_LOCK = threading.Lock()

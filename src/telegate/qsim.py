@@ -106,8 +106,8 @@ class UnitaryMatrix(Record):
         set_field(self, "_controls", None)
 
     def __getattr__(self, name: str) -> Array:
-        # Reached only when a slot is unset: the matrix of a unitary that
-        # controlled() built, on its first read.
+        # Called only when the usual lookup fails: for ``matrix``, on the
+        # first read of a unitary that controlled() built.
         if name != "matrix":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         m = _controlled_block(self._controls)
@@ -135,14 +135,14 @@ class UnitaryMatrix(Record):
         return f"UnitaryMatrix(dim={self.dim})"
 
 
-def _unchecked(m: Array, controls: Array | None = None) -> UnitaryMatrix:
+def _unchecked(m: Array) -> UnitaryMatrix:
     """The unitary of the complex128 array ``m``, which is frozen in place,
     built without the constructor's checks (its shape, the cap, its
     unitarity) or its copy: for matrices unitary by construction, which
-    the caller hands over.  ``controls`` is its ``_controls``."""
+    the caller hands over."""
     gate = object.__new__(UnitaryMatrix)
     Record.__init__(gate, _freeze(m))
-    set_field(gate, "_controls", controls)
+    set_field(gate, "_controls", None)
     return gate
 
 

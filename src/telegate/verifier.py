@@ -25,7 +25,10 @@ and runs that route from top to bottom:
 * the factored route works over the program's own basis {I, V} (V the
   slot's gate), on which S = controlled(V) = P0 ⊗ I + P1 ⊗ V has the
   constant coefficients (P0, P1), without a d×d operator, and the Choi
-  distance is :func:`choi_residual` over that basis.
+  distance is :func:`choi_residual` over that basis.  The rows of
+  coefficients and their pair products, which do not depend on V, come
+  with the form from the executor's cache, so a warm call computes only
+  what V changes.
 
 The factored route runs when the program has a slot with gate V and one
 external wire besides its targets (r = 2), S is exactly controlled(V)
@@ -195,8 +198,9 @@ def _haar_probes(n_qubits: int, probes: int, seed: int) -> np.ndarray:
 def _splits(form: KrausForm, spec: UnitaryMatrix) -> bool:
     """Whether the spec ``spec`` is exactly controlled(V) over the channel
     ``form``'s own basis {I, V}: the program has a slot with gate V and
-    one more external wire (r = 2), and S = P0 ⊗ I + P1 ⊗ V entry for
-    entry (its off-diagonal blocks zero, its diagonal blocks the basis).
+    one more external wire (r = 2), so that the form carries the rows the
+    factored route reads, and S = P0 ⊗ I + P1 ⊗ V entry for entry (its
+    off-diagonal blocks zero, its diagonal blocks the basis).
 
     A spec that :func:`qsim.controlled` built from the slot's own gate
     records that gate's matrix (``spec._controls is form.v``) and is
@@ -251,16 +255,20 @@ def _evidence(
 
     The factored route works over the channel's own basis {I, V}, V the
     slot's gate, where S = controlled(V) has the coefficients (P0, P1)
-    and K_t = X_t ⊗ I + Y_t ⊗ V has (X_t, Y_t); it reads no block of S
-    and keeps nothing between calls.  On a basis input e = e_i ⊗ e_q
-    (j = i * m + q), with G_q[b, c] = <M_b e_q, M_c e_q> the column
-    Grams of the basis (their sum is its metric),
-    |Z_u e|^2 = sum_bc <Z_ub e_i, Z_uc e_i> G_q[b, c] comes from the
-    column pairs of every row of coefficients, S's included, and, since
-    S e = e_i ⊗ M_i e_q, <S e, Z_u e> = sum_c Z_uc[i, i] G_q[i, c] from
-    their diagonals.  A probe psi splits into r parts psi_i on the basis's
-    wires, the basis is applied to each, and its images
-    sum_bi Z_ub[:, i] ⊗ M_b psi_i are assembled from those.
+    and K_t = X_t ⊗ I + Y_t ⊗ V has (X_t, Y_t); it reads no block of S.
+    Its rows Z = [P0, P1; X_t, Y_t] and their pair products come with the
+    form (``form.rows`` and ``form.pairs``, see
+    :func:`telegate.executor._operands`), cached with the coefficients,
+    so a warm call computes only what V changes.  On a basis input
+    e = e_i ⊗ e_q (j = i * m + q), with G_q[b, c] = <M_b e_q, M_c e_q>
+    the column Grams of the basis (their sum is its metric), both terms
+    are one product of the pairs with the G_q:
+    |Z_u e|^2 = sum_bc <Z_ub e_i, Z_uc e_i> G_q[b, c], row u = 0 being
+    |S e|^2, and, since S e = e_i ⊗ M_i e_q, <S e, Z_u e> =
+    sum_c Z_uc[i, i] G_q[i, c] = sum_bc δ_bi Z_uc[i, i] G_q[b, c].  A
+    probe psi splits into r parts psi_i on the basis's wires, the basis
+    is applied to each, and its images sum_bi Z_ub[:, i] ⊗ M_b psi_i are
+    assembled from those.
     """
     d, k = probes.shape
     if not _factored(form, u_spec):
@@ -351,7 +359,8 @@ def verify_program(
     route of :func:`_factored`: the basis probes, the Haar probes, none of
     which are drawn when ``probes`` is at most the dimension, and the
     Choi distance, which compares the whole channels
-    (:func:`choi_residual`).
+    (:func:`choi_residual`).  The census is the one the form carries,
+    counted once per program shape.
     """
     check_specification(p, u_spec)
     haar = _haar_probes(p.n_external, probes, seed)

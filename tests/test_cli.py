@@ -171,6 +171,25 @@ def test_resources_refuses_an_invalid_program(qubit_cap, capsys):
     assert capsys.readouterr().out.strip() == "{ebits: 1, a_to_b: 1, b_to_a: 1}"
 
 
+def test_resources_runs_no_kraus_pass(monkeypatch, capsys):
+    """The census is counted off the instructions: ``resources`` lays out
+    no program and runs no pass, and still refuses an invalid one."""
+    from telegate import executor, verifier
+
+    def refuse(*args):
+        raise AssertionError("resources ran the Kraus pass")
+
+    for module, name in ((executor, "kraus_form"), (executor, "_layout"),
+                         (executor, "_coefficients"), (verifier, "kraus_form")):
+        monkeypatch.setattr(module, name, refuse)
+    assert main(["resources", "--file", str(DEMOS / "nonlocal_cnot.tg")]) == 0
+    assert capsys.readouterr().out.strip() == "{ebits: 1, a_to_b: 1, b_to_a: 1}"
+    assert main(["resources", "--gate", "X x H"]) == 0
+    assert capsys.readouterr().out.strip() == "{ebits: 1, a_to_b: 1, b_to_a: 1}"
+    assert main(["resources", "--file", str(DEMOS / "bad_crossparty.tg")]) == 2
+    assert "program fails locality validation: " in capsys.readouterr().err
+
+
 def test_lint_good_and_bad_files(capsys):
     assert main(["lint", str(DEMOS / "nonlocal_cnot.tg")]) == 0
     assert capsys.readouterr().out.strip() == "ok"

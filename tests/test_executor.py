@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from telegate.executor import (
     _layout,
     channel_choi,
     kraus_choi_distance,
+    kraus_form,
     kraus_stack,
 )
 from telegate.protocol import (
@@ -32,6 +34,7 @@ from telegate.protocol import (
     cwire,
     parse_program,
     qwire,
+    resource_census,
     validate_locality,
 )
 
@@ -461,3 +464,34 @@ def test_channel_choi_is_a_choi_matrix_by_construction(k):
         assert abs(np.trace(j) - 1) <= 1e-12
         assert np.linalg.eigvalsh(j).min() >= -1e-10
         assert not j.flags.writeable
+
+
+def census_programs():
+    """Built programs at k = 1..8, intact and under every mutation, and
+    every program file under ``tests/data/`` and ``demos/``."""
+    for k in range(1, 9):
+        program = build_program(NonlocalCUSpec(qsim.haar_random_unitary(1 << k, 50 + k), k))
+        yield f"k={k}", program
+        for m in MUTATIONS:
+            yield f"k={k} {m}", apply_mutation(program, m)
+    root = Path(__file__).resolve().parent.parent
+    for path in sorted([*(root / "tests" / "data").glob("*.tg"), *(root / "demos").glob("*.tg")]):
+        yield path.name, parse_program(path.read_text())
+
+
+def test_the_form_carries_the_census():
+    """kraus_form carries the census its layout counted once per shape:
+    resource_census(p) for every program that validates, on the call that
+    lays the shape out and on a warm one; a program that fails validation
+    gets no form."""
+    executor._LAYOUTS.clear()
+    refused = []
+    for name, p in census_programs():
+        if validate_locality(p):
+            refused.append(name)
+            with pytest.raises(ValueError, match="locality"):
+                kraus_form(p)
+            continue
+        want = resource_census(p)
+        assert kraus_form(p).census == want == kraus_form(p).census, name
+    assert refused == ["bad_crossparty.tg"]

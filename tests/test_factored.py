@@ -9,6 +9,8 @@ the cache that keeps X_t and Y_t, and the certificate the builder's
 programs carry for every gate.
 """
 
+import copy
+import pickle
 import threading
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from oracles import random_program_text
 from program_files import FILES, SWAPPED_CNOT, program, without_each_cpauli
 
 from telegate import executor, gatelang, qsim, verifier
+from telegate._record import set_field
 from telegate.builder import (
     MUTATIONS,
     NonlocalCUSpec,
@@ -201,11 +204,11 @@ def test_pairs_drop_with_their_dust_transcript(monkeypatch, text):
 
 def test_cached_coefficients_are_read_only_and_bounded():
     """The cache keeps coefficients only up to BLOCK_CACHE_ENTRIES complex
-    entries, with their (T, B, B) Gram, which is never larger (B^2
-    entries a transcript against B r^2, B <= 2 and r >= 1), so it holds
-    at most LAYOUT_CACHE_SIZE * 2 * 64 KiB of arrays: a slot-free k=4
-    program has 4 * 32 * 32 coefficients and keeps them, one at k=5 has
-    4 * 64 * 64 and does not; a slotted k=8 program has 4 * 2 * 2 * 2."""
+    entries, with their (T, B, B) Gram, here never larger (B^2 entries a
+    transcript against B r^2; see test_a_cache_entry_is_bounded for the
+    whole entry): a slot-free k=4 program has 4 * 32 * 32 coefficients
+    and keeps them, one at k=5 has 4 * 64 * 64 and does not; a slotted
+    k=8 program has 4 * 2 * 2 * 2."""
     assert executor.BLOCK_CACHE_ENTRIES * 16 == 64 * 1024
     executor._LAYOUTS.clear()
     for k, kept in ((4, True), (5, False), (8, True)):
@@ -237,10 +240,11 @@ def test_a_slot_free_layout_keeps_a_scalar_gram():
     assert form.rows is form.pairs is layout.rows is layout.pairs is None
 
 
-def wide_program():
-    """A program with one slot and 1024 transcripts, whose (1024, 2, 2, 2)
-    coefficients are too large to cache."""
-    measured = range(2, 11)
+def wide_program(measured=9):
+    """A program with one slot, r = 2 and 2^(measured + 1) transcripts:
+    by default 1024, whose (1024, 2, 2, 2) coefficients are too large to
+    cache."""
+    measured = range(2, 2 + measured)
     text = "ext A q0\next B q1\n" + "".join(
         f"alloc A q{i} = 0\ngate A q{i} : H\nmeasz A q{i} -> c{i}\n" for i in measured
     ) + "alloc B q11 = 0\ngate B q11 : H\ncgate B q11 -> q1 : X\nmeasz B q11 -> c11\n"
@@ -316,7 +320,9 @@ def test_the_factored_route_reads_uncached_coefficients(monkeypatch):
     dense = report_by_route(monkeypatch, "dense", wide, cx)
     assert len(factored.branches) == 1024
     assert_same_report(factored, dense)
-    assert executor._LAYOUTS[executor._shape(wide)].coeffs is None
+    layout = executor._LAYOUTS[executor._shape(wide)]
+    assert layout.coeffs is layout.rows is layout.pairs is None
+    assert kraus_form(wide).pairs.shape == (2, 1025, 2, 2, 2)  # built on every call
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -387,9 +393,31 @@ def test_the_route_reads_the_record_before_the_entries():
     the same entries without the record are compared and refused."""
     spec = NonlocalCUSpec(qsim.haar_random_unitary(16, 4), 4)
     form = kraus_form(build_program(spec))
-    wrong = qsim.identity(32).matrix.copy()
-    assert verifier._factored(form, qsim._unchecked(wrong, form.v))
+    wrong = qsim.identity(32).matrix
+    claims = qsim.controlled(spec.c)
+    set_field(claims, "matrix", wrong)
+    assert claims._controls is form.v and verifier._factored(form, claims)
     assert not verifier._factored(form, UnitaryMatrix(wrong))
+
+
+def test_an_equal_copy_of_a_built_spec_is_compared_entry_for_entry(monkeypatch):
+    """The route rule takes a built spec on its record without filling
+    its matrix; a copy or pickle of it, which has no record, is compared
+    entry for entry, takes the same route and gives the same report."""
+    spec = NonlocalCUSpec(qsim.haar_random_unitary(16, 21), 4)
+    program = build_program(spec)
+    form = kraus_form(program)
+    built = []
+    block = qsim._controlled_block
+    monkeypatch.setattr(qsim, "_controlled_block", lambda u: built.append(u) or block(u))
+    u = build_specification(spec)
+    assert verifier._factored(form, u) and built == []
+    want = verify_program(program, u).to_json()
+    assert built == []
+    for twin in (copy.copy(u), pickle.loads(pickle.dumps(u))):
+        assert twin._controls is None and twin == u
+        assert verifier._factored(form, twin)
+        assert verify_program(program, twin).to_json() == want
 
 
 def test_routes_agree_where_the_pairs_are_complex(monkeypatch):
@@ -559,12 +587,15 @@ def test_a_dependent_basis_leaves_no_floor(monkeypatch, eps):
 
 
 def test_threads_share_the_cache(monkeypatch):
-    """Four threads verify k = 1..4, intact and mutated, five times over,
+    """Four threads verify k = 1..6, intact and mutated, five times over,
     with the cache cut to two shapes so that entries are evicted while
-    other threads read them, on the dense route and, at k = 4, on the
-    factored one: every report is the serial run's, byte for byte."""
+    other threads read them, on the dense route and, from k = 4, on the
+    factored one, where each k = 4..6 case runs twice in a row so that
+    its second call can hit a warm entry: every report is the serial
+    run's, byte for byte."""
     monkeypatch.setattr(executor, "LAYOUT_CACHE_SIZE", 2)
-    cases = [(p, u) for k in (1, 2, 3, 4) for _, p, u in programs(k, 400 + k)]
+    cases = [(p, u) for k in (1, 2, 3) for _, p, u in programs(k, 400 + k)]
+    cases += [(p, u) for k in (4, 5, 6) for _, p, u in programs(k, 400 + k) for _ in range(2)]
     executor._LAYOUTS.clear()
     want = [verify_program(p, u).to_json() for p, u in cases]
     errors, results = [], []
@@ -586,3 +617,133 @@ def test_threads_share_the_cache(monkeypatch):
     for got in results:
         assert got == [want] * 5
     assert len(executor._LAYOUTS) <= 2
+
+
+# The factored route's operands: the rows z = [P0, P1; X_t, Y_t] and
+# their column pair products, cached with the coefficients.
+
+def cold_json(p, u, **kwargs):
+    """The report of ``p`` against ``u`` with an empty cache."""
+    executor._LAYOUTS.clear()
+    return verify_program(p, u, **kwargs).to_json()
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+def test_warm_reports_equal_cold_reports(k):
+    """A warm call, which reads the cached rows and pairs, gives the cold
+    call's report bit for bit, intact and under every mutation, against
+    the spec the cold call read and against a copy of it, which has no
+    record and is compared entry for entry."""
+    for mutation, program, spec in programs(k, 800 + k):
+        want = cold_json(program, spec, probes=40, seed=k)
+        form = kraus_form(program)
+        assert (form.rows is None) == (mutation == "drop-cgate")
+        assert verify_program(program, spec, probes=40, seed=k).to_json() == want, mutation
+        assert verify_program(program, copy.copy(spec), probes=40, seed=k).to_json() == want
+
+
+def test_operands_are_the_rows_and_their_column_products():
+    """Every built program with a slot from k = 1 on carries, on every
+    call, the rows [P0, P1; X_t, Y_t] and the products
+    [0, u, i, b, c] = <z_ub e_i, z_uc e_i> and [1, u, i, b, c] =
+    δ_bi z_uc[i, i], computed here entry by entry; read-only, and on a
+    warm call the very arrays the layout keeps."""
+    for k in (1, 4, 8):
+        executor._LAYOUTS.clear()
+        for mutation, program, _ in programs(k, 820 + k):
+            if mutation == "drop-cgate":
+                continue
+            cold, warm = kraus_form(program), kraus_form(program)
+            layout = executor._LAYOUTS[executor._shape(program)]
+            assert warm.rows is layout.rows and warm.pairs is layout.pairs
+            for form in (cold, warm):
+                z = form.rows
+                assert np.array_equal(z[0], [P0, P1]) and np.array_equal(z[1:], form.coeffs)
+                want = np.zeros((2,) + z.shape, dtype=complex)
+                for u, i, b, c in np.ndindex(z.shape):
+                    want[0, u, i, b, c] = np.vdot(z[u, b][:, i], z[u, c][:, i])
+                    want[1, u, i, b, c] = (b == i) * z[u, c, i, i]
+                assert form.pairs.shape == (2, 1 + len(form.coeffs), 2, 2, 2)
+                assert np.abs(form.pairs - want).max() <= 1e-15, (k, mutation)
+                assert not (z.flags.writeable or form.pairs.flags.writeable)
+
+
+def test_a_non_slot_gate_gives_new_operands(monkeypatch):
+    """Two programs of one shape that differ in a gate outside the slot
+    (H for S), on the factored route: each gets operands of its own, not
+    the other's, whichever ran first, and its cold report."""
+    on_route(monkeypatch, "factored")
+    text = CNOT_FILE.read_text()
+    h, s = parse_program(text), parse_program(text.replace(": H", ": S"))
+    cx = qsim.controlled(qsim.X)
+    want = {id(p): (cold_json(p, cx), kraus_form(p).pairs.tobytes()) for p in (h, s)}
+    assert want[id(h)][1] != want[id(s)][1]
+    executor._LAYOUTS.clear()
+    for p in (h, s, h, s, s, h):
+        assert verify_program(p, cx).to_json() == want[id(p)][0]
+        assert kraus_form(p).pairs.tobytes() == want[id(p)][1]
+
+
+def test_operands_drop_dust_rows_as_the_coefficients_do():
+    """A fresh |0> measured can only read 0: the dust transcripts lose
+    their rows and pairs exactly as _checked drops their coefficients,
+    and controlled(V)'s row 0 stays, fresh and cached."""
+    program = parse_program(
+        "ext A q0\next B q1\nalloc B q2 = 0\ncgate B q2 -> q1 : X\n"
+        "alloc A q3 = 0\nmeasz A q3 -> c3\nmeasz B q2 -> c2\n"
+    )
+    executor._LAYOUTS.clear()
+    for _ in range(2):
+        form = kraus_form(program)
+        layout = executor._LAYOUTS[executor._shape(program)]
+        transcripts, keep = executor._checked(layout, layout.coeffs, layout.gram, form.basis)
+        assert keep is not None and sum(keep) == 1 < len(keep)
+        assert form.transcripts == transcripts
+        rows = [0] + [1 + t for t, kept in enumerate(keep) if kept]
+        assert np.array_equal(form.coeffs, layout.coeffs[keep])
+        assert np.array_equal(form.rows, layout.rows[rows])
+        assert np.array_equal(form.pairs, layout.pairs[:, rows])
+        assert np.array_equal(form.rows[1:], form.coeffs)
+
+
+def test_no_operands_without_a_slot_and_r_2():
+    """Slot-free forms (drop-cgate mutants, the teledata CNOT) and a slot
+    that leaves r = 4 (two targets on one control) build no operands, and
+    their layouts keep none."""
+    spec = NonlocalCUSpec(qsim.haar_random_unitary(4, 9), 2)
+    cases = [apply_mutation(build_program(spec), "drop-cgate"),
+             program("teledata_cnot.tg"), program("cat_two_targets.tg")]
+    executor._LAYOUTS.clear()
+    for p in cases:
+        for _ in range(2):
+            form = kraus_form(p)
+            layout = executor._LAYOUTS[executor._shape(p)]
+            assert form.rows is form.pairs is layout.rows is layout.pairs is None
+    assert kraus_form(cases[2]).coeffs.shape[1:] == (2, 4, 4)
+
+
+def cached_bytes(layout) -> int:
+    return sum(a.nbytes for a in (layout.coeffs, layout.gram, layout.rows, layout.pairs)
+               if a is not None)
+
+
+def test_a_cache_entry_is_bounded():
+    """An entry keeps at most 4.5 BLOCK_CACHE_ENTRIES + 24 complex entries
+    (288.375 KiB), the cache LAYOUT_CACHE_SIZE times that: reached by a
+    slot with r = 2 and 512 transcripts, whose 4096 coefficients come
+    with a Gram of 2048 entries, 4104 rows and 8208 pairs; every built
+    program, intact and mutated, stays within it."""
+    bound = (9 * executor.BLOCK_CACHE_ENTRIES // 2 + 24) * 16
+    assert bound == 295296 and executor.LAYOUT_CACHE_SIZE * bound < 18.1 * 2**20
+    executor._LAYOUTS.clear()
+    worst = wide_program(measured=8)
+    kraus_form(worst)
+    layout = executor._LAYOUTS[executor._shape(worst)]
+    assert layout.coeffs.shape == (512, 2, 2, 2) and cached_bytes(layout) == bound
+    for k in range(1, 9):
+        for _, p, _ in programs(k, 830 + k):
+            kraus_form(p)
+    entries = list(executor._LAYOUTS.values())
+    assert len(entries) == 1 + 8 * 5
+    assert all(cached_bytes(layout) <= bound for layout in entries)
+    assert sum(map(cached_bytes, entries)) <= executor.LAYOUT_CACHE_SIZE * bound

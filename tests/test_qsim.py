@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -134,6 +135,83 @@ def test_controlled_records_its_gate_and_nothing_else_does():
         assert twin == c and twin._controls is None
     with pytest.raises(AttributeError):
         c._controls = None
+
+
+def dense_controlled(u: UnitaryMatrix) -> np.ndarray:
+    """diag(I, U), written out here."""
+    d = u.dim
+    want = np.zeros((2 * d, 2 * d), dtype=complex)
+    want[:d, :d], want[d:, d:] = np.eye(d), u.matrix
+    return want
+
+
+def test_controlled_builds_its_matrix_on_first_read(monkeypatch):
+    """controlled(u) builds no matrix until ``matrix`` is read: dim,
+    n_qubits and repr come from u; the first read builds diag(I, U) once,
+    read-only, and later reads return that same array."""
+    built = []
+    block = qsim._controlled_block
+    monkeypatch.setattr(qsim, "_controlled_block", lambda u: built.append(u) or block(u))
+    u = qsim.haar_random_unitary(8, 11)
+    c = qsim.controlled(u)
+    assert (c.dim, c.n_qubits, repr(c)) == (16, 4, "UnitaryMatrix(dim=16)")
+    assert built == []
+    first = c.matrix
+    assert built == [u.matrix] and c.matrix is first and len(built) == 1
+    assert not first.flags.writeable and first.dtype == np.complex128
+    assert np.array_equal(first, dense_controlled(u))
+    with pytest.raises(AttributeError):
+        c.missing  # only the matrix is filled on demand
+
+
+def test_a_lazy_unitary_equals_its_dense_literal_both_ways():
+    """Equality fills the matrix from either side, and compares it entry
+    for entry with the unitary the constructor makes of the literal."""
+    u = qsim.haar_random_unitary(4, 12)
+    literal = UnitaryMatrix(dense_controlled(u))
+    assert qsim.controlled(u) == literal and literal == qsim.controlled(u)
+    assert qsim.controlled(u) != qsim.controlled(qsim.haar_random_unitary(4, 13))
+    assert repr(qsim.controlled(u)) == repr(literal)
+
+
+def test_copies_of_a_lazy_unitary_go_through_the_constructor():
+    """A copy or pickle of a controlled unitary, filled or not, is rebuilt
+    from its matrix by the constructor: equal, read-only, with no record."""
+    u = qsim.haar_random_unitary(4, 14)
+    want = dense_controlled(u)
+    for make in (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
+        for c in (qsim.controlled(u), qsim.controlled(u)):
+            twin = make(c)
+            assert type(twin) is UnitaryMatrix and twin._controls is None
+            assert np.array_equal(twin.matrix, want) and twin == c
+            assert not twin.matrix.flags.writeable
+            c.matrix  # the second round copies a filled one
+
+
+def test_threads_reading_a_fresh_lazy_unitary_get_the_full_matrix():
+    """Four threads read ``matrix`` of one fresh controlled unitary at
+    once: each gets a fully filled, read-only diag(I, U), and the unitary
+    keeps one of them."""
+    u = qsim.haar_random_unitary(32, 15)
+    want = dense_controlled(u)
+    for _ in range(20):
+        c = qsim.controlled(u)
+        barrier = threading.Barrier(4)
+        got = []
+
+        def read():
+            barrier.wait()
+            got.append(c.matrix)
+
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(got) == 4
+        for m in got:
+            assert np.array_equal(m, want) and not m.flags.writeable
+        assert any(c.matrix is m for m in got)
 
 
 

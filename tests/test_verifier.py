@@ -200,6 +200,21 @@ def test_reports_are_deterministic_bytes():
     assert json.loads(c)["verdict"] == "pass"  # different seed, same verdict
 
 
+def test_equal_reports_hash_equal_when_hashed():
+    """Reports compute their hash when asked, not when built; two equal
+    reports, from two runs or two cache states, still hash equal and
+    are one dict key, branch reports too."""
+    spec = NonlocalCUSpec(qsim.haar_random_unitary(16, 31), 4)
+    a = verify(spec, seed=5)
+    b = verify_program(build_program(spec), build_specification(spec), seed=5)
+    assert a is not b and a == b and a.to_json() == b.to_json()
+    assert not hasattr(a, "_hash") and not hasattr(a.branches[0], "_hash")
+    assert hash(a) == hash(b) and {a: 1}[b] == 1
+    assert hash(a.branches[0]) == hash(b.branches[0]) and len(set(a.branches + b.branches)) == 4
+    other = verify(spec, tol_choi=1e-8, seed=5)
+    assert other != a and len({a, b, other}) == 2
+
+
 def test_report_json_schema():
     doc = json.loads(verify(NonlocalCUSpec(qsim.H, 1)).to_json())
     assert set(doc) == {"verdict", "tolerances", "census", "choi_distance", "branches"}
