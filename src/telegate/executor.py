@@ -19,16 +19,16 @@ and every consumer reads that form:
   a basis of its own, from projections and the Gram matrix of the
   residuals (see :func:`kraus_choi_distance`, its dense form);
 * the verifier reads branch evidence and the Choi distance in one
-  function (``verifier._evidence``), on the one route it picks per call:
-  off the dense stack for small registers (at most 2^12 complex entries
-  in the stack of the specification and the K_t: built programs up to
-  k = 3), for programs without a slot and for every specification but
-  exactly controlled(V), V the slot's gate, and otherwise off the
-  coefficients' rows and pair products that the form carries
-  (:func:`_operands`; see :mod:`telegate.verifier` for the timings).
-  The form carries V's own matrix object (``KrausForm.v``), so a
-  specification that :func:`qsim.controlled` built from that gate is
-  recognized by its record, without comparing its entries.
+  function (``verifier._evidence``), over one basis it picks per call:
+  the form's own {I, V} when the specification is exactly
+  controlled(V), V the slot's gate, reading the coefficients' rows,
+  their pair products (:func:`column_pairs`, cached by
+  :func:`_operands`) and the basis's column Grams that the form
+  carries, and otherwise {1}, over which the rows are the dense
+  operators themselves.  The form carries V's own matrix object
+  (``KrausForm.v``), so a specification that :func:`qsim.controlled`
+  built from that gate is recognized by its record, without comparing
+  its entries.
 
 The slot.  A program's *slot* is an ``ApplyControlledLocal`` whose targets
 are the trailing external wires, in order, and which no other
@@ -74,7 +74,7 @@ A cache entry also keeps what the last pass run for its shape gave, with
 the gate objects that pass read (every gate but the slot's): the
 coefficients C_tb, their :func:`_gram`, the (T, B, B) inner products
 <C_tb, C_tc>, and, for a slot with one other external wire (r = 2),
-what the verifier's factored route reads (:func:`_operands`): the rows
+what the verifier reads over {I, V} (:func:`_operands`): the rows
 z = [P0, P1; X_t, Y_t] and their column pair products.  None of them
 depends on V, so a warm call computes only what V changes.  A call
 reuses them only when each of its own non-slot gates *is* the object
@@ -109,7 +109,8 @@ finite when a pass computes them, and on every call transcripts with
 coefficients, rows and pairs, and the rest must sum to 1 within the bound of
 :func:`_checked`, with |K_t|_F^2 = sum_bc <C_tb, C_tc> <M_b, M_c>: the
 Gram of the coefficients, which does not depend on V and is cached,
-against that of the basis.
+against the metric of the basis, the sum over q of its column Grams
+G_q[b, c] = <M_b e_q, M_c e_q>, which every form carries.
 The Choi matrix J = sum_t vec(K_t) vec(K_t)† / d of :func:`channel_choi`
 needs no check of its own: as a Gram matrix it is Hermitian and positive
 semidefinite, and its trace is that checked sum (Watrous, *The Theory of
@@ -152,8 +153,11 @@ _PAULI = {"X": qsim.X.matrix, "Z": qsim.Z.matrix}
 # Read-only amplitudes of fresh qubits: |0>, |1>, then (|00> + |11>)/sqrt(2).
 _FRESH = tuple(qsim._freeze(np.array(amps, dtype=np.complex128))
                for amps in ([1, 0], [0, 1], np.array([1, 0, 0, 1]) / math.sqrt(2)))
-# The basis {1} of a program without a slot: C_t0 is K_t itself.
+# The basis {1} of a program without a slot: C_t0 is K_t itself; its one
+# column Gram <1, 1> = 1, and its metric, the sum of its column Grams.
 TRIVIAL_BASIS = qsim._freeze(np.ones((1, 1, 1), dtype=np.complex128))
+TRIVIAL_GRAMS = qsim._freeze(np.ones((1, 1, 1), dtype=np.complex128))
+TRIVIAL_METRIC = TRIVIAL_GRAMS[0]
 # The coefficients of controlled(V) over {I, V}: P0 = |0><0| on I, P1 =
 # |1><1| on V, row 0 of a form's ``rows`` (see _operands).
 _CONTROL_HALVES = qsim._freeze(
@@ -167,8 +171,7 @@ _REGISTER_DETAIL = " alive in one register (measured qubits are kept)"
 # keeps two threads from evicting at once.
 LAYOUT_CACHE_SIZE = 64
 # The most complex entries of cached coefficients per layout (64 KiB;
-# their Gram, rows and pairs come on top, see the module docstring), and
-# the verifier's route threshold.
+# their Gram, rows and pairs come on top, see the module docstring).
 BLOCK_CACHE_ENTRIES = 1 << 12
 _LAYOUTS: dict[tuple, "_Layout"] = {}
 _LAYOUTS_LOCK = threading.Lock()
@@ -177,13 +180,18 @@ Transcript = tuple[tuple[WireRef, int], ...]
 
 # A channel's Kraus operators K_t = sum_b coeffs[t, b] ⊗ basis[b], for
 # ``transcripts`` sorted by bits: coeffs is (T, B, r, r) and basis
-# (B, m, m), with r * m = d; v is the slot gate's own matrix object (the
-# gate's ``matrix``, not a copy), or None without a slot; census is the
-# program's resource census.  With a slot and r = 2, rows is the
-# (1 + T, 2, 2, 2) stack z = [P0, P1; X_t, Y_t], controlled(V)'s
-# coefficients over {I, V} and then the K_t's, and pairs their (2, 1 + T,
-# 2, 2, 2) column products (see _operands); both are None otherwise.
-KrausForm = collections.namedtuple("KrausForm", "transcripts coeffs basis v census rows pairs")
+# (B, m, m), with r * m = d; grams is the basis's (m, B, B) column Grams
+# G_q[b, c] = <M_b e_q, M_c e_q> and metric their B×B sum <M_b, M_c>
+# (TRIVIAL_GRAMS and TRIVIAL_METRIC over {1}); v is the slot gate's own
+# matrix object (the gate's ``matrix``, not a copy), or None without a
+# slot; census is the program's resource census.  With a slot and r = 2,
+# rows is the (1 + T, 2, 2, 2) stack z = [P0, P1; X_t, Y_t],
+# controlled(V)'s coefficients over {I, V} and then the K_t's, and pairs
+# their (2, 1 + T, 2, 2, 2) column products (see column_pairs); both are
+# None otherwise.
+KrausForm = collections.namedtuple(
+    "KrausForm", "transcripts coeffs basis grams metric v census rows pairs"
+)
 
 
 class ExecutionError(RuntimeError):
@@ -236,12 +244,15 @@ def kraus_form(p: Program) -> KrausForm:
         gram = _gram(coeffs)
         rows, pairs = _operands(coeffs)
     if layout.slot is None:
-        basis, v = TRIVIAL_BASIS, None
+        basis, grams, metric, v = TRIVIAL_BASIS, TRIVIAL_GRAMS, TRIVIAL_METRIC, None
     else:
         v = instructions[layout.slot].gate.matrix
         basis = np.empty((2,) + v.shape, dtype=np.complex128)
         basis[0], basis[1] = _identity(len(v)), v
-    transcripts, keep = _checked(layout, coeffs, gram, basis)
+        columns = basis.transpose(2, 1, 0)  # [q, x, b] = M_b[x, q]
+        grams = columns.conj().transpose(0, 2, 1) @ columns
+        metric = grams.sum(axis=0)
+    transcripts, keep = _checked(layout, coeffs, gram, metric, 1 << p.n_external)
     if fresh and coeffs.size <= BLOCK_CACHE_ENTRIES:
         qsim._freeze(coeffs)  # read-only exactly when cached (see the module docstring)
         qsim._freeze(gram)
@@ -251,7 +262,7 @@ def kraus_form(p: Program) -> KrausForm:
         if rows is not None:
             kept = [True, *keep]  # controlled(V)'s row stays
             rows, pairs = rows[kept], pairs[:, kept]
-    return KrausForm(transcripts, coeffs, basis, v, layout.census, rows, pairs)
+    return KrausForm(transcripts, coeffs, basis, grams, metric, v, layout.census, rows, pairs)
 
 
 def kraus_stack(p: Program) -> tuple[list[Transcript], np.ndarray]:
@@ -474,23 +485,22 @@ def _select(psi: np.ndarray, perm: tuple[int, ...]) -> None:
 def _gram(a: np.ndarray) -> np.ndarray:
     """The inner products <A_b, A_c> = tr(A_b† A_c) of the matrices A_b
     on the last two axes of ``a``, b running over the axis before them:
-    the B×B metric of a (B, m, m) basis, or the (T, B, B) Gram of
-    (T, B, r, r) coefficients."""
+    the (T, B, B) Gram of (T, B, r, r) coefficients."""
     flat = a.reshape(a.shape[:-2] + (-1,))
     return flat.conj() @ flat.swapaxes(-1, -2)
 
 
 def _checked(
-    layout: _Layout, coeffs: np.ndarray, gram: np.ndarray, basis: np.ndarray
+    layout: _Layout, coeffs: np.ndarray, gram: np.ndarray, metric: np.ndarray, d: int
 ) -> tuple[list[Transcript], list[bool] | None]:
-    """Find the dust rows of the finite coefficients ``coeffs`` over
-    ``basis`` (one row per transcript of ``layout``), check the rest, and
-    return the kept transcripts and which rows to keep, None when every
-    row is kept.  The check: total mass
-    sum_t |K_t|_F^2 equal to d within ``layout.trace_atol``, the bound
-    that the gates' own check admits, with |K_t|_F^2 = sum_bc
-    <C_tb, C_tc> <M_b, M_c> read off ``gram``, the :func:`_gram` of the
-    coefficients, and that of the basis.
+    """Find the dust rows of the finite coefficients ``coeffs`` (one row
+    per transcript of ``layout``) of a channel on d dimensions, check the
+    rest, and return the kept transcripts and which rows to keep, None
+    when every row is kept.  The check: total mass sum_t |K_t|_F^2 equal
+    to d within ``layout.trace_atol``, the bound that the gates' own
+    check admits, with |K_t|_F^2 = sum_bc <C_tb, C_tc> <M_b, M_c> read off
+    ``gram``, the :func:`_gram` of the coefficients, and the B×B
+    ``metric`` <M_b, M_c> of their basis, the sum of its column Grams.
 
     A gate on m qubits is built with G†G = I + E, |E_ij| <= 1e-10
     (``qsim._UNITARY_ATOL``), so |E|_op <= 2^m * 1e-10 =: eps; m counts
@@ -500,10 +510,9 @@ def _checked(
     all gates the mass over d stays within prod(1 + eps_i) - 1 <=
     expm1(sum eps_i) of 1.  1e-12 on top covers rounding.
     """
-    b = len(basis)
-    masses = (gram.reshape(-1, b * b) @ _gram(basis).reshape(b * b)).real.tolist()
+    b = len(metric)
+    masses = (gram.reshape(-1, b * b) @ metric.reshape(b * b)).real.tolist()
     keep = [mass >= BRANCH_PRUNE for mass in masses]
-    d = coeffs.shape[-1] * basis.shape[-1]
     total = sum(itertools.compress(masses, keep)) / d
     if abs(total - 1.0) > layout.trace_atol:
         raise ExecutionError(f"channel is not trace preserving: sum |K_t|^2 / d = {total!r}")
@@ -513,24 +522,33 @@ def _checked(
 
 
 def _operands(coeffs: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """What the verifier's factored route reads of the (T, 2, 2, 2)
-    coefficients over {I, V} of a program with a slot and r = 2: the rows
+    """What the verifier reads over {I, V} of the (T, 2, 2, 2)
+    coefficients of a program with a slot and r = 2: the rows
     z = [P0, P1; X_t, Y_t] (controlled(V)'s coefficients, then the
-    coefficients), and their (2, 1 + T, 2, 2, 2) products, with
-    [0, u, i, b, c] = <z_ub e_i, z_uc e_i> and [1, u, i, b, c] =
-    δ_bi z_uc[i, i], both read-only.  Neither depends on V.  (None, None)
-    for every other shape of coefficients."""
+    coefficients) and their :func:`column_pairs`, both read-only.
+    Neither depends on V.  (None, None) for every other shape of
+    coefficients."""
     if coeffs.shape[1:] != (2, 2, 2):
         return None, None
     rows = np.empty((1 + len(coeffs), 2, 2, 2), dtype=np.complex128)
     rows[0] = _CONTROL_HALVES
     rows[1:] = coeffs
-    pairs = np.zeros((2,) + rows.shape, dtype=np.complex128)
-    pairs[0] = np.einsum("ubxi,ucxi->uibc", rows.conj(), rows)
-    diagonals = rows.diagonal(axis1=2, axis2=3)  # [u, c, i] = z_uc[i, i]
-    for i in (0, 1):
-        pairs[1, :, i, i] = diagonals[..., i]
-    return qsim._freeze(rows), qsim._freeze(pairs)
+    return qsim._freeze(rows), qsim._freeze(column_pairs(rows))
+
+
+def column_pairs(z: np.ndarray) -> np.ndarray:
+    """The (2, U, n, B, B) column pair products of the (U, B, x, n) rows
+    ``z``: [0, u, i, b, c] = <z_ub e_i, z_uc e_i> and [1, u, i, b, c] =
+    <z_0b e_i, z_uc e_i>, for the n columns e_i.  With B = 1 they are the
+    squared norms of the columns of z_u and their overlaps with those of
+    z_0; the verifier reads them so for the images of its probes and for
+    the rows [S; K_t] over {1}."""
+    left = z.conj()
+    u, b, _, n = z.shape
+    pairs = np.empty((2, u, n, b, b), dtype=np.complex128)
+    np.einsum("ubxi,ucxi->uibc", left, z, out=pairs[0])
+    np.einsum("bxi,ucxi->uibc", left[0], z, out=pairs[1])
+    return pairs
 
 
 def _append_qubits(psi: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -610,20 +628,20 @@ def kraus_choi_distance(kraus: np.ndarray | list[np.ndarray], u: UnitaryMatrix) 
         raise ValueError(f"Kraus operators do not match the dimension {u.dim} of the unitary")
     z = np.concatenate((u.matrix[None], ops))[:, None]
     flat = z.reshape(len(z), -1)
-    return choi_residual(z, TRIVIAL_BASIS, None, flat[0].conj() @ flat.T)
+    return choi_residual(z, TRIVIAL_BASIS, TRIVIAL_METRIC, flat[0].conj() @ flat.T)
 
 
 def choi_residual(
-    z: np.ndarray, basis: np.ndarray, metric: np.ndarray | None, onto: np.ndarray
+    z: np.ndarray, basis: np.ndarray, metric: np.ndarray, onto: np.ndarray
 ) -> float:
     """Frobenius distance between the Choi matrices of a unitary U and of
     the channel with Kraus operators K_t, all written over ``basis``: row
     0 of the (1 + T, B, r, r) array ``z`` holds the coefficients of U and
     row 1 + t those of K_t, so that K_t = sum_b z[1 + t, b] ⊗ basis[b];
-    ``metric`` is the B×B matrix <M_b, M_c> of the basis
-    (:func:`_gram`; unread over the trivial basis {1}, where it is 1 and
-    the coefficients are the operators themselves), and ``onto`` the inner
-    products <U, Z_u> of U with every row, itself first.
+    ``metric`` is the B×B matrix <M_b, M_c> of the basis, the sum of its
+    column Grams (unread over the trivial basis {1}, where it is 1 and
+    the coefficients are the operators themselves), and ``onto`` the
+    inner products <U, Z_u> of U with every row, itself first.
 
     Each K_t splits into its projection on U and a residual orthogonal to
     it: K_t = a_t U + E_t with a_t = <U, K_t>/|U|_F^2.  With n = |U|_F^2/d,
@@ -648,8 +666,7 @@ def choi_residual(
     d = z.shape[-1] * basis.shape[-1]
     norm2 = float(onto[0].real)
     a = onto[1:] / norm2
-    # E_t, without a second temporary; z is read as it is, which may be a
-    # view with a row stride of its own (see verifier._evidence).
+    # E_t, without a second temporary.
     resid = a[:, None, None, None] * z[0]
     np.subtract(z[1:], resid, out=resid)
     rows = resid.reshape(u - 1, -1)

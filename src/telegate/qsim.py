@@ -76,14 +76,14 @@ class UnitaryMatrix(Record):
 
     A unitary that :func:`controlled` builds also records the read-only
     matrix of the gate it controls in the private slot ``_controls``,
-    which is None for every other unitary: the verifier's route rule
-    reads it.  It is not a field: equality and ``repr`` ignore it, and a
-    copy or pickle is rebuilt through the constructor, which records
-    None.  Such a unitary fills ``matrix`` on its first read, since the
-    verifier's factored route never reads it: ``dim``, ``n_qubits`` and
-    ``repr`` come from the recorded gate, and the first read publishes
-    the matrix only once it is filled and read-only, so threads that race
-    to it each get the same entries.
+    which is None for every other unitary: the verifier's choice of
+    basis reads it.  It is not a field: equality and ``repr`` ignore it,
+    and a copy or pickle is rebuilt through the constructor, which
+    records None.  Such a unitary fills ``matrix`` on its first read,
+    since the verifier never reads it over the basis {I, V}: ``dim``,
+    ``n_qubits`` and ``repr`` come from the recorded gate, and the first
+    read publishes the matrix only once it is filled and read-only, so
+    threads that race to it each get the same entries.
     """
 
     __slots__ = ("matrix", "_controls")

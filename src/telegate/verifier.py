@@ -15,39 +15,29 @@ one per transcript, in the factored form of
 :func:`telegate.executor.kraus_form`.  One function, :func:`_evidence`,
 reads both off that form for :func:`verify_program` and for ``telegate
 trace`` (through :func:`basis_evidence`), so the two agree bit for bit.
-It asks one rule, :func:`_factored`, once per call which route to take,
-and runs that route from top to bottom:
+It writes the specification S and the K_t over one basis on the last
+wires and evaluates them there; its one choice, :func:`_splits`, is
+which basis:
 
-* the dense route evaluates the stack Z = [S; K_t] directly: the images
-  of the basis inputs are Z's own columns and those of the Haar probes
-  one batched product, written beside them in one array, and the Choi
-  distance is :func:`choi_residual` over the trivial basis {1};
-* the factored route works over the program's own basis {I, V} (V the
-  slot's gate), on which S = controlled(V) = P0 ⊗ I + P1 ⊗ V has the
-  constant coefficients (P0, P1), without a d×d operator, and the Choi
-  distance is :func:`choi_residual` over that basis.  The rows of
-  coefficients and their pair products, which do not depend on V, come
-  with the form from the executor's cache, so a warm call computes only
-  what V changes.
+* the program's own {I, V} (V the slot's gate) when the program has a
+  slot with gate V and one external wire besides its targets (r = 2),
+  and S is exactly controlled(V) with that wire as control, at every
+  size: S = P0 ⊗ I + P1 ⊗ V then has the constant coefficients
+  (P0, P1), without a d×d operator, and the rows of coefficients and
+  their pair products, which do not depend on V, come with the form
+  from the executor's cache, so a warm call computes only what V
+  changes;
+* the trivial basis {1} otherwise, with the rows [S; K_t] themselves:
+  for a program without a slot, a slot with r ≠ 2, and a specification
+  of any other form.
 
-The factored route runs when the program has a slot with gate V and one
-external wire besides its targets (r = 2), S is exactly controlled(V)
-with that wire as control, and the dense stack would hold more than
-``BLOCK_CACHE_ENTRIES`` (2^12) complex entries; the dense one
-otherwise, so at every size for a program without a slot or a
-specification of any other form.  For built programs that puts the
-boundary between k = 3 (1280 entries) and k = 4 (5120).  A spec that
-:func:`qsim.controlled` built from the slot's own gate, as
+A spec that :func:`qsim.controlled` built from the slot's own gate, as
 ``build_specification`` does for the program ``build_program`` makes
 from the same spec, is controlled(V) by construction and is taken on
-that record without reading S; any other is compared entry for entry
-(:func:`_splits`), with the same answer.  Timed on 2
-vCPUs (numpy 2.4, warm, both routes forced in turn in one process;
-``BENCH_19.json``, where the host's speed changed between rows), a
-verify of a built program on the dense route against the factored one
-took 233 against 281 µs at k = 1, about the same at k = 3 (117
-against 109 µs), 303 against 200 µs at k = 4 and 44 against 3.9 ms at
-k = 8.
+that record without reading S; any other is compared entry for entry,
+with the same answer.  On either basis the images of the probes go
+through the basis, and the Choi distance is :func:`choi_residual` over
+it.
 
 Reports are deterministic functions of (inputs, seed) and serialize to
 a stable JSON document (see ``docs/report-schema.md``), which
@@ -65,10 +55,12 @@ from . import qsim
 from ._record import Record
 from .builder import NonlocalCUSpec, build_program, build_specification
 from .executor import (
-    BLOCK_CACHE_ENTRIES,
     TRIVIAL_BASIS,
+    TRIVIAL_GRAMS,
+    TRIVIAL_METRIC,
     KrausForm,
     choi_residual,
+    column_pairs,
     dense,
     kraus_form,
     transcript_key,
@@ -198,9 +190,12 @@ def _haar_probes(n_qubits: int, probes: int, seed: int) -> np.ndarray:
 def _splits(form: KrausForm, spec: UnitaryMatrix) -> bool:
     """Whether the spec ``spec`` is exactly controlled(V) over the channel
     ``form``'s own basis {I, V}: the program has a slot with gate V and
-    one more external wire (r = 2), so that the form carries the rows the
-    factored route reads, and S = P0 ⊗ I + P1 ⊗ V entry for entry (its
-    off-diagonal blocks zero, its diagonal blocks the basis).
+    one more external wire (r = 2), so that the form carries the rows and
+    pairs that :func:`_evidence` reads over that basis, and
+    S = P0 ⊗ I + P1 ⊗ V entry for entry (its off-diagonal blocks zero, its
+    diagonal blocks the basis).  This is the verifier's one choice:
+    :func:`_evidence` works over {I, V} when it holds and over {1}
+    otherwise.
 
     A spec that :func:`qsim.controlled` built from the slot's own gate
     records that gate's matrix (``spec._controls is form.v``) and is
@@ -220,27 +215,12 @@ def _splits(form: KrausForm, spec: UnitaryMatrix) -> bool:
     )
 
 
-def _factored(form: KrausForm, spec: UnitaryMatrix) -> bool:
-    """The route rule, which :func:`verify_program` and ``telegate trace``
-    (through :func:`basis_evidence`) both read: the factored basis when
-    the spec is the slot's controlled(V) (:func:`_splits`) and the dense
-    stack [S; K_t] would hold more than ``BLOCK_CACHE_ENTRIES`` (2^12)
-    complex entries, else the dense stack.  For built programs (4
-    transcripts, d = 2^(k+1)) that is k >= 4 (5120 entries; 1280 at
-    k = 3), where the factored basis is the faster (see the module
-    docstring).  It sizes the stack from the form alone, so that a spec
-    taken on its record is not read at all."""
-    d = form.coeffs.shape[-1] * form.basis.shape[-1]
-    return (1 + len(form.coeffs)) * d * d > BLOCK_CACHE_ENTRIES and _splits(form, spec)
-
-
 def _evidence(
     form: KrausForm, u_spec: UnitaryMatrix, probes: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """The terms of the images of every probe under the specification S
     and the K_t of ``form``, and the Choi distance between the two
-    channels, both on the route :func:`_factored` picks, which is
-    evaluated here once.
+    channels, over the basis that :func:`_splits` picks.
 
     The terms are a (2, 1 + T, d + k) array over the d basis inputs e_j,
     then the k columns psi_j of the d×k ``probes``, with rows Z_0 = S and
@@ -248,62 +228,48 @@ def _evidence(
     [1, u, j] = <Z_0 psi_j, Z_u psi_j>.  Summed over the basis inputs,
     the overlaps are the <S, Z_u> that :func:`choi_residual` reads.
 
-    The dense route writes the stack [S; K_t] into the first d columns of
-    one (1 + T, d, d + k) array of images, since the images of the e_j
-    are its columns, and the images of the probes into its last k
-    columns, from one batched product with the stack; its basis is {1}.
+    Every Z_u is written over a basis {M_b} on the last wires as
+    Z_u = sum_b z_ub ⊗ M_b.  When S splits, that is the channel's own
+    {I, V}, V the slot's gate, where S = controlled(V) has the
+    coefficients (P0, P1) and K_t = X_t ⊗ I + Y_t ⊗ V has (X_t, Y_t); no
+    block of S is read, and the rows z = [P0, P1; X_t, Y_t], their column
+    pairs and the basis's column Grams and metric come with the form
+    (``form.rows``, ``form.pairs``, ``form.grams`` and ``form.metric``, see
+    :func:`telegate.executor._operands`), so a warm call computes only
+    what V changes.  Otherwise it is {1}, with rows [S; K_t] and their
+    :func:`column_pairs` computed here: the squared norms and overlaps of
+    their columns.
 
-    The factored route works over the channel's own basis {I, V}, V the
-    slot's gate, where S = controlled(V) has the coefficients (P0, P1)
-    and K_t = X_t ⊗ I + Y_t ⊗ V has (X_t, Y_t); it reads no block of S.
-    Its rows Z = [P0, P1; X_t, Y_t] and their pair products come with the
-    form (``form.rows`` and ``form.pairs``, see
-    :func:`telegate.executor._operands`), cached with the coefficients,
-    so a warm call computes only what V changes.  On a basis input
-    e = e_i ⊗ e_q (j = i * m + q), with G_q[b, c] = <M_b e_q, M_c e_q>
+    On a basis input e = e_i ⊗ e_q, with G_q[b, c] = <M_b e_q, M_c e_q>
     the column Grams of the basis (their sum is its metric), both terms
     are one product of the pairs with the G_q:
-    |Z_u e|^2 = sum_bc <Z_ub e_i, Z_uc e_i> G_q[b, c], row u = 0 being
-    |S e|^2, and, since S e = e_i ⊗ M_i e_q, <S e, Z_u e> =
-    sum_c Z_uc[i, i] G_q[i, c] = sum_bc δ_bi Z_uc[i, i] G_q[b, c].  A
-    probe psi splits into r parts psi_i on the basis's wires, the basis
-    is applied to each, and its images sum_bi Z_ub[:, i] ⊗ M_b psi_i are
-    assembled from those.
+    |Z_u e|^2 = sum_bc <z_ub e_i, z_uc e_i> G_q[b, c] and
+    <S e, Z_u e> = sum_bc <z_0b e_i, z_uc e_i> G_q[b, c].  A probe psi
+    splits into r parts psi_i on the basis's wires, the basis is applied
+    to each, and its images sum_bi z_ub[:, i] ⊗ M_b psi_i are assembled
+    from those.  The Choi distance is :func:`choi_residual` over the
+    basis.
     """
     d, k = probes.shape
-    if not _factored(form, u_spec):
-        images = np.empty((1 + len(form.coeffs), d, d + k), dtype=np.complex128)
-        images[0, :, :d] = u_spec.matrix
-        images[1:, :, :d] = dense(form)
-        if k:
-            np.matmul(images[:, :, :d], probes, out=images[:, :, d:])
-        terms = _image_terms(images)
-        onto = terms[1, :, :d].sum(axis=1)
-        return terms, choi_residual(images[:, None, :, :d], TRIVIAL_BASIS, None, onto)
-    rows, basis = form.rows, form.basis
-    columns = basis.transpose(2, 1, 0)  # [q, x, b] = M_b[x, q]
-    grams = columns.conj().transpose(0, 2, 1) @ columns  # [q, b, c] = <M_b e_q, M_c e_q>
-    u, _, r, _ = rows.shape
+    if _splits(form, u_spec):
+        rows, pairs = form.rows, form.pairs
+        basis, grams, metric = form.basis, form.grams, form.metric
+    else:
+        rows = np.empty((1 + len(form.coeffs), 1, d, d), dtype=np.complex128)
+        rows[0, 0] = u_spec.matrix
+        rows[1:, 0] = dense(form)
+        pairs = column_pairs(rows)
+        basis, grams, metric = TRIVIAL_BASIS, TRIVIAL_GRAMS, TRIVIAL_METRIC
+    u, b, r, _ = rows.shape
     m = len(grams)
     # [0, u, i, q] = |Z_u e|^2 and [1, u, i, q] = <S e, Z_u e> on e = e_i ⊗ e_q
-    terms = (form.pairs.reshape(-1, 4) @ grams.reshape(m, 4).T).reshape(2, u, r * m)
+    terms = (pairs.reshape(-1, b * b) @ grams.reshape(m, b * b).T).reshape(2, u, d)
     if k:
-        applied = (basis[:, None] @ probes.reshape(1, r, m, k)).reshape(2 * r, m * k)
-        images = (rows.transpose(0, 2, 1, 3).reshape(u * r, 2 * r) @ applied).reshape(u, r * m, k)
-        terms = np.concatenate((terms, _image_terms(images)), axis=2)
+        applied = (basis[:, None] @ probes.reshape(1, r, m, k)).reshape(b * r, m * k)
+        images = (rows.transpose(0, 2, 1, 3).reshape(u * r, b * r) @ applied).reshape(u, 1, d, k)
+        terms = np.concatenate((terms, column_pairs(images).reshape(2, u, k)), axis=2)
     onto = terms[1, :, :d].sum(axis=1)
-    return terms, choi_residual(rows, basis, grams.sum(axis=0), onto)
-
-
-def _image_terms(images: np.ndarray) -> np.ndarray:
-    """The (2, 1 + T, n) squared norms |images[u, :, j]|^2 and overlaps
-    <images[0, :, j], images[u, :, j]> of the columns of the
-    (1 + T, d, n) ``images``."""
-    left = images.conj()
-    terms = np.empty((2, len(images), images.shape[2]), dtype=np.complex128)
-    np.einsum("uij,uij->uj", left, images, out=terms[0])
-    np.einsum("ij,uij->uj", left[0], images, out=terms[1])
-    return terms
+    return terms, choi_residual(rows, basis, metric, onto)
 
 
 def _branch_evidence(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -326,8 +292,8 @@ def basis_evidence(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (T, d) probabilities, ``seen`` and fidelities of every branch of
     ``form`` on every basis input, against ``u_spec``: what
-    :func:`verify_program` computes for its basis probes, on the same
-    route."""
+    :func:`verify_program` computes for its basis probes, over the same
+    basis."""
     no_probes = np.empty((u_spec.dim, 0), dtype=np.complex128)
     return _branch_evidence(_evidence(form, u_spec, no_probes)[0])
 
@@ -355,8 +321,8 @@ def verify_program(
     transcript (probability averaged over probes, infidelity maximized),
     skipping probes that reach a transcript with probability below 1e-14.
     Everything is read off the Kraus operators
-    (:func:`telegate.executor.kraus_form`) by :func:`_evidence`, on the
-    route of :func:`_factored`: the basis probes, the Haar probes, none of
+    (:func:`telegate.executor.kraus_form`) by :func:`_evidence`, over the
+    basis of :func:`_splits`: the basis probes, the Haar probes, none of
     which are drawn when ``probes`` is at most the dimension, and the
     Choi distance, which compares the whole channels
     (:func:`choi_residual`).  The census is the one the form carries,

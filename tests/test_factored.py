@@ -139,7 +139,7 @@ def grams_read(monkeypatch, program, calls=2):
     checked = executor._checked
     with monkeypatch.context() as patch:
         patch.setattr(executor, "_checked",
-                      lambda layout, c, g, b: seen.append((c, g)) or checked(layout, c, g, b))
+                      lambda layout, c, g, *basis: seen.append((c, g)) or checked(layout, c, g, *basis))
         forms = [kraus_form(program) for _ in range(calls)]
     return forms, seen
 
@@ -228,7 +228,7 @@ def test_cached_coefficients_are_read_only_and_bounded():
 def test_a_slot_free_layout_keeps_a_scalar_gram():
     """A program without a slot has the basis {1}: its layout keeps the
     (T, 1, 1) Gram |K_t|_F^2 beside the coefficients, and no other array:
-    no rows or pairs, which only the factored route reads."""
+    no rows or pairs, which only the basis {I, V} reads."""
     spec = NonlocalCUSpec(qsim.haar_random_unitary(4, 6), 2)
     mutant = apply_mutation(build_program(spec), "drop-cgate")
     executor._LAYOUTS.clear()
@@ -280,16 +280,21 @@ def test_a_second_call_returns_the_cached_arrays(monkeypatch):
     assert executor._LAYOUTS[executor._shape(wide)].coeffs is None
 
 
-def on_route(patch, route):
-    """Send verify_program and basis_evidence down one route: the dense
-    stack everywhere, or the factored basis wherever the spec splits."""
-    patch.setattr(verifier, "_factored", verifier._splits if route == "factored" else lambda form, spec: False)
-
-
-def report_by_route(monkeypatch, route, p, spec, **kwargs):
-    with monkeypatch.context() as patch:
-        on_route(patch, route)
+def report_by_basis(monkeypatch, basis, p, spec, **kwargs):
+    """The report of ``p`` against ``spec`` over ``basis``: "own" is the
+    verifier's rule, {I, V} wherever the spec splits, and "trivial" is
+    {1} for every spec, forced by patching that one rule,
+    ``verifier._splits``, to say no.  The patched rule must have been
+    asked, so that a patch that no longer takes effect cannot leave a
+    basis compared with itself."""
+    if basis == "own":
         return verify_program(p, spec, **kwargs)
+    asked = []
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier, "_splits", lambda form, s: asked.append(s) or False)
+        report = verify_program(p, spec, **kwargs)
+    assert asked, "verify_program did not ask the basis rule"
+    return report
 
 
 def assert_same_report(got, want, atol=1e-14):
@@ -303,23 +308,20 @@ def assert_same_report(got, want, atol=1e-14):
 
 
 def test_the_factored_route_reads_uncached_coefficients(monkeypatch):
-    """The factored route reads only the form that kraus_form returns,
+    """The basis {I, V} reads only the form that kraus_form returns,
     whether its coefficients are cached or not: here a program with 1024
     transcripts, whose coefficients are too large to cache, verified
-    against controlled-X, its own slot's controlled(V), gives the dense
-    route's report.  At k=2 the route rule picks the dense stack, so the
-    factored route is forced."""
+    against controlled-X, its own slot's controlled(V), gives the report
+    of the basis {1}."""
     wide = wide_program()
     assert len(executor._layout(wide).transcripts) == 1024
     cx = qsim.controlled(qsim.X)
     executor._LAYOUTS.clear()
-    with monkeypatch.context() as patch:
-        on_route(patch, "factored")
-        assert verifier._factored(kraus_form(wide), cx)
-    factored = report_by_route(monkeypatch, "factored", wide, cx)
-    dense = report_by_route(monkeypatch, "dense", wide, cx)
-    assert len(factored.branches) == 1024
-    assert_same_report(factored, dense)
+    assert verifier._splits(kraus_form(wide), cx)
+    own = report_by_basis(monkeypatch, "own", wide, cx)
+    trivial = report_by_basis(monkeypatch, "trivial", wide, cx)
+    assert len(own.branches) == 1024
+    assert_same_report(own, trivial)
     layout = executor._LAYOUTS[executor._shape(wide)]
     assert layout.coeffs is layout.rows is layout.pairs is None
     assert kraus_form(wide).pairs.shape == (2, 1025, 2, 2, 2)  # built on every call
@@ -327,43 +329,37 @@ def test_the_factored_route_reads_uncached_coefficients(monkeypatch):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_routes_agree_on_built_programs(monkeypatch, k):
-    """Both routes give one report within 1e-14, intact and under every
-    mutation, with Haar probes; the route rule picks the factored basis
-    {I, V} exactly for built programs with a slot from k = 4 on."""
+    """Both bases give one report within 1e-14, intact and under every
+    mutation, with Haar probes; the rule picks {I, V} for every built
+    program with a slot, at every size."""
     for mutation, program, spec in programs(k, 600 + k):
-        form = kraus_form(program)
-        assert verifier._factored(form, spec) == (k >= 4 and mutation != "drop-cgate")
-        if mutation != "drop-cgate":
-            with monkeypatch.context() as patch:
-                on_route(patch, "factored")
-                assert verifier._factored(form, spec)
+        assert verifier._splits(kraus_form(program), spec) == (mutation != "drop-cgate")
         probes = spec.dim + 5
-        dense = report_by_route(monkeypatch, "dense", program, spec, probes=probes, seed=k)
-        factored = report_by_route(monkeypatch, "factored", program, spec, probes=probes, seed=k)
-        assert_same_report(factored, dense)
-        assert (dense.verdict == "pass") == (mutation is None), mutation
+        own = report_by_basis(monkeypatch, "own", program, spec, probes=probes, seed=k)
+        trivial = report_by_basis(monkeypatch, "trivial", program, spec, probes=probes, seed=k)
+        assert_same_report(own, trivial)
+        assert (trivial.verdict == "pass") == (mutation is None), mutation
 
 
-def entrywise_route(form, s):
-    """The route rule of the verifier without provenance, written out
-    here: the factored basis exactly when the program has a slot and
-    one other external (r = 2), the dense stack would hold more than
-    BLOCK_CACHE_ENTRIES entries and s is diag(I, V) entry for entry."""
+def entrywise_split(form, s):
+    """The basis rule of the verifier without provenance, written out
+    here: the basis {I, V} exactly when the program has a slot and one
+    other external (r = 2) and s is diag(I, V) entry for entry."""
     basis = form.basis
     if len(basis) != 2 or form.coeffs.shape[-1] != 2:
         return False
     want = np.zeros_like(s)
     m = basis.shape[-1]
     want[:m, :m], want[m:, m:] = basis
-    return (1 + len(form.coeffs)) * s.size > executor.BLOCK_CACHE_ENTRIES and np.array_equal(s, want)
+    return np.array_equal(s, want)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_provenance_gives_the_entrywise_route(k):
-    """A built spec records its gate, and the route rule takes it on that
-    record; the route is the one the entry-for-entry comparison gives,
+    """A built spec records its gate, and the basis rule takes it on that
+    record; the basis is the one the entry-for-entry comparison gives,
     intact and under every mutation.  Specs without the slot gate's
-    record take the comparison and keep their route: an equal copy, the
+    record take the comparison and keep their basis: an equal copy, the
     spec of another gate object with the same entries, and the spec with
     one entry one ulp off, which does not split."""
     gate = qsim.haar_random_unitary(1 << k, 900 + k)
@@ -377,33 +373,33 @@ def test_provenance_gives_the_entrywise_route(k):
         program = apply_mutation(built, mutation) if mutation else built
         form = kraus_form(program)
         assert u._controls is gate.matrix and (form.v is gate.matrix) == (mutation != "drop-cgate")
-        want = entrywise_route(form, u.matrix)
-        assert want == (k >= 4 and mutation != "drop-cgate")
-        assert verifier._factored(form, u) == want, mutation
+        want = entrywise_split(form, u.matrix)
+        assert want == (mutation != "drop-cgate")
+        assert verifier._splits(form, u) == want, mutation
         for other in (UnitaryMatrix(u.matrix), qsim.controlled(UnitaryMatrix(gate.matrix))):
             assert other._controls is not gate.matrix and other == u
-            assert verifier._factored(form, other) == want, mutation
-        assert not verifier._factored(form, off) and not entrywise_route(form, off.matrix)
+            assert verifier._splits(form, other) == want, mutation
+        assert not verifier._splits(form, off) and not entrywise_split(form, off.matrix)
 
 
 def test_the_route_reads_the_record_before_the_entries():
     """The record alone decides for a spec that carries the slot gate's
     matrix: a spec that claims controlled(V) but holds other entries
-    (never made by the package) takes the factored route unread, while
+    (never made by the package) takes the basis {I, V} unread, while
     the same entries without the record are compared and refused."""
     spec = NonlocalCUSpec(qsim.haar_random_unitary(16, 4), 4)
     form = kraus_form(build_program(spec))
     wrong = qsim.identity(32).matrix
     claims = qsim.controlled(spec.c)
     set_field(claims, "matrix", wrong)
-    assert claims._controls is form.v and verifier._factored(form, claims)
-    assert not verifier._factored(form, UnitaryMatrix(wrong))
+    assert claims._controls is form.v and verifier._splits(form, claims)
+    assert not verifier._splits(form, UnitaryMatrix(wrong))
 
 
 def test_an_equal_copy_of_a_built_spec_is_compared_entry_for_entry(monkeypatch):
-    """The route rule takes a built spec on its record without filling
+    """The basis rule takes a built spec on its record without filling
     its matrix; a copy or pickle of it, which has no record, is compared
-    entry for entry, takes the same route and gives the same report."""
+    entry for entry, takes the same basis and gives the same report."""
     spec = NonlocalCUSpec(qsim.haar_random_unitary(16, 21), 4)
     program = build_program(spec)
     form = kraus_form(program)
@@ -411,71 +407,68 @@ def test_an_equal_copy_of_a_built_spec_is_compared_entry_for_entry(monkeypatch):
     block = qsim._controlled_block
     monkeypatch.setattr(qsim, "_controlled_block", lambda u: built.append(u) or block(u))
     u = build_specification(spec)
-    assert verifier._factored(form, u) and built == []
+    assert verifier._splits(form, u) and built == []
     want = verify_program(program, u).to_json()
     assert built == []
     for twin in (copy.copy(u), pickle.loads(pickle.dumps(u))):
         assert twin._controls is None and twin == u
-        assert verifier._factored(form, twin)
+        assert verifier._splits(form, twin)
         assert verify_program(program, twin).to_json() == want
 
 
 def test_routes_agree_where_the_pairs_are_complex(monkeypatch):
     """The slot's control picks up a phase after the slot (S, then H) and
     is measured, so X_t = x_t I and Y_t = y_t I with conj(x_t) y_t
-    imaginary, and V = T has a complex diagonal: the factored route's
-    norms read the off-diagonal column pairs <X_t e_i, Y_t e_i>.  The program fails against
-    controlled(T), with the same report on both routes."""
+    imaginary, and V = T has a complex diagonal: the norms over {I, V}
+    read the off-diagonal column pairs <X_t e_i, Y_t e_i>.  The program
+    fails against controlled(T), with the same report on both bases."""
     program = parse_program(
         "ext A q0\next B q1\nalloc B q2 = 0\ngate B q2 : H\ncgate B q2 -> q1 : T\n"
         "gate B q2 : S\ngate B q2 : H\nmeasz B q2 -> c2\n"
     )
     spec = qsim.controlled(qsim.T)
-    with monkeypatch.context() as patch:
-        on_route(patch, "factored")
-        form = kraus_form(program)
-        assert verifier._factored(form, spec)
+    form = kraus_form(program)
+    assert verifier._splits(form, spec)
     columns = form.coeffs.transpose(0, 3, 1, 2)  # [t, i, b, x] = C_tb[x, i]
     assert np.abs((columns[:, :, 0].conj() * columns[:, :, 1]).sum(axis=-1).imag).min() > 0.1
-    dense = report_by_route(monkeypatch, "dense", program, spec, probes=9, seed=2)
-    factored = report_by_route(monkeypatch, "factored", program, spec, probes=9, seed=2)
-    assert_same_report(factored, dense)
-    assert dense.verdict == "fail"
+    own = report_by_basis(monkeypatch, "own", program, spec, probes=9, seed=2)
+    trivial = report_by_basis(monkeypatch, "trivial", program, spec, probes=9, seed=2)
+    assert_same_report(own, trivial)
+    assert trivial.verdict == "fail"
 
 
 def test_routes_agree_on_the_mirrored_cnot(monkeypatch):
     """A program the builder does not make, with the control at Bob and
-    the target at Alice (``tests/data/mirror_cnot.tg``): forced onto the
-    factored route, where CNOT splits as controlled(X) over {I, X}, it
-    and its mutants without a cpauli give the dense route's report
-    within 1e-14; the swapped CNOT does not split."""
+    the target at Alice (``tests/data/mirror_cnot.tg``): over {I, X},
+    where CNOT splits as controlled(X), it and its mutants without a
+    cpauli give the report of the basis {1} within 1e-14; the swapped
+    CNOT does not split."""
     spec, intact = FILES["mirror_cnot.tg"][0], program("mirror_cnot.tg")
     cases = [(intact, spec), (intact, SWAPPED_CNOT)]
     cases += [(p, spec) for _, p in without_each_cpauli("mirror_cnot.tg")]
     for p, u in cases:
-        with monkeypatch.context() as patch:
-            on_route(patch, "factored")
-            assert verifier._factored(kraus_form(p), u) == (u is spec)
-        dense = report_by_route(monkeypatch, "dense", p, u, probes=9, seed=3)
-        factored = report_by_route(monkeypatch, "factored", p, u, probes=9, seed=3)
-        assert_same_report(factored, dense)
-        assert dense.passed == (p is intact and u is spec)
+        assert verifier._splits(kraus_form(p), u) == (u is spec)
+        own = report_by_basis(monkeypatch, "own", p, u, probes=9, seed=3)
+        trivial = report_by_basis(monkeypatch, "trivial", p, u, probes=9, seed=3)
+        assert_same_report(own, trivial)
+        assert trivial.passed == (p is intact and u is spec)
 
 
 @pytest.mark.parametrize("mutation", [None, *MUTATIONS])
 def test_routes_agree_on_a_nearly_unitary_gate(monkeypatch, mutation):
     """A gate the gate language admits as unitary within 1e-10: both
-    routes certify it, and give one report within 1e-14 on it and its
+    bases certify it, and give one report within 1e-14 on it and its
     mutants (some of which also pass, since the gate is nearly I)."""
     gate = gatelang.evaluate(gatelang.parse("[[1.00000000004,0],[0,1]]"))
     spec = NonlocalCUSpec(gate, 1)
     program, u = build_program(spec), build_specification(spec)
     if mutation:
         program = apply_mutation(program, mutation)
-    dense = report_by_route(monkeypatch, "dense", program, u)
-    factored = report_by_route(monkeypatch, "factored", program, u)
-    assert_same_report(factored, dense)
-    assert mutation or dense.verdict == "pass"
+    assert verifier._splits(kraus_form(program), u) == (mutation != "drop-cgate")
+    own = report_by_basis(monkeypatch, "own", program, u)
+    trivial = report_by_basis(monkeypatch, "trivial", program, u)
+    assert_same_report(own, trivial)
+    assert mutation or trivial.verdict == "pass"
 
 
 def test_random_slotted_programs_verify_as_unfactored(monkeypatch):
@@ -483,12 +476,11 @@ def test_random_slotted_programs_verify_as_unfactored(monkeypatch):
     an external wire or an internal one): against the identity, a
     controlled Haar gate, a block-diagonal Haar spec and, where its
     dimension fits, controlled(V) of the program's own slot gate V, the
-    report on each route equals the unfactored pass's within 1e-14.
-    Forced onto the factored route, only the last spec takes it; the
-    others, which are not the slot's controlled(V), stay on the dense
-    stack."""
+    report over each basis equals the unfactored pass's within 1e-14.
+    Only the last spec splits over {I, V}; the others, which are not the
+    slot's controlled(V), take {1} either way."""
     rng = np.random.default_rng(6)
-    routes = set()
+    splits = set()
     slotted = [p for p in (parse_program(random_program_text(rng)) for _ in range(600))
                if executor._slot(p) is not None]
     assert len(slotted) >= 20
@@ -505,13 +497,11 @@ def test_random_slotted_programs_verify_as_unfactored(monkeypatch):
             if spec.dim != d:
                 continue
             executor._LAYOUTS.clear()
-            with monkeypatch.context() as patch:
-                on_route(patch, "factored")
-                factored = verifier._factored(kraus_form(p), spec)
-            assert factored == (spec is own)
-            routes.add(factored)
-            got = {route: report_by_route(monkeypatch, route, p, spec, probes=d + 3, seed=1)
-                   for route in ("dense", "factored")}
+            split = verifier._splits(kraus_form(p), spec)
+            assert split == (spec is own)
+            splits.add(split)
+            got = {basis: report_by_basis(monkeypatch, basis, p, spec, probes=d + 3, seed=1)
+                   for basis in ("own", "trivial")}
             with monkeypatch.context() as patch:
                 patch.setattr(executor, "_slot", lambda p: None)
                 executor._LAYOUTS.clear()
@@ -519,15 +509,14 @@ def test_random_slotted_programs_verify_as_unfactored(monkeypatch):
             executor._LAYOUTS.clear()
             for report in got.values():
                 assert_same_report(report, want)
-    assert routes == {False, True}
+    assert splits == {False, True}
 
 
 def test_the_trivial_basis_takes_a_spec_that_does_not_split(monkeypatch):
-    """Only the slot's controlled(V), entry for entry, takes the factored
-    basis: a spec with nonzero off-diagonal blocks, a block-diagonal spec
+    """Only the slot's controlled(V), entry for entry, takes the basis
+    {I, V}: a spec with nonzero off-diagonal blocks, a block-diagonal spec
     other than controlled(V) and CNOT with one entry moved by one ulp are
-    compared over the dense stack, even where the factored route is
-    forced, and give the report the unfactored pass gives."""
+    compared over {1}, and give the report the unfactored pass gives."""
     program = parse_program(CNOT_FILE.read_text())
     swap = gatelang.evaluate(gatelang.parse("[[1,0,0,0],[0,0,1,0],[0,1,0,0],[0,0,0,1]]"))
     cnot = build_specification(NonlocalCUSpec(qsim.X, 1))
@@ -535,15 +524,11 @@ def test_the_trivial_basis_takes_a_spec_that_does_not_split(monkeypatch):
     diag[:2, :2], diag[2:, 2:] = qsim.H.matrix, qsim.X.matrix
     moved = cnot.matrix.copy()
     moved[3, 2] = np.nextafter(1.0, 2.0)
-    with monkeypatch.context() as patch:
-        on_route(patch, "factored")
-        assert verifier._factored(kraus_form(program), cnot)  # controlled(V), V = X
+    assert verifier._splits(kraus_form(program), cnot)  # controlled(V), V = X
     specs = ((swap, "fail"), (UnitaryMatrix(diag), "fail"), (UnitaryMatrix(moved), "pass"))
     for spec, verdict in specs:
-        with monkeypatch.context() as patch:
-            on_route(patch, "factored")
-            assert not verifier._factored(kraus_form(program), spec)
-            report = verify_program(program, spec)
+        assert not verifier._splits(kraus_form(program), spec)
+        report = verify_program(program, spec)
         assert report.verdict == verdict
         with monkeypatch.context() as patch:
             patch.setattr(executor, "_slot", lambda p: None)
@@ -561,8 +546,8 @@ def test_a_dependent_basis_leaves_no_floor(monkeypatch, eps):
     channel equal to the spec has O(1) coefficients on I and V that
     cancel: here the slot never fires (its control stays |0>) and q0 gets
     the phase instead.  The distance still tracks a phase error eps,
-    sqrt(2) |sin(eps/2)|, with no floor at sqrt(1e-16), on the factored
-    route and on the dense stack."""
+    sqrt(2) |sin(eps/2)|, with no floor at sqrt(1e-16), over {I, V} and
+    over {1}."""
     phi = 0.7
     q0, q1, q2 = qwire(0), qwire(1), qwire(2)
     v = UnitaryMatrix(np.exp(1j * phi) * np.eye(2))
@@ -578,21 +563,19 @@ def test_a_dependent_basis_leaves_no_floor(monkeypatch, eps):
     spec = qsim.controlled(v)
     assert executor._layout(program).slot == 2
     want = np.sqrt(2) * abs(np.sin(eps / 2))
-    for route in ("factored", "dense"):
-        with monkeypatch.context() as patch:
-            on_route(patch, route)
-            assert verifier._factored(kraus_form(program), spec) == (route == "factored")
-            got = verify_program(program, spec).choi_dist
-        assert abs(got - want) <= 1e-6 * want + 1e-15, (route, got, want)
+    assert verifier._splits(kraus_form(program), spec)
+    for basis in ("own", "trivial"):
+        got = report_by_basis(monkeypatch, basis, program, spec).choi_dist
+        assert abs(got - want) <= 1e-6 * want + 1e-15, (basis, got, want)
 
 
 def test_threads_share_the_cache(monkeypatch):
     """Four threads verify k = 1..6, intact and mutated, five times over,
     with the cache cut to two shapes so that entries are evicted while
-    other threads read them, on the dense route and, from k = 4, on the
-    factored one, where each k = 4..6 case runs twice in a row so that
-    its second call can hit a warm entry: every report is the serial
-    run's, byte for byte."""
+    other threads read them, over {I, V} and, for the drop-cgate mutants,
+    over {1}, where each k = 4..6 case runs twice in a row so that its
+    second call can hit a warm entry: every report is the serial run's,
+    byte for byte."""
     monkeypatch.setattr(executor, "LAYOUT_CACHE_SIZE", 2)
     cases = [(p, u) for k in (1, 2, 3) for _, p, u in programs(k, 400 + k)]
     cases += [(p, u) for k in (4, 5, 6) for _, p, u in programs(k, 400 + k) for _ in range(2)]
@@ -619,7 +602,7 @@ def test_threads_share_the_cache(monkeypatch):
     assert len(executor._LAYOUTS) <= 2
 
 
-# The factored route's operands: the rows z = [P0, P1; X_t, Y_t] and
+# The operands of the basis {I, V}: the rows z = [P0, P1; X_t, Y_t] and
 # their column pair products, cached with the coefficients.
 
 def cold_json(p, u, **kwargs):
@@ -668,14 +651,102 @@ def test_operands_are_the_rows_and_their_column_products():
                 assert not (z.flags.writeable or form.pairs.flags.writeable)
 
 
+def delta_pairs(z):
+    """The column pairs of the rows z = [P0, P1; X_t, Y_t] written with
+    z_0b e_i = δ_bi e_i: [1, u, i, b, c] = δ_bi z_uc[i, i], taken from the
+    diagonals rather than summed."""
+    pairs = np.zeros((2,) + z.shape, dtype=complex)
+    pairs[0] = np.einsum("ubxi,ucxi->uibc", z.conj(), z)
+    diagonals = z.diagonal(axis1=2, axis2=3)  # [u, c, i] = z_uc[i, i]
+    for i in (0, 1):
+        pairs[1, :, i, i] = diagonals[..., i]
+    return pairs
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_column_pairs_over_the_own_basis_are_the_delta_form(k):
+    """Over {I, V} the generic products of column_pairs equal, exactly,
+    the products written with z_0b e_i = δ_bi e_i, for built programs
+    intact and under every mutation that keeps the slot."""
+    for mutation, program, _ in programs(k, 840 + k):
+        form = kraus_form(program)
+        if mutation == "drop-cgate":
+            assert form.rows is form.pairs is None
+            continue
+        assert np.array_equal(form.pairs, delta_pairs(form.rows)), mutation
+
+
+def trivial_rows(form, spec):
+    """The rows [S; K_t] of ``form`` against ``spec`` over {1}."""
+    return np.concatenate((spec.matrix[None], executor.dense(form)))[:, None]
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_column_pairs_over_the_trivial_basis_are_the_column_products(k):
+    """Over {1} the pairs of the rows [S; K_t] are |Z_u e_i|^2 and
+    <S e_i, Z_u e_i>, computed here column by column, for built programs
+    intact and mutated (their specs split or not: the rows are the same)."""
+    for mutation, program, spec in programs(k, 850 + k):
+        z = trivial_rows(kraus_form(program), spec)[:, 0]
+        got = executor.column_pairs(z[:, None])
+        assert got.shape == (2, len(z), spec.dim, 1, 1)
+        for u, i in np.ndindex(len(z), spec.dim):
+            norm2, overlap = np.vdot(z[u][:, i], z[u][:, i]), np.vdot(z[0][:, i], z[u][:, i])
+            assert abs(got[0, u, i, 0, 0] - norm2) <= 1e-15, (mutation, u, i)
+            assert abs(got[1, u, i, 0, 0] - overlap) <= 1e-15, (mutation, u, i)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_the_form_carries_its_basis_column_grams(monkeypatch, k):
+    """kraus_form computes the column Grams G_q[b, c] = <M_b e_q, M_c e_q>
+    of its basis once, within rounding of their sums here, and their sum,
+    the metric, which it hands to _checked; the form carries both, and
+    over {1} they are the frozen TRIVIAL_GRAMS and TRIVIAL_METRIC."""
+    seen = []
+    checked = executor._checked
+    monkeypatch.setattr(executor, "_checked",
+                        lambda layout, c, g, metric, d: seen.append(metric) or checked(layout, c, g, metric, d))
+    for mutation, program, _ in programs(k, 860 + k):
+        form = kraus_form(program)
+        assert seen.pop() is form.metric
+        if mutation == "drop-cgate":
+            assert form.grams is executor.TRIVIAL_GRAMS and form.metric is executor.TRIVIAL_METRIC
+            assert not (form.grams.flags.writeable or form.metric.flags.writeable)
+            continue
+        m = form.basis.shape[-1]
+        want = np.array([[[np.vdot(form.basis[b][:, q], form.basis[c][:, q]) for c in (0, 1)]
+                          for b in (0, 1)] for q in range(m)])
+        assert form.grams.shape == (m, 2, 2)  # each entry a sum of m products: m ulps
+        assert np.abs(form.grams - want).max() <= m * 2**-52 * max(1.0, np.abs(want).max())
+        assert np.array_equal(form.metric, form.grams.sum(axis=0))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_no_size_threshold(monkeypatch, k):
+    """Every spec that splits is evaluated over {I, V} at every size, and
+    the rows [S; K_t] are paired per call only for one that does not:
+    with no Haar probes, the evidence pairs nothing over {I, V} and the
+    d columns of the 1 + T rows over {1}."""
+    paired = []
+    pairs = executor.column_pairs
+    monkeypatch.setattr(verifier, "column_pairs", lambda z: paired.append(z.shape) or pairs(z))
+    for mutation, program, spec in programs(k, 870 + k):
+        form = kraus_form(program)
+        verifier.basis_evidence(form, spec)
+        d = spec.dim
+        want = [] if mutation != "drop-cgate" else [(1 + len(form.coeffs), 1, d, d)]
+        assert paired == want, mutation
+        paired.clear()
+
+
 def test_a_non_slot_gate_gives_new_operands(monkeypatch):
     """Two programs of one shape that differ in a gate outside the slot
-    (H for S), on the factored route: each gets operands of its own, not
-    the other's, whichever ran first, and its cold report."""
-    on_route(monkeypatch, "factored")
+    (H for S), over {I, V}: each gets operands of its own, not the
+    other's, whichever ran first, and its cold report."""
     text = CNOT_FILE.read_text()
     h, s = parse_program(text), parse_program(text.replace(": H", ": S"))
     cx = qsim.controlled(qsim.X)
+    assert all(verifier._splits(kraus_form(p), cx) for p in (h, s))
     want = {id(p): (cold_json(p, cx), kraus_form(p).pairs.tobytes()) for p in (h, s)}
     assert want[id(h)][1] != want[id(s)][1]
     executor._LAYOUTS.clear()
@@ -696,7 +767,7 @@ def test_operands_drop_dust_rows_as_the_coefficients_do():
     for _ in range(2):
         form = kraus_form(program)
         layout = executor._LAYOUTS[executor._shape(program)]
-        transcripts, keep = executor._checked(layout, layout.coeffs, layout.gram, form.basis)
+        transcripts, keep = executor._checked(layout, layout.coeffs, layout.gram, form.metric, 4)
         assert keep is not None and sum(keep) == 1 < len(keep)
         assert form.transcripts == transcripts
         rows = [0] + [1 + t for t, kept in enumerate(keep) if kept]

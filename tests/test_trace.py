@@ -6,8 +6,8 @@ same transcripts in the same order, every float within 1e-15.  Against
 ``verify_program(..., probes=0)``, whose probes are exactly the basis
 inputs, each branch's ``max_infidelity`` must be the largest
 ``1 - fidelity`` that trace shows for it, bit for bit: both come from one
-evidence formula over the whole basis, on the route that the verifier's
-rule picks, which both read.
+evidence formula over the whole basis, over the basis {I, V} or {1} that
+the verifier's rule picks, which both read.
 """
 
 import json
@@ -74,15 +74,14 @@ def test_trace_fidelity_is_verify_basis_evidence(name):
 
 
 @pytest.mark.parametrize("mutation", [None, *MUTATIONS])
-@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("k", [1, 3, 4])
 def test_trace_is_verify_on_both_sides_of_the_route_boundary(k, mutation):
-    """At k=3 the built programs take the dense stack and at k=4 the
-    factored basis, except the slot-free drop-cgate mutant, which is
-    dense at every size: trace and verify agree bit for bit on each."""
+    """At every k the built programs split over {I, V}, except the
+    slot-free drop-cgate mutant, which takes {1}: trace and verify agree
+    bit for bit on each."""
     spec = NonlocalCUSpec(qsim.haar_random_unitary(1 << k, 70 + k), k)
     program, u = build_program(spec), build_specification(spec)
     if mutation:
         program = apply_mutation(program, mutation)
-    factored = verifier._factored(kraus_form(program), u)
-    assert factored == (k == 4 and mutation != "drop-cgate")
+    assert verifier._splits(kraus_form(program), u) == (mutation != "drop-cgate")
     assert_trace_is_verify(format_program(program), gatelang.format_matrix(u), k + 1)
