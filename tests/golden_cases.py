@@ -1,13 +1,19 @@
 """The cases behind ``tests/data/golden_reports.json``.
 
-Each case is a verification whose JSON report was recorded once, before
-verification moved to the batched Kraus pass (dense Choi matrix,
-per-probe branch enumeration).  ``test_golden.py`` requires today's
-reports to agree with those within floating-point rounding.
+Each case is a verification whose JSON report was recorded once: the
+cases up to k = 4 before verification moved to the batched Kraus pass
+(dense Choi matrix, per-probe branch enumeration), the k = 5..8 section
+later, before the pass gave the slot a qubit of its own (see
+``wide_cases``).  ``test_golden.py`` requires today's reports to agree
+with those within floating-point rounding.
 
-Rewrite the fixture only when a report is meant to change::
+Record the cases the fixture does not hold yet, keeping every recorded
+report as it is::
 
     PYTHONPATH=src python tests/golden_cases.py tests/data/golden_reports.json
+
+A report that is meant to change is recorded anew by deleting its line
+first.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ def cases():
     """Yield ``(name, spec, mutation or None, probe seed)``.
 
     The 109-gate acceptance sweep (same gates and seeds as acceptance
-    criterion 1), every mutation of the 9 named gates, and 4 Haar-random
-    gates at each of k = 2, 3, 4 with and without every mutation.
+    criterion 1), every mutation of the 9 named gates, 4 Haar-random
+    gates at each of k = 2, 3, 4 with and without every mutation, and
+    then :func:`wide_cases`.
     """
     rng = np.random.default_rng(1)
     sweep = list(NAMED.items()) + [
@@ -53,6 +60,19 @@ def cases():
     for k in (2, 3, 4):
         for j in range(4):
             spec = NonlocalCUSpec(qsim.haar_random_unitary(1 << k, wide), k)
+            for m in (None,) + MUTATIONS:
+                yield f"k{k}/{j}/{m or 'intact'}", spec, m, 100 * k + j
+    yield from wide_cases()
+
+
+def wide_cases():
+    """2 Haar-random gates at each of k = 5..8, with and without every
+    mutation, drawn from a generator of their own, so that adding them
+    moved no case before them."""
+    rng = np.random.default_rng(3)
+    for k in (5, 6, 7, 8):
+        for j in range(2):
+            spec = NonlocalCUSpec(qsim.haar_random_unitary(1 << k, rng), k)
             for m in (None,) + MUTATIONS:
                 yield f"k{k}/{j}/{m or 'intact'}", spec, m, 100 * k + j
 
@@ -98,7 +118,9 @@ def write_fixture(docs: dict, path: str) -> None:
 
 
 if __name__ == "__main__":
-    write_fixture(
-        {name: json.loads(report_json(spec, m, seed)) for name, spec, m, seed in cases()},
-        sys.argv[1],
-    )
+    with open(sys.argv[1]) as fh:
+        recorded = json.load(fh)
+    for name, spec, m, seed in cases():
+        if name not in recorded:
+            recorded[name] = json.loads(report_json(spec, m, seed))
+    write_fixture(recorded, sys.argv[1])
