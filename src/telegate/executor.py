@@ -38,22 +38,24 @@ acts on the other externals and the internal qubits, so by linearity
 K_t = X_t ⊗ I + Y_t ⊗ V, with V the slot's gate and X_t, Y_t the
 operators the program implements on the other externals (dimension
 r = d / 2^k) when the slot is replaced by the projector of its control
-on |0> and on |1>.  :func:`_run` computes both in one pass that leaves
-the k target wires out: its batch holds the r identity columns twice,
-and where the slot stands a *selector* step zeroes the control's |1>
-half in the first copy and its |0> half in the second.  The basis is then {I, V}, with
-C_t0 = X_t and C_t1 = Y_t, and X_t and Y_t depend on neither V nor k.  A
-program without a slot runs on every external wire, with the trivial
-basis {1} and C_t0 = K_t.
+on |0> and on |1>.  :func:`_run` computes both in one pass over the r
+identity columns that leaves the k target wires out: where the slot
+stands, a fresh |0> *basis qubit* is flipped by a CNOT from the slot's
+control, so that it records which of I and V acts, and X_t and Y_t are
+the program's output at its values 0 and 1 (deferred measurement,
+Nielsen & Chuang §4.4).  The basis is then {I, V}, with C_t0 = X_t and
+C_t1 = Y_t, and X_t and Y_t depend on neither V nor k.  A program
+without a slot runs on every external wire, with the trivial basis {1}
+and C_t0 = K_t.
 
 :func:`_run` and :func:`_apply` are the only code that evolves or
-measures a state.  Measurement is deferred (Nielsen & Chuang §4.4): a
-measured qubit stays in the register as the record of its outcome, a
-conditional Pauli becomes a Pauli controlled on that record, and at the
-end the records index the transcripts.  The register therefore holds
-the external wires plus every qubit the program allocates, and that is
-what the qubit cap counts, whether or not the pass leaves a slot's
-targets out, so that a refusal does not depend on the factoring.
+measures a state.  Measurement is deferred: a measured qubit stays in
+the register as the record of its outcome, a conditional Pauli becomes
+a Pauli controlled on that record, and at the end the records index the
+transcripts.  The register therefore holds the external wires plus
+every qubit the program allocates, and that is what the qubit cap
+counts, whether the pass holds a slot's k targets or its one basis
+qubit, so that a refusal does not depend on the factoring.
 
 The pass is split in two.  :func:`_layout` works out everything that
 depends only on the program's *shape* (:func:`_shape`: its externals,
@@ -95,22 +97,23 @@ pairs twice as many as the rows.  An entry therefore keeps at most
 with r = 2 and 512 transcripts), and the cache at most
 ``LAYOUT_CACHE_SIZE`` times that, under 18.1 MiB.  It is the package's
 one cache of arrays derived from the coefficients; the verifier keeps
-nothing of its own.  Cached arrays are read-only (the coefficients and
-the Gram a call reads are read-only exactly when they are cached ones;
-rows and pairs always are), and an entry is replaced, never changed,
-under a lock, so a thread reading an entry that another evicts or
-refills keeps a consistent one.  A one-shot CLI call runs one program
-per process, so its layout is always new and it gains nothing from the
-cache.
+nothing of its own.  Cached arrays are read-only, and so are a form's
+coefficients exactly when they are cached ones and its rows and pairs
+always, dust dropped or not; any other array a form holds was made for
+its call alone, so writing into it changes no later form.  An entry is
+replaced, never changed, under a lock, so a thread reading an entry that
+another evicts or refills keeps a consistent one.  A one-shot CLI call
+runs one program per process, so its layout is always new and it gains
+nothing from the cache.
 
-The operators are checked on the factored form: coefficients are
-finite when a pass computes them, and on every call transcripts with
-``|K_t|_F^2 < 1e-14`` are dropped as dust, with their rows of
-coefficients, rows and pairs, and the rest must sum to 1 within the bound of
-:func:`_checked`, with |K_t|_F^2 = sum_bc <C_tb, C_tc> <M_b, M_c>: the
-Gram of the coefficients, which does not depend on V and is cached,
-against the metric of the basis, the sum over q of its column Grams
-G_q[b, c] = <M_b e_q, M_c e_q>, which every form carries.
+The operators are checked on the factored form, on every call, from
+their masses |K_t|_F^2 = sum_bc <C_tb, C_tc> <M_b, M_c>: the Gram of
+the coefficients, which does not depend on V and is cached, against the
+metric of the basis, the sum over q of its column Grams
+G_q[b, c] = <M_b e_q, M_c e_q>, which every form carries.  Every mass
+must be finite; transcripts with ``|K_t|_F^2 < 1e-14`` are dropped as
+dust, with their rows of coefficients, rows and pairs; and the rest must
+sum to 1 within the bound of :func:`_checked`.
 The Choi matrix J = sum_t vec(K_t) vec(K_t)† / d of :func:`channel_choi`
 needs no check of its own: as a Gram matrix it is Hermitian and positive
 semidefinite, and its trace is that checked sum (Watrous, *The Theory of
@@ -163,8 +166,6 @@ TRIVIAL_METRIC = TRIVIAL_GRAMS[0]
 _CONTROL_HALVES = qsim._freeze(
     np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], dtype=np.complex128)
 )
-# Marks the slot's step in a layout (see _layout).
-_SELECT = "select"
 _REGISTER_DETAIL = " alive in one register (measured qubits are kept)"
 
 # Layouts by program shape (see kraus_form), oldest first; the lock
@@ -213,10 +214,10 @@ def kraus_form(p: Program) -> KrausForm:
 
     The program must pass :func:`validate_locality`, and its externals
     plus every qubit it allocates must fit :func:`qsim.max_qubits`.
-    Transcripts with ``|K_t|_F^2 < 1e-14`` are dropped (no unit input
-    reaches them with probability 1e-14); the rest must be finite and
-    satisfy sum_t |K_t|_F^2 / d = 1 within the bound of :func:`_checked`,
-    which makes the channel trace preserving.
+    Every K_t must be finite.  Transcripts with ``|K_t|_F^2 < 1e-14`` are
+    dropped (no unit input reaches them with probability 1e-14); the rest
+    must satisfy sum_t |K_t|_F^2 / d = 1 within the bound of
+    :func:`_checked`, which makes the channel trace preserving.
 
     Validation and the layout of the pass (:func:`_layout`) depend only
     on the shape of ``p`` (:func:`_shape`), so they run once per shape,
@@ -239,8 +240,6 @@ def kraus_form(p: Program) -> KrausForm:
     fresh = coeffs is None or any(map(operator.is_not, gates, layout.gates))
     if fresh:
         coeffs = _coefficients(layout, instructions, p.n_external)
-        if not np.isfinite(np.ascontiguousarray(coeffs).view(np.float64)).all():
-            raise ExecutionError("Kraus operators must be finite")
         gram = _gram(coeffs)
         rows, pairs = _operands(coeffs)
     if layout.slot is None:
@@ -252,16 +251,16 @@ def kraus_form(p: Program) -> KrausForm:
         columns = basis.transpose(2, 1, 0)  # [q, x, b] = M_b[x, q]
         grams = columns.conj().transpose(0, 2, 1) @ columns
         metric = grams.sum(axis=0)
-    transcripts, keep = _checked(layout, coeffs, gram, metric, 1 << p.n_external)
+    transcripts, keep = _checked(layout, gram, metric, 1 << p.n_external)
     if fresh and coeffs.size <= BLOCK_CACHE_ENTRIES:
         qsim._freeze(coeffs)  # read-only exactly when cached (see the module docstring)
         qsim._freeze(gram)
         _store(key, layout._replace(gates=gates, coeffs=coeffs, gram=gram, rows=rows, pairs=pairs))
-    if keep is not None:
-        coeffs = coeffs[keep]
+    if keep is not None:  # copies, read-only where what they copy is
+        coeffs = coeffs[keep] if coeffs.flags.writeable else qsim._freeze(coeffs[keep])
         if rows is not None:
             kept = [True, *keep]  # controlled(V)'s row stays
-            rows, pairs = rows[kept], pairs[:, kept]
+            rows, pairs = qsim._freeze(rows[kept]), qsim._freeze(pairs[:, kept])
     return KrausForm(transcripts, coeffs, basis, grams, metric, v, layout.census, rows, pairs)
 
 
@@ -334,21 +333,21 @@ def _store(key: tuple, layout: "_Layout") -> None:
 
 # The structure of one pass over a program, without its numbers: the
 # unfactored register ``width`` that the cap counts; ``steps`` in program
-# order, where ``(None, j)`` tensors ``_FRESH[j]`` after the live qubits,
-# ``(_SELECT, perm)`` is the slot's selector on the axis ``perm`` brings
-# to the front, and ``(source, perm, inverse, controlled)`` applies, on
-# the axes ``perm`` brings to the front, the gate of instruction
-# ``source`` (an index) or the Pauli ``source`` names; ``order``, which
-# puts the measured axes first for the final reshape; ``transcripts``,
-# every outcome of the measured bits in bit order; ``trace_atol``, the
-# bound of :func:`_checked`; ``slot``, the slot's index or None;
-# ``gate_at``, the indices of the gates the pass reads; ``census``, the
-# program's :func:`resource_census`, which reads only instruction classes
-# and ``SendBit.to_party``, both kept by the shape; and ``gates``,
-# ``coeffs``, ``gram``, ``rows`` and ``pairs``, those gates, the
-# read-only coefficients a pass over them gave, their (T, B, B)
-# :func:`_gram` and their :func:`_operands`, every row of the layout's
-# transcripts kept (dust is dropped per call), or None.  Not a
+# order, of two kinds: ``(None, j)`` tensors ``_FRESH[j]`` after the live
+# qubits, and ``(source, perm, inverse, controlled)`` applies, on the
+# axes ``perm`` brings to the front, the gate of instruction ``source``
+# (an index) or the Pauli ``source`` names (a slot is a fresh |0> and an
+# "X" controlled by the slot's control: no step reads its gate);
+# ``order``, which puts the measured axes first for the final reshape;
+# ``transcripts``, every outcome of the measured bits in bit order;
+# ``trace_atol``, the bound of :func:`_checked`; ``slot``, the slot's
+# index or None; ``gate_at``, the indices of the gates the pass reads;
+# ``census``, the program's :func:`resource_census`, which reads only
+# instruction classes and ``SendBit.to_party``, both kept by the shape;
+# and ``gates``, ``coeffs``, ``gram``, ``rows`` and ``pairs``, those
+# gates, the read-only coefficients a pass over them gave, their
+# (T, B, B) :func:`_gram` and their :func:`_operands`, every row of the
+# layout's transcripts kept (dust is dropped per call), or None.  Not a
 # typing.NamedTuple, which adds ~0.5 ms to every CLI start (CPython 3.11).
 _Layout = collections.namedtuple(
     "_Layout",
@@ -375,8 +374,9 @@ def _layout(p: Program) -> _Layout:
 
     Measurement is deferred: a measured qubit keeps its axis as the
     record of its outcome, and a conditional Pauli is controlled on that
-    axis.  A slot's targets get no axis, and its gate becomes a selector.
-    Reads only what :func:`_shape` keeps of ``p``.
+    axis.  A slot's targets get no axis: the slot becomes a fresh |0>
+    basis qubit and a CNOT onto it from the slot's control.  Reads only
+    what :func:`_shape` keeps of ``p``.
     """
     slot = _slot(p)
     kept = p.n_external - (0 if slot is None else len(p.instructions[slot].targets))
@@ -398,8 +398,11 @@ def _layout(p: Program) -> _Layout:
             steps.append((i, *_permutation(ndim, _positions(axes, ins.wires)), False))
             defect += (1 << len(ins.wires)) * qsim._UNITARY_ATOL
         elif isinstance(ins, ApplyControlledLocal):
-            if i == slot:
-                steps.append((_SELECT, _permutation(ndim, _positions(axes, (ins.control,)))[0]))
+            if i == slot:  # a fresh |0>, flipped where the control is |1>
+                steps.append((None, 0))
+                ndim += 1
+                targets = _positions(axes, (ins.control,)) + (ndim - 2,)
+                steps.append(("X", *_permutation(ndim, targets), True))
             else:
                 targets = _positions(axes, (ins.control, *ins.targets))
                 steps.append((i, *_permutation(ndim, targets), True))
@@ -424,24 +427,20 @@ def _layout(p: Program) -> _Layout:
     order = bit_axes + tuple(a for a in range(ndim) if a not in bit_axes)
     transcripts = tuple(tuple(zip(bits, o)) for o in itertools.product((0, 1), repeat=len(bits)))
     gate_at = tuple(step[0] for step in steps if type(step[0]) is int)
-    width = ndim - 1 + p.n_external - kept
-    return _Layout(width, tuple(steps), order, transcripts, 1e-12 + math.expm1(defect),
+    return _Layout(_register_width(p), tuple(steps), order, transcripts, 1e-12 + math.expm1(defect),
                    slot, gate_at, resource_census(p), None, None, None, None, None)
 
 
 def _coefficients(layout: _Layout, instructions: tuple, n_external: int) -> np.ndarray:
     """The (T, B, r, r) coefficients that :func:`_run`'s pass gives for
-    every transcript of ``layout``, dust included.  With a slot, the batch
-    holds the identity on the kept externals twice, and the two halves of
-    each output are X_t and Y_t."""
+    every transcript of ``layout``, dust included, from the identity on
+    the kept externals: an output's basis index b is the value of the
+    slot's basis qubit, 0 for X_t and 1 for Y_t (B = 2), or none
+    without a slot (B = 1)."""
     kept = n_external - (0 if layout.slot is None else len(instructions[layout.slot].targets))
     r = 1 << kept
-    columns = np.eye(r, dtype=np.complex128)
-    if layout.slot is None:
-        return _run(layout, instructions, columns.reshape((2,) * kept + (r,)))[:, None]
-    batch = np.concatenate((columns, columns), axis=1).reshape((2,) * kept + (2 * r,))
-    halves = _run(layout, instructions, batch).reshape(-1, r, 2, r)
-    return np.ascontiguousarray(halves.transpose(0, 2, 1, 3))
+    out = _run(layout, instructions, np.eye(r, dtype=np.complex128).reshape((2,) * kept + (r,)))
+    return out.reshape(len(layout.transcripts), r, -1, r).transpose(0, 2, 1, 3)
 
 
 def _run(layout: _Layout, instructions: tuple, batch: np.ndarray) -> np.ndarray:
@@ -452,34 +451,23 @@ def _run(layout: _Layout, instructions: tuple, batch: np.ndarray) -> np.ndarray:
     (every one but a slot's targets), in order, then one batch axis.
     Returns a (2^m, rest, batch) array for the m measured bits: row t
     holds the unnormalized output of transcript t of
-    ``layout.transcripts``, over the unmeasured qubits in axis order.
+    ``layout.transcripts``, over the unmeasured qubits in axis order:
+    the kept externals, then a slot's basis qubit.
 
-    The selector, controlled gates and conditional Paulis rewrite the
-    register in place (see :func:`_select` and :func:`_apply`), so
-    ``batch`` must be an array the caller hands over.
+    Controlled gates and conditional Paulis rewrite the register in
+    place (see :func:`_apply`), so ``batch`` must be an array the caller
+    hands over.
     """
     psi = batch
     for step in layout.steps:
         source = step[0]
         if source is None:
             psi = _append_qubits(psi, _FRESH[step[1]])
-        elif source is _SELECT:
-            _select(psi, step[1])
         else:
             _, perm, inverse, controlled = step
             u = _PAULI[source] if source in _PAULI else instructions[source].gate.matrix
             psi = _apply(psi, perm, inverse, u, controlled)
     return psi.transpose(layout.order).reshape(len(layout.transcripts), -1, psi.shape[-1])
-
-
-def _select(psi: np.ndarray, perm: tuple[int, ...]) -> None:
-    """The slot's selector, in place: on the control axis that ``perm``
-    brings to the front, zero the |1> half of the first half of the batch
-    and the |0> half of the second."""
-    front = psi.transpose(perm)
-    half = psi.shape[-1] // 2
-    front[0, ..., half:] = 0
-    front[1, ..., :half] = 0
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
@@ -491,16 +479,19 @@ def _gram(a: np.ndarray) -> np.ndarray:
 
 
 def _checked(
-    layout: _Layout, coeffs: np.ndarray, gram: np.ndarray, metric: np.ndarray, d: int
+    layout: _Layout, gram: np.ndarray, metric: np.ndarray, d: int
 ) -> tuple[list[Transcript], list[bool] | None]:
-    """Find the dust rows of the finite coefficients ``coeffs`` (one row
-    per transcript of ``layout``) of a channel on d dimensions, check the
-    rest, and return the kept transcripts and which rows to keep, None
-    when every row is kept.  The check: total mass sum_t |K_t|_F^2 equal
-    to d within ``layout.trace_atol``, the bound that the gates' own
-    check admits, with |K_t|_F^2 = sum_bc <C_tb, C_tc> <M_b, M_c> read off
-    ``gram``, the :func:`_gram` of the coefficients, and the B×B
-    ``metric`` <M_b, M_c> of their basis, the sum of its column Grams.
+    """Check the Kraus operators of a channel on d dimensions, one per
+    transcript of ``layout``, from their masses |K_t|_F^2 =
+    sum_bc <C_tb, C_tc> <M_b, M_c>, read off ``gram``, the :func:`_gram`
+    of their coefficients, and the B×B ``metric`` <M_b, M_c> of their
+    basis, the sum of its column Grams.  Every mass must be finite (the
+    metric's diagonal is positive, so a non-finite coefficient makes its
+    transcript's mass non-finite, which the dust test alone would read as
+    dust); masses below 1e-14 are dust, and the rest must sum to d within
+    ``layout.trace_atol``, the bound that the gates' own check admits.
+    Returns the kept transcripts and which rows to keep, None when every
+    row is kept.
 
     A gate on m qubits is built with G†G = I + E, |E_ij| <= 1e-10
     (``qsim._UNITARY_ATOL``), so |E|_op <= 2^m * 1e-10 =: eps; m counts
@@ -512,6 +503,8 @@ def _checked(
     """
     b = len(metric)
     masses = (gram.reshape(-1, b * b) @ metric.reshape(b * b)).real.tolist()
+    if not all(map(math.isfinite, masses)):
+        raise ExecutionError("Kraus operators must be finite")
     keep = [mass >= BRANCH_PRUNE for mass in masses]
     total = sum(itertools.compress(masses, keep)) / d
     if abs(total - 1.0) > layout.trace_atol:

@@ -117,7 +117,9 @@ class EquivalenceReport(Record):
         return max((b.max_infidelity for b in self.branches), default=0.0)
 
     def to_json(self) -> str:
-        """Canonical JSON form; byte-identical for identical inputs and seed.
+        """Canonical JSON form; byte-identical for identical inputs and
+        seed from one version under one BLAS configuration (the thread
+        count moves last bits, see ``docs/report-schema.md``).
 
         Exactly ``json.dumps(doc, sort_keys=True, separators=(", ", ": "))``
         of the document in ``docs/report-schema.md``, written field by

@@ -219,18 +219,40 @@ def test_kraus_pass_checks_its_operators(monkeypatch):
             assert len(executor._LAYOUTS) == 1
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_nan_in_one_transcript_is_refused(monkeypatch, k):
+    """A NaN in one coefficient of one transcript, the other transcripts
+    intact, is refused as not finite, not dropped as dust, on a cold and
+    a warm layout cache, over {I, V} and over {1}."""
+    run = executor._run
+
+    def tampered(*args):
+        out = run(*args)
+        out[2, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(executor, "_run", tampered)
+    spec = NonlocalCUSpec(qsim.haar_random_unitary(1 << k, 50 + k), k)
+    for p in (build_program(spec), apply_mutation(build_program(spec), "drop-cgate")):
+        executor._LAYOUTS.clear()
+        for _ in ("cold", "warm"):
+            with pytest.raises(ExecutionError, match="finite"):
+                kraus_form(p)
+
+
 def test_straight_line_pass_applies_each_gate_once(monkeypatch):
     """On a cold layout cache, one ``_apply`` per gate or conditional
-    instruction of a built k=1 program outside its slot (Alice's CNOT, H,
-    2 conditional Paulis; the slot is a selector step), not one per
-    branch prefix as a depth-first walk makes; on a warm one none, since
-    the entry holds the coefficients, also for another gate in the slot."""
+    instruction of a built k=1 program, the slot included (Alice's CNOT,
+    H, 2 conditional Paulis, and the slot's flip of its basis qubit), not
+    one per branch prefix as a depth-first walk makes; on a warm one
+    none, since the entry holds the coefficients, also for another gate
+    in the slot."""
     calls = []
     apply = executor._apply
     monkeypatch.setattr(executor, "_apply", lambda *a, **kw: calls.append(a) or apply(*a, **kw))
     p = build_program(NonlocalCUSpec(qsim.X, 1))
     executor._LAYOUTS.clear()
-    for program, want in ((p, 4), (p, 0), (build_program(NonlocalCUSpec(qsim.H, 1)), 0)):
+    for program, want in ((p, 5), (p, 0), (build_program(NonlocalCUSpec(qsim.H, 1)), 0)):
         calls.clear()
         kraus_stack(program)
         assert len(calls) == want

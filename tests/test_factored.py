@@ -12,6 +12,7 @@ programs carry for every gate.
 import copy
 import pickle
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from telegate.protocol import (
     cwire,
     parse_program,
     qwire,
+    validate_locality,
 )
 from telegate.qsim import UnitaryMatrix
 from telegate.verifier import verify_program
@@ -89,6 +91,56 @@ def test_dense_view_of_a_program_file(monkeypatch):
     assert np.abs(got[1] - want[1]).max() <= 1e-15
 
 
+def layout_programs():
+    """``(label, program)``: the built programs at k = 1..8, intact and
+    under every mutation, and every valid program file of ``tests/data``
+    and ``demos``."""
+    for k in range(1, 9):
+        for mutation, p, _ in programs(k, 880 + k):
+            yield f"k{k}/{mutation or 'intact'}", p
+    tests = Path(__file__).resolve().parent
+    for path in sorted([*(tests / "data").glob("*.tg"), *(tests.parent / "demos").glob("*.tg")]):
+        p = parse_program(path.read_text())
+        if not validate_locality(p):
+            yield path.name, p
+
+
+def test_a_layout_has_two_step_kinds(monkeypatch):
+    """Every step tensors fresh qubits, ``(None, j)``, or applies a gate,
+    ``(source, perm, inverse, controlled)``, with ``source`` a Pauli name
+    or the index of a gate instruction other than the slot: a slot is a
+    fresh |0> and a CNOT from its control.  The pass reads every gate
+    but the slot's, here with the slot's instruction replaced by one
+    that has targets and no gate.  The width the cap counts is the
+    register of the unfactored pass, which holds every qubit axis of the
+    layout (``order`` less the batch axis)."""
+    files = 0
+    for label, p in layout_programs():
+        files += label.endswith(".tg")
+        layout = executor._layout(p)
+        with monkeypatch.context() as patch:
+            patch.setattr(executor, "_slot", lambda p: None)
+            assert layout.width == len(executor._layout(p).order) - 1, label
+        for step in layout.steps:
+            if step[0] is None:
+                assert len(step) == 2 and step[1] in (0, 1, 2), label
+                continue
+            source, perm, inverse, controlled = step
+            assert source in ("X", "Z") or source in layout.gate_at, label
+            assert sorted(perm) == list(range(len(perm))), label
+            assert [perm[a] for a in inverse] == list(range(len(perm))), label
+            assert isinstance(controlled, bool), label
+        gates = [i for i, ins in enumerate(p.instructions) if isinstance(ins, (ApplyLocal, ApplyControlledLocal))]
+        assert list(layout.gate_at) == [i for i in gates if i != layout.slot], label
+        want = executor._coefficients(layout, p.instructions, p.n_external)
+        if layout.slot is not None:
+            instructions = list(p.instructions)
+            instructions[layout.slot] = types.SimpleNamespace(targets=p.instructions[layout.slot].targets)
+            got = executor._coefficients(layout, tuple(instructions), p.n_external)
+            assert got.tobytes() == want.tobytes(), label
+    assert files == 4
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_every_gate_certificate(k):
     """The intact program's cached coefficients are X_t = λ_t P0 and
@@ -132,14 +184,21 @@ def test_a_non_slot_gate_is_part_of_the_cached_coefficients():
 
 def grams_read(monkeypatch, program, calls=2):
     """The coefficients and Gram that ``calls`` calls of kraus_form on
-    ``program`` hand to ``executor._checked``, one pair per call: the
-    first computes them, and later ones read them from the cache if it
+    ``program`` check, one pair per call: the Gram handed to
+    ``executor._checked``, and the coefficients of the call's pass, or
+    the cached ones that the call reads when it runs none.  The first
+    call computes them, and later ones read them from the cache if it
     keeps them."""
-    seen = []
-    checked = executor._checked
+    seen, passes = [], []
+    checked, coefficients = executor._checked, executor._coefficients
+
+    def read(layout, g, *basis):
+        seen.append((passes.pop() if passes else layout.coeffs, g))
+        return checked(layout, g, *basis)
+
     with monkeypatch.context() as patch:
-        patch.setattr(executor, "_checked",
-                      lambda layout, c, g, *basis: seen.append((c, g)) or checked(layout, c, g, *basis))
+        patch.setattr(executor, "_coefficients", lambda *a: passes.append(coefficients(*a)) or passes[-1])
+        patch.setattr(executor, "_checked", read)
         forms = [kraus_form(program) for _ in range(calls)]
     return forms, seen
 
@@ -705,7 +764,7 @@ def test_the_form_carries_its_basis_column_grams(monkeypatch, k):
     seen = []
     checked = executor._checked
     monkeypatch.setattr(executor, "_checked",
-                        lambda layout, c, g, metric, d: seen.append(metric) or checked(layout, c, g, metric, d))
+                        lambda layout, g, metric, d: seen.append(metric) or checked(layout, g, metric, d))
     for mutation, program, _ in programs(k, 860 + k):
         form = kraus_form(program)
         assert seen.pop() is form.metric
@@ -767,7 +826,7 @@ def test_operands_drop_dust_rows_as_the_coefficients_do():
     for _ in range(2):
         form = kraus_form(program)
         layout = executor._LAYOUTS[executor._shape(program)]
-        transcripts, keep = executor._checked(layout, layout.coeffs, layout.gram, form.metric, 4)
+        transcripts, keep = executor._checked(layout, layout.gram, form.metric, 4)
         assert keep is not None and sum(keep) == 1 < len(keep)
         assert form.transcripts == transcripts
         rows = [0] + [1 + t for t, kept in enumerate(keep) if kept]
@@ -775,6 +834,46 @@ def test_operands_drop_dust_rows_as_the_coefficients_do():
         assert np.array_equal(form.rows, layout.rows[rows])
         assert np.array_equal(form.pairs, layout.pairs[:, rows])
         assert np.array_equal(form.rows[1:], form.coeffs)
+
+
+DUST_FREE = "ext A q0\nalloc A q1 = 0\nmeasz A q1 -> c1\n"
+DUST_SLOT = ("ext A q0\next B q1\nalloc B q2 = 0\ncgate B q2 -> q1 : X\n"
+             "alloc A q3 = 0\nmeasz A q3 -> c3\nmeasz B q2 -> c2\n")
+# 2^11 transcripts, all but one dust: coefficients too large to cache.
+DUST_WIDE = "ext A q0\n" + "".join(f"alloc A q{i} = 0\nmeasz A q{i} -> c{i}\n" for i in range(1, 12))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_program(NonlocalCUSpec(qsim.haar_random_unitary(2, 7), 1)),
+    lambda: apply_mutation(build_program(NonlocalCUSpec(qsim.haar_random_unitary(2, 7), 1)), "drop-cgate"),
+    lambda: wide_program(),
+    lambda: parse_program(DUST_FREE),
+    lambda: parse_program(DUST_SLOT),
+    lambda: parse_program(DUST_WIDE),
+], ids=["slot", "slot-free", "slot-uncached", "dust-slot-free", "dust-slot", "dust-uncached"])
+def test_writing_into_a_form_changes_no_later_form(make):
+    """A form's rows and pairs are read-only, and its coefficients exactly
+    when the cache keeps them, also after a dust drop copied them; and
+    writing into every array of a form that is writeable changes no later
+    call's form, cold or warm, with dust or without, over {I, V} and over
+    {1}, cached or not."""
+    program = make()
+
+    def arrays(form):
+        return [(f, a) for f in form._fields if isinstance(a := getattr(form, f), np.ndarray)]
+
+    executor._LAYOUTS.clear()
+    want = [(f, a.tobytes()) for f, a in arrays(kraus_form(program))]
+    executor._LAYOUTS.clear()
+    for _ in ("cold", "warm", "warm"):
+        form = kraus_form(program)
+        assert [(f, a.tobytes()) for f, a in arrays(form)] == want
+        layout = executor._LAYOUTS[executor._shape(program)]
+        assert form.coeffs.flags.writeable == (layout.coeffs is None)
+        assert form.rows is None or not (form.rows.flags.writeable or form.pairs.flags.writeable)
+        for _, a in arrays(form):
+            if a.flags.writeable:
+                a[...] = 99
 
 
 def test_no_operands_without_a_slot_and_r_2():

@@ -14,10 +14,15 @@ against a spec that signals both ways must send a bit each way.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import telegate
 from golden_cases import cases, reference_json, report
 from oracles import controlled_signals, operator_schmidt_rank
 from program_files import variants
@@ -102,3 +107,63 @@ def test_every_pass_sends_the_bits_its_spec_needs():
             assert not signals or min(c.bits_alice_to_bob, c.bits_bob_to_alice) >= 1, label
             passed[signals].add((c.bits_alice_to_bob, c.bits_bob_to_alice))
     assert passed == {False: {(1, 1)}, True: {(1, 1), (2, 2)}}
+
+
+# k = 6..8 reports whose bytes differ between one OpenBLAS thread and two
+# (OpenBLAS 0.3.31), and one that does not, at 40 probes.
+BLAS_CASES = ("k6/0/drop-cgate", "k7/0/intact", "k7/0/drop-bell", "k8/0/drop-cgate", "k8/1/intact")
+BLAS_CHILD = """
+import sys
+from golden_cases import cases
+from telegate.builder import apply_mutation, build_program, build_specification
+from telegate.verifier import verify_program
+named = {name: case for name, *case in cases()}
+for name in sys.argv[1:]:
+    spec, mutation, seed = named[name]
+    p = build_program(spec)
+    p = apply_mutation(p, mutation) if mutation else p
+    print(verify_program(p, build_specification(spec), probes=40, seed=seed).to_json())
+"""
+
+
+def blas_threaded() -> bool:
+    """Whether numpy's BLAS reads its thread count from
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS: OpenBLAS, or one built with
+    OpenMP."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except Exception:
+        return False
+    text = " ".join(map(str, blas.values())).lower()
+    return "openblas" in text or "openmp" in text
+
+
+def reports_at(threads: int) -> list[str]:
+    """The JSON reports of BLAS_CASES from a child process whose
+    environment differs from this one only in the BLAS thread count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    paths = [str(Path(__file__).parent), str(Path(telegate.__file__).parent.parent)]
+    env["PYTHONPATH"] = os.pathsep.join(paths + [env.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-c", BLAS_CHILD, *BLAS_CASES], env=env,
+                         capture_output=True, text=True, check=True)
+    return run.stdout.splitlines()
+
+
+@pytest.mark.skipif(not blas_threaded(), reason="numpy's BLAS is neither OpenBLAS nor OpenMP-threaded")
+def test_reports_across_blas_thread_counts():
+    """docs/report-schema.md: bytes hold for one BLAS configuration, and
+    across thread counts verdicts, censuses and transcripts are equal and
+    every float agrees within the golden 1e-14.  Two children at two
+    threads give the same bytes; one at one thread is compared with them."""
+    one, two, again = (reports_at(t) for t in (1, 2, 2))
+    assert len(one) == len(two) == len(BLAS_CASES)
+    assert two == again
+    for name, a, b in zip(BLAS_CASES, one, two):
+        got, want = json.loads(a), json.loads(b)
+        for key in ("verdict", "tolerances", "census"):
+            assert got[key] == want[key], (name, key)
+        assert [g["transcript"] for g in got["branches"]] == [w["transcript"] for w in want["branches"]]
+        assert abs(got["choi_distance"] - want["choi_distance"]) <= FLOAT_ATOL, name
+        for g, w in zip(got["branches"], want["branches"]):
+            assert abs(g["probability"] - w["probability"]) <= FLOAT_ATOL, name
+            assert abs(g["max_infidelity"] - w["max_infidelity"]) <= FLOAT_ATOL, name

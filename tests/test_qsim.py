@@ -42,7 +42,7 @@ def measure(state: np.ndarray, qubit: int) -> list[tuple[int, float, np.ndarray]
     layout = _layout(p)
     out = _run(layout, p.instructions, state.reshape((2,) * n + (1,)))[:, None]
     # One unit state, so the mass to check is 1: d = 1, the batch's width.
-    transcripts, keep = _checked(layout, out, executor._gram(out), executor.TRIVIAL_METRIC, 1)
+    transcripts, keep = _checked(layout, executor._gram(out), executor.TRIVIAL_METRIC, 1)
     ops = out if keep is None else out[keep]
     branches = []
     for ((_, outcome),), op in zip(transcripts, ops):
